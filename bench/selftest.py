@@ -23,6 +23,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(BENCH))
 
 import curvelab as cl  # noqa: E402
+import reference  # noqa: E402
 import run  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
@@ -33,7 +34,7 @@ SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 # is predicted to use.
 TINY = {
     "table": ["squareexp.json@r=2"],
-    "locus-bound": ["product2.json", "locus01.json"],   # locus01 omits K
+    "locus-bound": ["product2.json", "locus00.json"],   # locus00 omits K
     "lemmas": None,                                     # first op only
 }
 
@@ -165,6 +166,20 @@ def test_lemma_check_rejects_failures_and_a_moved_kernel_minimum():
         ["lemma_failures"]
 
 
+def test_calibrated_latency_divides_by_the_slowdown_around_each_sample():
+    # (latency, kinds, fingerprint, unexpected, slowdown) per pass, two ops
+    samples = [[(2.0, [], "a", [], 1.0), (3.0, [], "a", [], 1.5), (2.4, [], "a", [], 1.2)],
+               [(0.5, [], "b", [], 2.0)]]
+    assert run._op_medians(samples) == [2.4, 0.5]
+    assert run._op_medians(samples, 1.0) == [2.0, 0.25]
+    assert run._op_medians(samples, 0.5) == pytest.approx([2.4 / 1.2 ** 0.5, 0.5 / 2 ** 0.5])
+
+
+def test_reference_kernel_is_fixed_work():
+    assert reference.kernel() == reference.kernel()
+    assert all(t > 0 for t in reference.timed(3))
+
+
 def test_op_past_its_time_limit_is_abandoned():
     op = workloads.Op("sleeper", lambda: time.sleep(5) or {"errors": []}, lambda out: [])
     out, latency = run._timed_call(op, 0.2)
@@ -197,7 +212,8 @@ def test_command_line_output_format():
         cwd=ROOT, capture_output=True, text=True, timeout=170, check=True)
     lines = proc.stdout.strip().splitlines()
     printed = {line.split()[1]: line.split()[-1] for line in lines[:-2]}
-    assert printed == {**run.END_TO_END_UNITS, "peak_rss_mb": "MB", "fail_frac": "ratio"}
+    assert printed == {**run.END_TO_END_UNITS, "wall_s": "s", "op_p50_ms": "ms",
+                       "peak_rss_mb": "MB", "fail_frac": "ratio"}
     assert "run_record" in json.loads(lines[-2])
     last = json.loads(lines[-1])
     assert set(last) == {"correct", "attempted", "failed", "metrics"}
