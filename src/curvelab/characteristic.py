@@ -27,13 +27,33 @@ from .quadrature import adaptive_gauss, periodic_trapezoid
 DEFAULT_TOL = 1e-8
 
 
-def _angular_energy(curve, s, tol):
-    """A(s) = integral over theta of ||f'||^2(s e^{i theta})."""
-    if s <= 0:
-        return 0.0
-    return periodic_trapezoid(
-        lambda th: np.asarray(curve.spherical_derivative(s * np.exp(1j * th))) ** 2,
-        tol)
+class AngularEnergy:
+    """A(s) = integral over theta of ||f'||^2(s e^{i theta}), memoised by
+    node so that radial integrals over the same curve share their circles.
+
+    The nodes not yet known go to one batched periodic trapezoid.
+    """
+
+    def __init__(self, curve: HolomorphicCurve, tol):
+        self.curve = curve
+        self.tol = min(tol, 1e-9)
+        self._values = {}
+
+    def __call__(self, s):
+        s = np.asarray(s, dtype=float)
+        todo = np.array(sorted({v for v in s.tolist() if v > 0 and v not in self._values}))
+        if todo.size:
+            def integrand(theta):
+                rows = getattr(theta, "rows", slice(None))
+                z = todo[rows, None] * np.exp(1j * theta)
+                return np.asarray(self.curve.spherical_derivative(z)) ** 2
+
+            self._values.update(zip(todo.tolist(), periodic_trapezoid(integrand, self.tol)))
+        return np.array([self._values.get(v, 0.0) for v in s.tolist()])
+
+
+def _energy(curve, tol):
+    return curve if isinstance(curve, AngularEnergy) else AngularEnergy(curve, tol)
 
 
 def characteristic_jensen(curve: HolomorphicCurve, r, tol=DEFAULT_TOL):
@@ -45,32 +65,35 @@ def characteristic_jensen(curve: HolomorphicCurve, r, tol=DEFAULT_TOL):
     return mean - curve.u(0.0)
 
 
-def characteristic_area(curve: HolomorphicCurve, r, tol=DEFAULT_TOL):
-    """Logarithmic area integral of the squared spherical derivative."""
+def characteristic_area(curve: HolomorphicCurve | AngularEnergy, r, tol=DEFAULT_TOL):
+    """Logarithmic area integral of the squared spherical derivative.
+
+    ``curve`` is a HolomorphicCurve, or an AngularEnergy of one to share its
+    A(s) values with other radial integrals; its own tolerance then governs
+    A(s).
+    """
     if r <= 0:
         raise ValueError("radius must be positive")
-    inner_tol = min(tol, 1e-9)
+    energy = _energy(curve, tol)
 
     def integrand(s):
-        if s <= 0 or s >= r:
-            return 0.0
-        return s * math.log(r / s) * _angular_energy(curve, s, inner_tol)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            weight = np.where((s > 0) & (s < r), s * np.log(r / s), 0.0)
+        return weight * energy(s)
 
     return adaptive_gauss(integrand, 0.0, r, tol) / math.pi
 
 
-def counting_function(curve: HolomorphicCurve, t, tol=DEFAULT_TOL):
-    """n(t): total mass of the Riesz (Cartan) measure in |z| <= t."""
+def counting_function(curve: HolomorphicCurve | AngularEnergy, t, tol=DEFAULT_TOL):
+    """n(t): total mass of the Riesz (Cartan) measure in |z| <= t.
+
+    ``curve`` is a HolomorphicCurve, or an AngularEnergy of one (see
+    characteristic_area).
+    """
     if t <= 0:
         raise ValueError("radius must be positive")
-    inner_tol = min(tol, 1e-9)
-
-    def integrand(s):
-        if s <= 0:
-            return 0.0
-        return s * _angular_energy(curve, s, inner_tol)
-
-    return adaptive_gauss(integrand, 0.0, t, tol) / math.pi
+    energy = _energy(curve, tol)
+    return adaptive_gauss(lambda s: s * energy(s), 0.0, t, tol) / math.pi
 
 
 # -- reduced curve ------------------------------------------------------------
@@ -185,9 +208,10 @@ class CharacteristicTable:
 def build_table(curve: HolomorphicCurve, radii, tol=DEFAULT_TOL,
                 cross_check_tol=1e-6):
     radii = sorted(float(r) for r in radii)
+    energy = AngularEnergy(curve, tol)
     t_area, t_jensen, counting = [], [], []
     for r in radii:
-        ta = characteristic_area(curve, r, tol)
+        ta = characteristic_area(energy, r, tol)
         tj = characteristic_jensen(curve, r, tol)
         if abs(ta - tj) > cross_check_tol:
             raise RuntimeError(
@@ -195,5 +219,5 @@ def build_table(curve: HolomorphicCurve, radii, tol=DEFAULT_TOL,
                 f"area={ta!r}, jensen={tj!r}")
         t_area.append(ta)
         t_jensen.append(tj)
-        counting.append(counting_function(curve, r, tol))
+        counting.append(counting_function(energy, r, tol))
     return CharacteristicTable(radii, t_area, t_jensen, counting)

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import CurveValidationError
 from .polynomials import ComplexPoly
@@ -97,36 +97,88 @@ def log_norm(components, z):
     z = np.asarray(z, dtype=complex)
     stack = np.stack([c.log_modulus(z) for c in components])
     with np.errstate(invalid="ignore"):
-        out = 0.5 * logsumexp(2.0 * stack, axis=0)
+        out = 0.5 * _logsumexp(2.0 * stack)
     return out if out.shape else float(out)
 
 
-def spherical_derivative_of(components, z):
-    """Fubini-Study derivative of the curve with the given homogeneous
-    representation, computed entirely in log domain.
+def _logsumexp(a):
+    """log(sum(exp(a), axis=0)), shifted by the column max. A column whose max
+    is not finite is left unshifted, so all -inf gives -inf."""
+    top = a.max(axis=0)
+    top = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(a - top).sum(axis=0)) + top
+
+
+_CHUNK = 8192  # points per kernel pass; bounds the (rows, points) temporaries
+
+
+class CompiledCurve:
+    """The polynomials of a homogeneous representation stacked for vectorized
+    log-domain evaluation of the Fubini-Study derivative.
 
     ||f'||^2 = ||f||^-4 * sum_{i<j} |f_i' f_j - f_i f_j'|^2, and with
     f_j = g_j e^{P_j} each Wronskian term factors as
     e^{P_i + P_j} * (h_i g_j - g_i h_j) with h_j = g_j' + g_j P_j'.
+    ||f'|| is unchanged by a common factor e^{-P_n}, so the exponents are
+    taken as P_j - P_n (a no-op when f_n = 1), which keeps a common part out
+    of the rounding. The rows of the coefficient stack are g_0..g_n, the
+    exponents and the pair polynomials h_i g_j - g_i h_j for i < j,
+    ascending and zero-padded, so one Horner loop evaluates them all.
     """
-    z = np.asarray(z, dtype=complex)
-    m = len(components)
-    g = [c.poly_factor for c in components]
-    h = [c.poly_factor.deriv() + c.poly_factor * c.exponent.deriv() for c in components]
-    re_p = [c.exponent(z).real for c in components]
-    log_g = [_log_abs(c.poly_factor(z)) for c in components]
 
-    pair_logs = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            w = h[i] * g[j] - g[i] * h[j]
-            pair_logs.append(2.0 * (re_p[i] + re_p[j]) + 2.0 * _log_abs(w(z)))
-    with np.errstate(invalid="ignore"):
-        num = 0.5 * logsumexp(np.stack(pair_logs), axis=0)
-        den = logsumexp(np.stack([2.0 * (rp + lg) for rp, lg in zip(re_p, log_g)]), axis=0)
-    out = np.exp(num - den)
-    out = np.where(np.isnan(out), 0.0, out)
-    return out if out.shape else float(out)
+    def __init__(self, components):
+        m = len(components)
+        g = [c.poly_factor for c in components]
+        p = [c.exponent - components[-1].exponent for c in components]
+        h = [gj.deriv() + gj * pj.deriv() for gj, pj in zip(g, p)]
+        pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+        polys = g + p + [h[i] * g[j] - g[i] * h[j] for i, j in pairs]
+        self.coeffs = np.zeros((len(polys), max(len(poly.coeffs) for poly in polys) or 1),
+                               dtype=complex)
+        for row, poly in enumerate(polys):
+            self.coeffs[row, :len(poly.coeffs)] = poly.coeffs
+        self.m = m
+        self._first = np.array([i for i, _ in pairs], dtype=int)
+        self._second = np.array([j for _, j in pairs], dtype=int)
+
+    def spherical_derivative(self, z):
+        """||f'|| at z, any shape; a float for a scalar z."""
+        z = np.asarray(z, dtype=complex)
+        flat = z.reshape(-1)
+        out = np.empty(flat.shape)
+        for start in range(0, flat.size, _CHUNK):
+            out[start:start + _CHUNK] = self._spherical(flat[start:start + _CHUNK])
+        out = out.reshape(z.shape)
+        return out if out.shape else float(out)
+
+    def _spherical(self, z):
+        m = self.m
+        acc = np.empty((len(self.coeffs), z.size), dtype=complex)
+        acc[:] = self.coeffs[:, -1:]
+        for k in range(self.coeffs.shape[1] - 2, -1, -1):
+            acc *= z
+            acc += self.coeffs[:, k:k + 1]
+        with np.errstate(divide="ignore"):
+            log_g = np.log(np.abs(acc[:m]))
+            log_w = np.log(np.abs(acc[2 * m:]))
+        # exponents relative to the largest log|f_k|, which cancels between
+        # numerator and denominator, so that no sum of exponents in the
+        # thousands is rounded before they cancel
+        re_p = acc[m:2 * m].real
+        top = (re_p + log_g).max(axis=0)
+        with np.errstate(invalid="ignore"):
+            q = re_p - top
+            num = 0.5 * _logsumexp(2.0 * (q[self._first] + q[self._second]) + 2.0 * log_w)
+            den = _logsumexp(2.0 * (q + log_g))
+            out = np.exp(num - den)
+        return np.where(np.isnan(out), 0.0, out)
+
+
+def spherical_derivative_of(components, z):
+    """Fubini-Study derivative of the curve with the given homogeneous
+    representation, computed entirely in log domain (see CompiledCurve)."""
+    return CompiledCurve(components).spherical_derivative(z)
 
 
 @dataclass(frozen=True)
@@ -169,8 +221,13 @@ class HolomorphicCurve:
         """log ||f(z)||; nonnegative because |f_n| = 1."""
         return log_norm(self.components, z)
 
+    @cached_property
+    def compiled(self):
+        """The CompiledCurve of the components, built on first use."""
+        return CompiledCurve(self.components)
+
     def spherical_derivative(self, z):
-        return spherical_derivative_of(self.components, z)
+        return self.compiled.spherical_derivative(z)
 
     def reduced_polys(self):
         """Exponents P_1, ..., P_n of the nonvanishing components."""

@@ -10,39 +10,70 @@ from numpy.polynomial.legendre import leggauss
 from .errors import QuadratureBudgetError
 
 _GL_NODES, _GL_WEIGHTS = leggauss(15)
+_CALL_POINTS = 8192  # integrand points per call at a level, unless one row has more
+
+
+class RowAngles(np.ndarray):
+    """The angles periodic_trapezoid hands its integrand after the first
+    call: one copy of the shared grid for each batch row in ``rows``."""
+
+    rows: np.ndarray
+
+
+def _row_angles(theta, rows):
+    out = np.broadcast_to(theta, (rows.size, theta.size)).view(RowAngles)
+    out.rows = rows
+    return out
 
 
 def periodic_trapezoid(f, tol, n_start=64, n_max=1 << 20):
     """Integral of f over [0, 2pi); f maps an angle array to a value array.
 
     Doubles the node count until two successive estimates agree to tol
-    (relative to max(1, |I|)).
+    (relative to max(1, |I|)). An f that returns a leading batch axis is a
+    batch of integrands sharing the grid, and the result is one integral per
+    row; a plain f is the one-row batch. Every row stops at the level where
+    it would stop alone. Only the first call gets the bare grid, and returns
+    every row; later calls get RowAngles for some of the rows still running
+    and return just those rows. Raises QuadratureBudgetError for the first
+    row still running at n_max.
     """
     n = n_start
     theta = np.arange(n) * (2 * np.pi / n)
-    total = float(np.sum(f(theta)))
-    integral = total * (2 * np.pi / n)
+    first = np.asarray(f(theta))
+    totals = np.atleast_2d(first).sum(axis=1)
+    integrals = totals * (2 * np.pi / n)
+    errors = np.full(totals.shape, np.inf)
+    running = np.arange(totals.size)
     while n < n_max:
         mid = theta + np.pi / n
-        total += float(np.sum(f(mid)))
+        per_call = max(1, _CALL_POINTS // n)
+        for start in range(0, running.size, per_call):
+            rows = running[start:start + per_call]
+            totals[rows] += np.asarray(f(_row_angles(mid, rows))).sum(axis=1)
         n *= 2
         theta = np.arange(n) * (2 * np.pi / n)
-        new_integral = total * (2 * np.pi / n)
-        err = abs(new_integral - integral)
-        integral = new_integral
-        if err <= tol * max(1.0, abs(integral)):
-            return integral
-    raise QuadratureBudgetError("periodic trapezoid did not converge", integral, err)
+        new = totals[running] * (2 * np.pi / n)
+        errors[running] = np.abs(new - integrals[running])
+        integrals[running] = new
+        running = running[~(errors[running] <= tol * np.maximum(1.0, np.abs(new)))]
+        if not running.size:
+            return integrals if first.ndim == 2 else float(integrals[0])
+    row = running[0]
+    raise QuadratureBudgetError("periodic trapezoid did not converge",
+                                float(integrals[row]), float(errors[row]))
 
 
 def _gl_panel(f, a, b):
     half = 0.5 * (b - a)
     x = 0.5 * (a + b) + half * _GL_NODES
-    return half * float(np.dot(_GL_WEIGHTS, [f(xi) for xi in x]))
+    return half * float(np.dot(_GL_WEIGHTS, f(x)))
 
 
 def adaptive_gauss(f, a, b, tol, initial_panels=4, max_panels=4096):
-    """Adaptive Gauss-Legendre integration of a scalar function on [a, b].
+    """Adaptive Gauss-Legendre integration on [a, b] of a function f that maps
+    an array of nodes to an array of values; each panel's nodes go to f in
+    one call.
 
     Panels are split until the whole-vs-halves discrepancy is below the
     tolerance share of each panel. Raises QuadratureBudgetError (carrying the
@@ -54,7 +85,6 @@ def adaptive_gauss(f, a, b, tol, initial_panels=4, max_panels=4096):
     stack = [(edges[i], edges[i + 1], _gl_panel(f, edges[i], edges[i + 1]))
              for i in range(initial_panels)]
     total = 0.0
-    err_accum = 0.0
     panels_used = initial_panels
     while stack:
         lo, hi, whole = stack.pop()
@@ -64,7 +94,6 @@ def adaptive_gauss(f, a, b, tol, initial_panels=4, max_panels=4096):
         err = abs(left + right - whole)
         if err <= tol * (hi - lo) / (b - a) or (hi - lo) < 1e-14 * abs(b - a):
             total += left + right
-            err_accum += err
             continue
         panels_used += 2
         if panels_used > max_panels:

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from curvelab import (
     characteristic_jensen,
     circle_mean_max_re,
     counting_function,
+    load_curve,
     reduced_characteristic,
     reduced_characteristic_polys,
 )
@@ -111,3 +113,28 @@ class TestMonotonicityAndTable:
             r = 10.0
             ratio = characteristic_jensen(curve, 2 * r) / characteristic_jensen(curve, r)
             assert ratio <= 2 ** (2 * curve.sigma + 2) * 1.1
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+FIXTURE_NAMES = ("exp", "line", "product2", "squareexp")
+
+
+def _n_by_radial_derivative(curve, r, nodes=1 << 16):
+    """n(r) = (1/2pi) * circle integral of r du/dr, a third route: with
+    w_j = |f_j|^2/||f||^2, r du/dr = sum_j w_j Re(z f_j'/f_j). The weights are
+    a softmax of 2 log|f_j| and the integral a dense periodic trapezoid."""
+    z = r * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    logs = 2.0 * np.stack([c.log_modulus(z) for c in curve.components])
+    weights = np.exp(logs - logs.max(axis=0))
+    weights /= weights.sum(axis=0)
+    radial = np.stack([(z * c.log_derivative(z)).real for c in curve.components])
+    return float(np.mean(np.sum(weights * radial, axis=0)))
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_counting_function_matches_radial_derivative_route(name):
+    curve = load_curve(FIXTURES / f"{name}.json")
+    radii = [1.0, 2.0, 5.0, 10.0]
+    table = build_table(curve, radii)
+    for r, n_table in zip(radii, table.n_counting):
+        assert n_table == pytest.approx(_n_by_radial_derivative(curve, r), rel=1e-7, abs=0.0)

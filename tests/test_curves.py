@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,6 +13,7 @@ from curvelab import (
     spherical_derivative_of,
 )
 from curvelab.errors import CurveValidationError
+from curvelab.polynomials import ComplexPoly
 
 
 class TestEvalComponent:
@@ -139,3 +141,102 @@ class TestEstimateGrowth:
         sigma_hat, k_hat = estimate_growth(square_exp_curve, 5.0, 20.0, 8)
         assert sigma_hat == pytest.approx(1.0, abs=1e-6)
         assert k_hat == pytest.approx(1.0, abs=1e-6)
+
+
+def _random_curve(rng, n, sigma, kind0):
+    """An in-spec curve with complex N(0, 0.5^2) coefficients; f_0 has a
+    degree-2 factor Q unless it is a pure exponential."""
+    cap = math.floor(2 * sigma + 2)
+
+    def coeffs(degree):
+        return rng.normal(0.0, 0.5, degree + 1) + 1j * rng.normal(0.0, 0.5, degree + 1)
+
+    first = {"poly": lambda: CurveComponent.poly(coeffs(2)),
+             "exppoly": lambda: CurveComponent.exp_poly(coeffs(cap)),
+             "polyexp": lambda: CurveComponent.poly_exp(coeffs(2), coeffs(cap))}[kind0]()
+    comps = [first] + [CurveComponent.exp_poly(coeffs(cap)) for _ in range(1, n)]
+    return HolomorphicCurve(n, tuple(comps) + (CurveComponent.one(),), sigma)
+
+
+def _mp_spherical(curve, z):
+    """||f'|| at z in 50-digit arithmetic, straight from the definition."""
+    with mpmath.workdps(50):
+        x = mpmath.mpc(z)
+
+        def ev(coeffs):
+            acc = mpmath.mpc(0)
+            for c in reversed(coeffs):
+                acc = acc * x + mpmath.mpc(c)
+            return acc
+
+        def der(coeffs):
+            return [k * c for k, c in enumerate(coeffs)][1:]
+
+        f, df = [], []
+        for comp in curve.components:
+            g, p = comp.poly_factor.coeffs, comp.exponent.coeffs
+            e = mpmath.exp(ev(p))
+            f.append(ev(g) * e)
+            df.append((ev(der(g)) + ev(g) * ev(der(p))) * e)
+        norm2 = mpmath.fsum(abs(v) ** 2 for v in f)
+        wronski = mpmath.fsum(abs(df[i] * f[j] - f[i] * df[j]) ** 2
+                              for i in range(len(f)) for j in range(i + 1, len(f)))
+        return float(mpmath.sqrt(wronski) / norm2)
+
+
+class TestCompiledKernelOracle:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_mpmath(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 1 + seed % 3
+        sigma = (0.0, 0.5, 1.0)[seed % 3]
+        kind0 = ("poly", "polyexp", "exppoly")[seed % 3]
+        curve = _random_curve(rng, n, sigma, kind0)
+        points = [0.0] + list(rng.normal(0.0, 2.0, 8) + 1j * rng.normal(0.0, 2.0, 8))
+        if kind0 != "exppoly":
+            points += list(np.roots(curve.components[0].poly_factor.coeffs[::-1]))
+        ours = curve.spherical_derivative(np.array(points))
+        for z, value in zip(points, ours):
+            assert value == pytest.approx(_mp_spherical(curve, z), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_real_parts_in_the_thousands(self, seed):
+        # f_0 and f_1 share an exponent up to a linear term, so ||f'|| stays
+        # representable where Re P is in the thousands of either sign. The
+        # value's condition number there is about |z P'(z)| times the unit
+        # roundoff, a few 1e-13, which leaves room below the tolerance.
+        rng = np.random.default_rng(100 + seed)
+        sigma = (0.0, 1.0)[seed % 2]
+        base = _random_curve(rng, 2, sigma, "exppoly")
+        p1 = base.components[1].exponent
+        shift = rng.normal(0.0, 0.5, 2) + 1j * rng.normal(0.0, 0.5, 2)
+        curve = HolomorphicCurve(2, (
+            CurveComponent.poly_exp(rng.normal(0.0, 0.5, 3), p1 + ComplexPoly(shift)),
+            base.components[1], base.components[2]), sigma)
+        radius = 60.0 if sigma == 0.0 else 8.0
+        z = radius * rng.uniform(0.5, 1.0, 4000) * np.exp(2j * np.pi * rng.uniform(size=4000))
+        big = np.abs(np.asarray(p1(z)).real)
+        z = z[(big > 1000.0) & (big < 2000.0)][:12]
+        assert z.size == 12
+        ours = curve.spherical_derivative(z)
+        for point, value in zip(z, ours):
+            oracle = _mp_spherical(curve, point)
+            if oracle < 1e-290:
+                assert value < 1e-280
+            else:
+                assert value == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+    def test_scalar_and_shapes(self, product_curve):
+        assert isinstance(product_curve.spherical_derivative(0.5 + 1j), float)
+        assert isinstance(product_curve.spherical_derivative(np.complex128(2.0)), float)
+        rng = np.random.default_rng(7)
+        z = rng.normal(size=(3, 5000)) + 1j * rng.normal(size=(3, 5000))
+        grid = product_curve.spherical_derivative(z)
+        assert grid.shape == (3, 5000)
+        assert product_curve.spherical_derivative(z[1]).shape == (5000,)
+        # the kernel works in chunks; rows evaluated alone give the same values
+        for row in range(3):
+            assert np.array_equal(grid[row], product_curve.spherical_derivative(z[row]))
+
+    def test_compiled_once_per_curve(self, product_curve):
+        assert product_curve.compiled is product_curve.compiled
