@@ -134,8 +134,8 @@ class CompiledCurve:
         h = [gj.deriv() + gj * pj.deriv() for gj, pj in zip(g, p)]
         pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
         polys = g + p + [h[i] * g[j] - g[i] * h[j] for i, j in pairs]
-        self.coeffs = np.zeros((len(polys), max(len(poly.coeffs) for poly in polys) or 1),
-                               dtype=complex)
+        width = max(len(poly.coeffs) for poly in polys)
+        self.coeffs = np.zeros((len(polys), width), dtype=complex)
         for row, poly in enumerate(polys):
             self.coeffs[row, :len(poly.coeffs)] = poly.coeffs
         self.m = m
