@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import CurveValidationError
 from .polynomials import ComplexPoly
+from .quadrature import CHUNK_POINTS
 
 _OVERFLOW_LOG = 700.0  # exp() overflows shortly above this
 
@@ -110,9 +111,6 @@ def _logsumexp(a):
         return np.log(np.exp(a - top).sum(axis=0)) + top
 
 
-_CHUNK = 8192  # points per kernel pass; bounds the (rows, points) temporaries
-
-
 class CompiledCurve:
     """The polynomials of a homogeneous representation stacked for vectorized
     log-domain evaluation of the Fubini-Study derivative.
@@ -147,8 +145,9 @@ class CompiledCurve:
         z = np.asarray(z, dtype=complex)
         flat = z.reshape(-1)
         out = np.empty(flat.shape)
-        for start in range(0, flat.size, _CHUNK):
-            out[start:start + _CHUNK] = self._spherical(flat[start:start + _CHUNK])
+        for start in range(0, flat.size, CHUNK_POINTS):
+            stop = start + CHUNK_POINTS
+            out[start:stop] = self._spherical(flat[start:stop])
         out = out.reshape(z.shape)
         return out if out.shape else float(out)
 

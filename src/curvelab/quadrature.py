@@ -10,12 +10,15 @@ from numpy.polynomial.legendre import leggauss
 from .errors import QuadratureBudgetError
 
 _GL_NODES, _GL_WEIGHTS = leggauss(15)
-_CALL_POINTS = 8192  # integrand points per call at a level, unless one row has more
+# Points per integrand or kernel call. Calls are split to about this size so
+# that their (rows, points) temporaries stay small however far a rule refines;
+# the compiled curve kernel in curves.py chunks its evaluations to it too.
+CHUNK_POINTS = 8192
 
 
 class RowAngles(np.ndarray):
-    """The angles periodic_trapezoid hands its integrand after the first
-    call: one copy of the shared grid for each batch row in ``rows``."""
+    """The angles periodic_trapezoid hands a batched integrand after its
+    first call: one copy of the shared grid for each batch row in ``rows``."""
 
     rows: np.ndarray
 
@@ -27,16 +30,16 @@ def _row_angles(theta, rows):
 
 
 def periodic_trapezoid(f, tol, n_start=64, n_max=1 << 20):
-    """Integral of f over [0, 2pi); f maps an angle array to a value array.
+    """Integral of f over [0, 2pi); f maps a 1-D angle array to a value array.
 
     Doubles the node count until two successive estimates agree to tol
     (relative to max(1, |I|)). An f that returns a leading batch axis is a
     batch of integrands sharing the grid, and the result is one integral per
-    row; a plain f is the one-row batch. Every row stops at the level where
-    it would stop alone. Only the first call gets the bare grid, and returns
-    every row; later calls get RowAngles for some of the rows still running
-    and return just those rows. Raises QuadratureBudgetError for the first
-    row still running at n_max.
+    row; a plain f is the one-row batch and always gets a 1-D angle array.
+    Every row stops at the level where it would stop alone. A batched f gets
+    the bare grid on its first call and returns every row; later calls get
+    RowAngles for some of the rows still running and return just those rows.
+    Raises QuadratureBudgetError for the first row still running at n_max.
     """
     n = n_start
     theta = np.arange(n) * (2 * np.pi / n)
@@ -47,10 +50,13 @@ def periodic_trapezoid(f, tol, n_start=64, n_max=1 << 20):
     running = np.arange(totals.size)
     while n < n_max:
         mid = theta + np.pi / n
-        per_call = max(1, _CALL_POINTS // n)
-        for start in range(0, running.size, per_call):
-            rows = running[start:start + per_call]
-            totals[rows] += np.asarray(f(_row_angles(mid, rows))).sum(axis=1)
+        if first.ndim == 1:
+            totals += np.asarray(f(mid)).sum()
+        else:
+            per_call = max(1, CHUNK_POINTS // n)
+            for start in range(0, running.size, per_call):
+                rows = running[start:start + per_call]
+                totals[rows] += np.asarray(f(_row_angles(mid, rows))).sum(axis=1)
         n *= 2
         theta = np.arange(n) * (2 * np.pi / n)
         new = totals[running] * (2 * np.pi / n)

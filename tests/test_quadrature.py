@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from curvelab.errors import QuadratureBudgetError
-from curvelab.quadrature import _CALL_POINTS, adaptive_gauss, periodic_trapezoid
+from curvelab.quadrature import CHUNK_POINTS, adaptive_gauss, periodic_trapezoid
 
 # Periodic integrands of increasing difficulty: a trigonometric polynomial,
 # an entire function, and three with poles nearing the real axis.
@@ -64,6 +64,17 @@ class TestPeriodicTrapezoid:
         assert batch_counts == alone_counts
         assert len(set(alone_counts.values())) >= 3
 
+    def test_plain_integrand_gets_one_dimensional_angles(self):
+        shapes = []
+
+        def f(theta):
+            # depends on the shape of its input: a (1, n) array would give 1
+            shapes.append(np.shape(theta))
+            return np.full(len(theta), 1.0 + np.cos(theta).mean())
+
+        assert periodic_trapezoid(f, 1e-12) == pytest.approx(2 * math.pi, rel=1e-15)
+        assert len(shapes) > 1 and all(len(shape) == 1 for shape in shapes)
+
     def test_one_row_batch_is_the_scalar_rule(self):
         batched = periodic_trapezoid(_batch(ROWS[-1:], Counter()), 1e-12)
         assert batched.shape == (1,)
@@ -90,8 +101,8 @@ class TestPeriodicTrapezoid:
         assert shapes[0] == (64,)
         # past the first call: a few rows per call, or one row alone once its
         # level alone exceeds the bound
-        assert all(k * n <= _CALL_POINTS or k == 1 for k, n in shapes[1:])
-        assert max(n for _, n in shapes[1:]) > _CALL_POINTS
+        assert all(k * n <= CHUNK_POINTS or k == 1 for k, n in shapes[1:])
+        assert max(n for _, n in shapes[1:]) > CHUNK_POINTS
 
 
 class TestAdaptiveGauss:
