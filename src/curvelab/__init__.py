@@ -7,9 +7,7 @@ from .polynomials import ComplexPoly
 from .curves import (
     CurveComponent,
     HolomorphicCurve,
-    component_log_moduli,
     estimate_growth,
-    eval_component,
     log_norm,
     spherical_derivative_of,
 )
@@ -46,7 +44,6 @@ from .lemmas import (
 from .pipeline import (
     BoundReport,
     harvest_tie_points,
-    preprocess_zeros,
     prop1_check,
     prop2_margin,
     prop3_check,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import HolomorphicCurve
-from .polynomials import ComplexPoly
+from .polynomials import ComplexPoly, circle_sign_changes
 from .quadrature import adaptive_gauss, periodic_trapezoid
 
 DEFAULT_TOL = 1e-8
@@ -109,62 +109,21 @@ def _arc_integral(poly: ComplexPoly, r, a, b):
     return total
 
 
-def _kink_angles(polys, r, seeds=None):
-    """Switch angles of argmax_j Re P_j on the circle of radius r, refined by
-    bisection on the competing pair difference."""
-    max_deg = max((int(p.degree()) for p in polys if not p.is_zero), default=0)
-    if seeds is None:
-        seeds = max(4 * max_deg + 16, 64)
-    theta = np.linspace(0.0, 2 * np.pi, seeds, endpoint=False)
-    vals = np.stack([np.asarray(p(r * np.exp(1j * theta))).real for p in polys])
-    winner = np.argmax(vals, axis=0)
-    kinks = []
-    for k in range(seeds):
-        i, j = winner[k], winner[(k + 1) % seeds]
-        if i == j:
-            continue
-        lo, hi = theta[k], theta[k] + 2 * np.pi / seeds
-        diff = polys[i] - polys[j]
-
-        def h(t):
-            return float(diff(r * np.exp(1j * t)).real)
-
-        a, b = lo, hi
-        fa = h(a)
-        for _ in range(80):
-            mid = 0.5 * (a + b)
-            fm = h(mid)
-            if (fa >= 0) == (fm >= 0):
-                a, fa = mid, fm
-            else:
-                b = mid
-            if b - a < 1e-13:
-                break
-        kinks.append(0.5 * (a + b))
-    return sorted(k % (2 * np.pi) for k in kinks)
-
-
 def circle_mean_max_re(polys, r):
-    """(1/2pi) * integral over theta of max_j Re P_j(r e^{i theta}),
-    integrating each smooth arc in closed form."""
+    """(1/2pi) * integral over theta of max_j Re P_j(r e^{i theta}).
+
+    The arg-max can switch only where some Re(P_i - P_j) changes sign, so
+    those angles cut the circle into arcs with one winner each, which is read
+    at the arc midpoint; each arc is integrated in closed form.
+    """
     polys = list(polys)
-    kinks = _kink_angles(polys, r)
-    if not kinks:
-        # single winner on the whole circle; identify it by sampling
-        samples = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
-        stack = np.stack([np.asarray(p(r * np.exp(1j * samples))).real for p in polys])
-        j = int(np.argmax(stack.sum(axis=1)))
-        return _arc_integral(polys[j], r, 0.0, 2 * np.pi) / (2 * np.pi)
-    total = 0.0
-    for idx in range(len(kinks)):
-        a = kinks[idx]
-        b = kinks[(idx + 1) % len(kinks)]
-        if idx == len(kinks) - 1:
-            b += 2 * np.pi
-        mid = 0.5 * (a + b)
-        stack = [float(p(r * np.exp(1j * mid)).real) for p in polys]
-        j = int(np.argmax(stack))
-        total += _arc_integral(polys[j], r, a, b)
+    cuts = np.unique(np.concatenate([[0.0]] + [
+        circle_sign_changes(polys[i] - polys[j], r)
+        for i in range(len(polys)) for j in range(i + 1, len(polys))]))
+    ends = np.append(cuts[1:], cuts[0] + 2 * np.pi)
+    z = r * np.exp(0.5j * (cuts + ends))
+    winners = np.argmax([np.asarray(p(z)).real for p in polys], axis=0)
+    total = sum(_arc_integral(polys[j], r, a, b) for j, a, b in zip(winners, cuts, ends))
     return total / (2 * np.pi)
 
 

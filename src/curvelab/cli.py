@@ -9,8 +9,8 @@ seed, apart from the 'generated_at' timestamp field.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .characteristic import build_table
-from .errors import QuadratureBudgetError, SpecFileError
+from .errors import LocusEmptyError, QuadratureBudgetError, SpecFileError
 from .lemmas import harness_report
 from .locus import branch_asymptotics, regularity_radius, trace_branches
 from .pipeline import verify_theorem
@@ -37,10 +37,6 @@ def _write_json(path: Path, payload: dict):
 
 
 def _radii(args):
-    if args.grid < 8:
-        raise SpecFileError("grid size must be >= 8")
-    if not (0 < args.rmin < args.rmax):
-        raise SpecFileError("need 0 < rmin < rmax")
     return list(np.geomspace(args.rmin, args.rmax, args.grid))
 
 
@@ -56,7 +52,12 @@ def _cmd_characteristic(args, out: Path):
 def _cmd_locus(args, out: Path):
     curve = load_curve(args.input)
     polys = curve.reduced_polys()
-    r0 = regularity_radius(polys)
+    try:
+        r0 = regularity_radius(polys)
+    except LocusEmptyError as exc:
+        _write_json(out / "locus.json", {"r0": None, "b": None, "c0": None, "branches": []})
+        print(f"empty locus: {exc}")
+        return EXIT_OK
     summary = trace_branches(polys, r0, max(args.rmax, 4 * r0))
     branch_info = []
     for idx, br in enumerate(summary.branches):
@@ -106,12 +107,43 @@ def _cmd_analyze(args, out: Path):
     return status
 
 
+def _checked(convert, test, requirement):
+    """An argparse type that converts a flag value and rejects it unless
+    test(value) holds, so bad values exit 2 at parse time."""
+    def parse(text):
+        try:
+            value = convert(text)
+            ok = test(value)
+        except ValueError:
+            ok = False
+        if not ok:
+            raise argparse.ArgumentTypeError(f"{text!r} is not {requirement}")
+        return value
+    return parse
+
+
+_POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "a positive number")
+_FLAGS = {
+    "--input": dict(required=True, help="curve spec JSON file"),
+    "--out": dict(default=".", help="output directory"),
+    "--rmin": dict(type=_POSITIVE, default=1.0),
+    "--rmax": dict(type=_POSITIVE, default=20.0),
+    "--grid": dict(type=_checked(int, lambda v: v >= 8, "an integer >= 8"), default=16),
+    "--tol": dict(type=_POSITIVE, default=1e-8),
+    "--epsilon": dict(type=_POSITIVE, default=0.01,
+                      help="slack in the distance constant (2+epsilon)^{sigma+1}"),
+    "--seed": dict(type=int, default=0),
+    "--count": dict(type=_checked(int, lambda v: v >= 1, "an integer >= 1"), default=1000),
+}
+_TABLE_FLAGS = ("--input", "--out", "--rmin", "--rmax", "--grid", "--tol")
+
+# command -> (handler, the flags it reads)
 _COMMANDS = {
-    "characteristic": (_cmd_characteristic, True),
-    "locus": (_cmd_locus, True),
-    "lemmas": (_cmd_lemmas, False),
-    "verify-bound": (_cmd_verify_bound, True),
-    "analyze": (_cmd_analyze, True),
+    "characteristic": (_cmd_characteristic, _TABLE_FLAGS),
+    "locus": (_cmd_locus, ("--input", "--out", "--rmax")),
+    "lemmas": (_cmd_lemmas, ("--out", "--seed", "--count")),
+    "verify-bound": (_cmd_verify_bound, _TABLE_FLAGS + ("--epsilon",)),
+    "analyze": (_cmd_analyze, _TABLE_FLAGS + ("--epsilon",)),
 }
 
 
@@ -120,25 +152,18 @@ def build_parser():
         prog="curvelab",
         description="Growth analysis of holomorphic curves omitting coordinate hyperplanes")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, needs_input) in _COMMANDS.items():
+    for name, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
-        if needs_input:
-            p.add_argument("--input", required=True, help="curve spec JSON file")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--rmin", type=float, default=1.0)
-        p.add_argument("--rmax", type=float, default=20.0)
-        p.add_argument("--grid", type=int, default=16)
-        p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--epsilon", type=float, default=0.01,
-                       help="slack in the distance constant (2+epsilon)^{sigma+1}")
-        p.add_argument("--seed", type=int, default=0)
-        if name == "lemmas":
-            p.add_argument("--count", type=int, default=1000)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if "rmin" in args and args.rmin >= args.rmax:
+        parser.error("--rmin must be below --rmax")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     handler, _ = _COMMANDS[args.command]

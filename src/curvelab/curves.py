@@ -20,8 +20,6 @@ from .errors import CurveValidationError
 from .polynomials import ComplexPoly
 from .quadrature import CHUNK_POINTS
 
-_OVERFLOW_LOG = 700.0  # exp() overflows shortly above this
-
 
 def _log_abs(values):
     values = np.asarray(values)
@@ -72,25 +70,6 @@ class CurveComponent:
     def scaled_by_exp(self, q):
         """Component multiplied by e^{q(z)} (unnormalized representation)."""
         return CurveComponent(self.poly_factor, self.exponent + q, "polyexp")
-
-
-def eval_component(component: CurveComponent, z):
-    """Evaluate one component at a single point.
-
-    Returns (log_modulus, phase, value) where phase is unit-modulus and value
-    is None when |f(z)| is not representable in double precision.
-    """
-    z = complex(z)
-    g = complex(component.poly_factor(z))
-    p = complex(component.exponent(z))
-    if g == 0:
-        return -math.inf, complex(1.0), complex(0.0)
-    log_modulus = p.real + math.log(abs(g))
-    phase = (g / abs(g)) * complex(math.cos(p.imag), math.sin(p.imag))
-    value = None
-    if log_modulus < _OVERFLOW_LOG:
-        value = math.exp(log_modulus) * phase
-    return log_modulus, phase, value
 
 
 def log_norm(components, z):
@@ -234,17 +213,6 @@ class HolomorphicCurve:
 
     def with_K(self, K):
         return HolomorphicCurve(self.n, self.components, self.sigma, K)
-
-
-def component_log_moduli(curve: HolomorphicCurve, z, tie_tol_factor=1e-9):
-    """All u_j = log|f_j(z)| together with u* = max_{1<=j<=n} u_j and the set
-    of indices attaining that max within the tie tolerance."""
-    z = complex(z)
-    u_all = [float(c.log_modulus(z)) for c in curve.components]
-    u_star = max(u_all[1:])
-    eta = tie_tol_factor * max(1.0, abs(u_star))
-    argmax = [j for j in range(1, curve.n + 1) if u_all[j] >= u_star - eta]
-    return u_all, u_star, argmax
 
 
 def estimate_growth(curve: HolomorphicCurve, r_min, r_max, circles=8, sigma=None,

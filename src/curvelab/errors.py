@@ -39,7 +39,3 @@ class ContinuationError(RuntimeError):
 
 class AsymptoticsError(RuntimeError):
     """Fitted branch asymptotics disagree with the symbolic prediction."""
-
-
-class PreprocessError(ValueError):
-    """The zero-introducing automorphism leaves the closed component class."""

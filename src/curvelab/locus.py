@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AsymptoticsError, ContinuationError, LocusEmptyError
-from .polynomials import ComplexPoly, cauchy_fraction
+from .polynomials import ComplexPoly, cauchy_fraction, circle_sign_changes
 
 TWO_PI = 2 * math.pi
 
@@ -80,31 +80,6 @@ class LocusSummary:
     branches: list
     b: float
     c0: float
-
-
-def _circle_crossings(diff, r0, seeds):
-    theta = np.linspace(0.0, TWO_PI, seeds, endpoint=False)
-    vals = np.asarray(diff(r0 * np.exp(1j * theta))).real
-    roots = []
-    for k in range(seeds):
-        a, b = theta[k], theta[k] + TWO_PI / seeds
-        fa, fb = vals[k], vals[(k + 1) % seeds]
-        if fa == 0.0:
-            roots.append(a)
-            continue
-        if (fa > 0) == (fb > 0):
-            continue
-        for _ in range(80):
-            mid = 0.5 * (a + b)
-            fm = float(diff(r0 * np.exp(1j * mid)).real)
-            if (fa > 0) == (fm > 0):
-                a, fa = mid, fm
-            else:
-                b = mid
-            if b - a < 1e-14:
-                break
-        roots.append(0.5 * (a + b))
-    return [r0 * np.exp(1j * t) for t in roots]
 
 
 def _residual_scale(diff, z):
@@ -208,9 +183,8 @@ def trace_branches(polys, r0, r_max, step_frac=0.01):
         raise ValueError("r_max must exceed r0")
     branches = []
     for i, j, diff in _pairs(polys):
-        max_deg = int(diff.degree())
-        seeds = max(16 * max_deg + 32, 64)
-        for z_start in _circle_crossings(diff, r0, seeds):
+        for theta in circle_sign_changes(diff, r0):
+            z_start = r0 * np.exp(1j * theta)
             branches.append(_trace_branch(polys, i, j, diff, z_start, r0, r_max, step_frac))
     active = [br for br in branches if br.active]
     if active:

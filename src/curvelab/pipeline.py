@@ -15,68 +15,53 @@ import numpy as np
 
 from .characteristic import characteristic_jensen, reduced_characteristic
 from .curves import HolomorphicCurve, estimate_growth
-from .errors import LocusEmptyError, PreprocessError
+from .errors import LocusEmptyError
 from .locus import LocusSummary, regularity_radius, trace_branches
+from .polynomials import circle_sign_changes
 
 
-def preprocess_zeros(curve: HolomorphicCurve, c):
-    """Replace f_0 by f_0 + c*f_1 (a projective automorphism that preserves
-    the omitted hyperplanes).
-
-    Within the polynomial-exponential class the sum stays representable only
-    when P_0 - P_1 is constant, and then the new f_0 is a nonzero constant
-    times e^{P_1}: still zero-free, so the transformation cannot introduce
-    zeros and is rejected with an explanation. Curves whose f_0 already has
-    zeros are returned unchanged.
-    """
-    f0 = curve.components[0]
-    if not f0.nonvanishing:
-        return curve
-    p0 = f0.exponent
-    p1 = curve.components[1].exponent
-    diff = p0 - p1
-    if not diff.is_constant():
-        raise PreprocessError(
-            "f_0 + c*f_1 is not polynomial-exponential when P_0 - P_1 is "
-            "nonconstant; supply f_0 with zeros directly")
-    d = complex(diff(0.0)) if not diff.is_zero else 0.0
-    q = np.exp(d) + complex(c)
-    if q == 0:
-        raise PreprocessError("degenerate c: f_0 + c*f_1 vanishes identically")
-    raise PreprocessError(
-        "f_0 + c*f_1 is a nonzero constant multiple of e^{P_1} and remains "
-        "zero-free; supply f_0 with zeros directly")
+def _scan_sign_changes(diff, r, seeds):
+    """Angles where diff(r e^{i theta}) changes sign between neighbouring ones
+    of ``seeds`` equally spaced angles, refined by bisection."""
+    theta = np.linspace(0.0, 2 * np.pi, seeds, endpoint=False)
+    d = diff(r * np.exp(1j * theta))
+    out = []
+    for k in range(seeds):
+        a, b = theta[k], theta[k] + 2 * np.pi / seeds
+        fa, fb = d[k], d[(k + 1) % seeds]
+        if not (np.isfinite(fa) and np.isfinite(fb)):
+            continue
+        if (fa > 0) == (fb > 0):
+            continue
+        for _ in range(60):
+            mid = 0.5 * (a + b)
+            fm = float(diff(r * np.exp(1j * mid)))
+            if (fa > 0) == (fm > 0):
+                a, fa = mid, fm
+            else:
+                b = mid
+        out.append(0.5 * (a + b))
+    return out
 
 
 def harvest_tie_points(curve: HolomorphicCurve, radii, seeds=512, cap=400):
     """Points where two of the u_j (over the full index range 0..n) agree and
-    jointly attain the maximum, found on circles by sign-change bisection."""
+    jointly attain the maximum, found on circles. For i, j >= 1,
+    u_i - u_j = Re(P_i - P_j) changes sign at polynomial roots; a pair with
+    u_0 is scanned on ``seeds`` angles and bisected."""
     comps = curve.components
     m = len(comps)
     points = []
     for r in radii:
-        theta = np.linspace(0.0, 2 * np.pi, seeds, endpoint=False)
-        z = r * np.exp(1j * theta)
-        u = np.stack([c.log_modulus(z) for c in comps])
         for i in range(m):
             for j in range(i + 1, m):
-                d = u[i] - u[j]
-                for k in range(seeds):
-                    a, b = theta[k], theta[k] + 2 * np.pi / seeds
-                    fa, fb = d[k], d[(k + 1) % seeds]
-                    if not (np.isfinite(fa) and np.isfinite(fb)):
-                        continue
-                    if (fa > 0) == (fb > 0):
-                        continue
-                    for _ in range(60):
-                        mid = 0.5 * (a + b)
-                        zm = r * np.exp(1j * mid)
-                        fm = float(comps[i].log_modulus(zm) - comps[j].log_modulus(zm))
-                        if (fa > 0) == (fm > 0):
-                            a, fa = mid, fm
-                        else:
-                            b = mid
-                    zm = r * np.exp(1j * 0.5 * (a + b))
+                if i == 0:
+                    angles = _scan_sign_changes(
+                        lambda z: comps[0].log_modulus(z) - comps[j].log_modulus(z), r, seeds)
+                else:
+                    angles = circle_sign_changes(comps[i].exponent - comps[j].exponent, r)
+                for t in angles:
+                    zm = r * np.exp(1j * t)
                     vals = [float(cc.log_modulus(zm)) for cc in comps]
                     vmax = max(vals)
                     eta = 1e-7 * (1.0 + abs(vmax))

@@ -121,6 +121,48 @@ def _coerce(value):
     raise TypeError(f"cannot interpret {value!r} as a polynomial")
 
 
+_ON_CIRCLE = 1e-4       # | |w| - 1 | below which a root is a candidate
+_NEWTON_STEPS = 3
+_MAX_NEWTON_STEP = 1e-3  # larger steps leave the candidate where it is
+
+
+def circle_sign_changes(poly: ComplexPoly, r) -> np.ndarray:
+    """Sorted angles theta in [0, 2pi) where Re poly(r e^{i theta}) changes sign.
+
+    With w = e^{i theta} and poly = sum_k a_k z^k of degree d,
+    w^d Re poly(r w) = (1/2) (sum_k a_k r^k w^{d+k} + sum_k conj(a_k) r^k w^{d-k})
+    is a polynomial of degree 2d in w. Its companion-matrix roots near |w| = 1
+    give candidate angles, which Newton's method polishes in theta. The
+    candidates cut the circle into arcs free of zeros, and a candidate is kept
+    when Re poly has opposite signs on the arcs either side of it, so tangent
+    zeros and roots just off the circle drop out.
+    """
+    d = len(poly.coeffs) - 1
+    if d < 1:
+        return np.empty(0)
+    a = np.asarray(poly.coeffs) * float(r) ** np.arange(d + 1)
+    w_poly = np.zeros(2 * d + 1, dtype=complex)
+    w_poly[d:] += a / 2
+    w_poly[d::-1] += np.conj(a) / 2
+    roots = np.roots(w_poly[::-1])
+    theta = np.angle(roots[np.abs(np.abs(roots) - 1.0) < _ON_CIRCLE])
+    coeffs = np.asarray(poly.coeffs)
+    slope = npoly.polyder(coeffs)
+    for _ in range(_NEWTON_STEPS):
+        z = r * np.exp(1j * theta)
+        h = npoly.polyval(z, coeffs).real
+        dh = -(z * npoly.polyval(z, slope)).imag
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = h / dh
+        theta = np.where(np.abs(step) < _MAX_NEWTON_STEP, theta - step, theta)
+    theta = np.unique(np.mod(theta, 2 * np.pi))
+    if theta.size < 2:
+        return np.empty(0)
+    mids = 0.5 * (theta + np.append(theta[1:], theta[0] + 2 * np.pi))
+    positive = npoly.polyval(r * np.exp(1j * mids), coeffs).real > 0
+    return theta[positive != np.roll(positive, 1)]
+
+
 def cauchy_fraction(poly: ComplexPoly) -> float:
     """max_k |a_k / a_d| over k < d; 0 for constants.
 

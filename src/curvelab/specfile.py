@@ -68,8 +68,11 @@ def parse_curve(data: dict) -> HolomorphicCurve:
 
 
 def load_curve(path) -> HolomorphicCurve:
-    with open(path) as fh:
-        text = fh.read()
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise SpecFileError(f"{path}: {exc.strerror or exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

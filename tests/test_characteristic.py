@@ -14,7 +14,7 @@ from curvelab import (
     reduced_characteristic,
     reduced_characteristic_polys,
 )
-from curvelab.polynomials import ComplexPoly
+from curvelab.polynomials import ComplexPoly, circle_sign_changes
 
 
 class TestJensenRoute:
@@ -90,6 +90,76 @@ class TestReducedCharacteristic:
         polys = [ComplexPoly([1, 1]), ComplexPoly([])]
         # Re(1 + z) > 0 on |z| = 0.5: mean is Re at center
         assert circle_mean_max_re(polys, 0.5) == pytest.approx(1.0, abs=1e-12)
+
+
+DENSE_NODES = 1 << 18
+
+
+def _dense_circle(r, nodes=DENSE_NODES):
+    theta = 2 * np.pi * np.arange(nodes) / nodes
+    return theta, r * np.exp(1j * theta)
+
+
+def _dense_sign_changes(poly, r, nodes=1 << 16):
+    """Sign changes of Re poly on the circle from a dense scan, each bracket
+    refined by bisection."""
+    theta, z = _dense_circle(r, nodes)
+    positive = np.asarray(poly(z)).real > 0
+    idx = np.nonzero(positive != np.roll(positive, -1))[0]
+    lo, hi = theta[idx], theta[idx] + 2 * np.pi / nodes
+    lo_positive = positive[idx]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        same = (np.asarray(poly(r * np.exp(1j * mid))).real > 0) == lo_positive
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _random_reduced_polys(rng):
+    """P_1, ..., P_n with n <= 6, deg P_j <= 4 and P_n = 0, as for a curve."""
+    n = int(rng.integers(2, 7))
+    polys = []
+    for _ in range(n - 1):
+        deg = int(rng.integers(0, 5))
+        polys.append(ComplexPoly(0.5 * (rng.normal(size=deg + 1)
+                                        + 1j * rng.normal(size=deg + 1))))
+    return polys + [ComplexPoly([])]
+
+
+def _missed_switch_case():
+    """n = 6, deg P_j = 4 at r = 2: a 64-point seed scan finds 13 of the 16
+    arg-max switches and misses T* by 2e-3 relative."""
+    rng = np.random.default_rng(3)
+    polys = [ComplexPoly(0.5 * (rng.normal(size=5) + 1j * rng.normal(size=5)))
+             for _ in range(5)]
+    return polys + [ComplexPoly([])], 2.0
+
+
+def _root_finder_cases():
+    rng = np.random.default_rng(2024)
+    cases = [_missed_switch_case()]
+    cases += [(_random_reduced_polys(rng), float(rng.uniform(0.5, 30.0))) for _ in range(40)]
+    return cases
+
+
+class TestCircleRootFinder:
+    def test_roots_match_dense_scan(self):
+        for polys, r in _root_finder_cases():
+            for i in range(len(polys)):
+                for j in range(i + 1, len(polys)):
+                    diff = polys[i] - polys[j]
+                    roots = circle_sign_changes(diff, r)
+                    dense = _dense_sign_changes(diff, r)
+                    assert len(roots) == len(dense), (r, diff)
+                    for t in roots:
+                        gap = np.abs(np.angle(np.exp(1j * (dense - t))))
+                        assert gap.min() <= 1e-10, (r, diff, t)
+
+    def test_circle_mean_matches_dense_mean(self):
+        for polys, r in _root_finder_cases():
+            _, z = _dense_circle(r)
+            dense = float(np.mean(np.max([np.asarray(p(z)).real for p in polys], axis=0)))
+            assert circle_mean_max_re(polys, r) == pytest.approx(dense, rel=1e-9)
 
 
 class TestMonotonicityAndTable:

@@ -93,3 +93,65 @@ class TestCommands:
         r1.pop("generated_at")
         r2.pop("generated_at")
         assert r1 == r2
+
+
+MATRIX_FIXTURES = ("exp", "line", "product2", "squareexp")
+ONE_COMPONENT = ("exp", "line", "squareexp")   # n = 1: empty equal-value locus
+
+
+def _run(argv, capsys):
+    """main's exit status and stderr; an argparse error exits through
+    SystemExit, and any other exception escapes and fails the test."""
+    try:
+        status = main(argv)
+    except SystemExit as exc:
+        status = exc.code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return status, err
+
+
+class TestCommandMatrix:
+    @pytest.mark.parametrize("name", MATRIX_FIXTURES)
+    @pytest.mark.parametrize("command", ["characteristic", "locus", "verify-bound", "analyze"])
+    def test_every_command_on_every_fixture(self, command, name, tmp_path, capsys):
+        small = ["--rmax", "4"] if command == "locus" else ["--grid", "8", "--rmax", "4"]
+        status, _ = _run([command, "--input", str(FIXTURES / f"{name}.json"),
+                          "--out", str(tmp_path)] + small, capsys)
+        assert status == 0
+        if command in ("locus", "analyze") and name in ONE_COMPONENT:
+            summary = json.loads((tmp_path / "locus.json").read_text())
+            assert summary["branches"] == []
+            assert summary["r0"] is None
+        if command == "analyze":
+            assert (tmp_path / "bound_report.json").exists()
+
+    def test_lemmas(self, tmp_path, capsys):
+        status, _ = _run(["lemmas", "--count", "5", "--out", str(tmp_path)], capsys)
+        assert status == 0
+
+    @pytest.mark.parametrize("args", [
+        ["lemmas", "--count", "0"],
+        ["lemmas", "--epsilon", "0.1"],
+        ["verify-bound", "--input", "exp.json", "--epsilon", "-1"],
+        ["characteristic", "--input", "exp.json", "--tol", "0"],
+        ["characteristic", "--input", "exp.json", "--grid", "7"],
+        ["characteristic", "--input", "exp.json", "--rmin", "0"],
+        ["characteristic", "--input", "exp.json", "--rmax", "nan"],
+        ["characteristic", "--input", "exp.json", "--rmin", "5", "--rmax", "4"],
+        ["locus", "--input", "exp.json", "--rmax", "-1"],
+        ["locus", "--input", "exp.json", "--grid", "8"],
+    ])
+    def test_bad_arguments_exit_two(self, args, tmp_path, capsys):
+        args = [str(FIXTURES / a) if a.endswith(".json") else a for a in args]
+        status, err = _run(args + ["--out", str(tmp_path)], capsys)
+        assert status == 2
+        assert "error:" in err
+
+    @pytest.mark.parametrize("command", ["characteristic", "locus", "verify-bound", "analyze"])
+    @pytest.mark.parametrize("missing", ["missing.json", "."])
+    def test_unreadable_input_exit_two(self, command, missing, tmp_path, capsys):
+        status, err = _run([command, "--input", str(tmp_path / missing),
+                            "--out", str(tmp_path)], capsys)
+        assert status == 2
+        assert err.startswith("error:") and err.count("\n") == 1

@@ -7,36 +7,11 @@ import pytest
 from curvelab import (
     CurveComponent,
     HolomorphicCurve,
-    component_log_moduli,
     estimate_growth,
-    eval_component,
     spherical_derivative_of,
 )
 from curvelab.errors import CurveValidationError
 from curvelab.polynomials import ComplexPoly
-
-
-class TestEvalComponent:
-    def test_exp_at_zero(self):
-        lm, phase, value = eval_component(CurveComponent.exp_poly([0, 1]), 0.0)
-        assert lm == pytest.approx(0.0)
-        assert value == pytest.approx(1.0)
-
-    def test_poly_zero_flagged(self):
-        lm, _, value = eval_component(CurveComponent.poly([0, 1]), 0.0)
-        assert lm == -math.inf
-        assert value == 0.0
-
-    def test_exp_large_argument(self):
-        lm, _, value = eval_component(CurveComponent.exp_poly([0, 1]), 10.0)
-        assert lm == pytest.approx(10.0)
-        assert value == pytest.approx(math.exp(10.0))
-
-    def test_no_overflow_in_log_domain(self):
-        lm, phase, value = eval_component(CurveComponent.exp_poly([0, 1]), 5000.0)
-        assert lm == pytest.approx(5000.0)
-        assert value is None
-        assert abs(phase) == pytest.approx(1.0)
 
 
 class TestLogNorm:
@@ -79,30 +54,6 @@ class TestSphericalDerivative:
                 product_curve.components[1])
         other = np.asarray(spherical_derivative_of(perm, z))
         assert np.allclose(base, other, rtol=1e-12, atol=1e-300)
-
-
-class TestComponentLogModuli:
-    def test_reduced_max_on_imaginary_axis(self):
-        curve = HolomorphicCurve(
-            2, (CurveComponent.exp_poly([0, 1]), CurveComponent.exp_poly([0, -1]),
-                CurveComponent.one()), 0.0)
-        u_all, u_star, argmax = component_log_moduli(curve, 2j)
-        assert u_star == pytest.approx(0.0)
-        assert argmax == [1, 2]
-
-    def test_reduced_max_real_axis(self):
-        curve = HolomorphicCurve(
-            2, (CurveComponent.exp_poly([0, 1]), CurveComponent.exp_poly([0, -1]),
-                CurveComponent.one()), 0.0)
-        u_all, u_star, argmax = component_log_moduli(curve, 1.0)
-        # u_1 = Re(-z) = -1, u_2 = 0: the constant component wins
-        assert u_star == pytest.approx(0.0)
-        assert argmax == [2]
-        assert u_all[0] == pytest.approx(1.0)
-
-    def test_single_reduced_component(self, line_curve):
-        _, u_star, _ = component_log_moduli(line_curve, 3.0 + 1j)
-        assert u_star == pytest.approx(0.0)
 
 
 class TestValidation:

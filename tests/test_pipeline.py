@@ -7,7 +7,6 @@ from curvelab import (
     CurveComponent,
     HolomorphicCurve,
     harvest_tie_points,
-    preprocess_zeros,
     prop1_check,
     prop2_margin,
     prop3_check,
@@ -16,34 +15,6 @@ from curvelab import (
     trace_branches,
     verify_theorem,
 )
-from curvelab.errors import PreprocessError
-
-
-class TestPreprocessZeros:
-    def test_identity_when_f0_has_zeros(self, line_curve, product_curve):
-        assert preprocess_zeros(line_curve, 1.0) is line_curve
-        assert preprocess_zeros(product_curve, 2.0) is product_curve
-
-    def test_equal_exponents_degenerate_c(self):
-        c2 = HolomorphicCurve(
-            2, (CurveComponent.exp_poly([0, 1]), CurveComponent.exp_poly([0, 1]),
-                CurveComponent.one()), 0.0)
-        with pytest.raises(PreprocessError, match="degenerate"):
-            preprocess_zeros(c2, -1.0)
-
-    def test_equal_exponents_still_zero_free(self):
-        c2 = HolomorphicCurve(
-            2, (CurveComponent.exp_poly([0, 1]), CurveComponent.exp_poly([0, 1]),
-                CurveComponent.one()), 0.0)
-        with pytest.raises(PreprocessError, match="zero-free"):
-            preprocess_zeros(c2, 1.0)
-
-    def test_unrepresentable_sum(self):
-        c2 = HolomorphicCurve(
-            2, (CurveComponent.exp_poly([0, 1]), CurveComponent.exp_poly([0, -1]),
-                CurveComponent.one()), 0.0)
-        with pytest.raises(PreprocessError, match="nonconstant"):
-            preprocess_zeros(c2, 1.0)
 
 
 class TestProp1:
