@@ -127,10 +127,10 @@ def circle_mean_max_re(polys, r):
     return total / (2 * np.pi)
 
 
-def reduced_characteristic(curve: HolomorphicCurve, r, tol=DEFAULT_TOL):
-    """T*(r): circle average of u* = max_{1<=j<=n} Re P_j minus u*(0)."""
-    polys = curve.reduced_polys()
-    return reduced_characteristic_polys(polys, r)
+def reduced_characteristic(curve: HolomorphicCurve, r):
+    """T*(r): circle average of u* = max_{1<=j<=n} Re P_j minus u*(0), in
+    closed form."""
+    return reduced_characteristic_polys(curve.reduced_polys(), r)
 
 
 def reduced_characteristic_polys(polys, r):

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .characteristic import build_table
-from .errors import LocusEmptyError, QuadratureBudgetError, SpecFileError
+from .errors import CurvelabError, LocusEmptyError
 from .lemmas import harness_report
 from .locus import branch_asymptotics, regularity_radius, trace_branches
 from .pipeline import verify_theorem
@@ -26,8 +26,7 @@ from .specfile import load_curve
 
 EXIT_OK = 0
 EXIT_VERDICT_FALSE = 1
-EXIT_INPUT = 2
-EXIT_NUMERICAL = 3
+# an error exits with the exit_code of its CurvelabError class (2 or 3)
 
 
 def _write_json(path: Path, payload: dict):
@@ -169,12 +168,9 @@ def main(argv=None):
     handler, _ = _COMMANDS[args.command]
     try:
         return handler(args, out)
-    except SpecFileError as exc:
+    except CurvelabError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except QuadratureBudgetError as exc:
-        print(f"numerical budget error in {args.command}: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return exc.exit_code
 
 
 if __name__ == "__main__":

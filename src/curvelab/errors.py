@@ -1,15 +1,23 @@
 """Exception types shared across the package."""
 
 
-class CurveValidationError(ValueError):
+class CurvelabError(Exception):
+    """Base of the package's errors. The CLI exits with ``exit_code``: 2 for
+    bad input, 3 for a numerical failure."""
+    exit_code = 3
+
+
+class CurveValidationError(CurvelabError, ValueError):
     """A curve (or curve spec file) violates a structural invariant."""
+    exit_code = 2
 
 
-class SpecFileError(ValueError):
+class SpecFileError(CurvelabError, ValueError):
     """A curve spec file failed to parse or validate."""
+    exit_code = 2
 
 
-class QuadratureBudgetError(RuntimeError):
+class QuadratureBudgetError(CurvelabError, RuntimeError):
     """Requested tolerance was not reached within the node budget.
 
     Carries the best available estimate and the last observed error bound.
@@ -21,11 +29,12 @@ class QuadratureBudgetError(RuntimeError):
         self.error_bound = error_bound
 
 
-class LocusEmptyError(ValueError):
+class LocusEmptyError(CurvelabError, ValueError):
     """All exponent polynomials agree in real part; the equal-value locus is empty."""
+    exit_code = 2
 
 
-class ContinuationError(RuntimeError):
+class ContinuationError(CurvelabError, RuntimeError):
     """Predictor-corrector continuation failed along a branch."""
 
     def __init__(self, pair, last_point, message=""):
@@ -37,5 +46,5 @@ class ContinuationError(RuntimeError):
         self.last_point = last_point
 
 
-class AsymptoticsError(RuntimeError):
+class AsymptoticsError(CurvelabError, RuntimeError):
     """Fitted branch asymptotics disagree with the symbolic prediction."""

@@ -100,20 +100,41 @@ def _correct(diff, dd, z, pair):
     raise ContinuationError(pair, z, "corrector did not converge")
 
 
-def _dominant(polys, i, z):
-    vals = [float(p(z).real) for p in polys]
-    vmax = max(vals)
-    eta = 1e-8 * (1.0 + abs(vmax))
-    return vals[i] >= vmax - eta
+def tied(values, rel):
+    """Mask of the rows of ``values`` that attain the column max up to
+    rel * (1 + |max|): which of the functions tie for the max at each point."""
+    vmax = values.max(axis=0)
+    return values >= vmax - rel * (1.0 + np.abs(vmax))
 
 
-def _trace_branch(polys, i, j, diff, z_start, r0, r_max, step_frac):
+def _pair_active(polys, i, j, z):
+    """Whether the larger of Re P_i, Re P_j attains max_k Re P_k at z (a point
+    or an array of points); a point of pair (i, j) off by a corrector
+    residual is still active when either member holds the max."""
+    top = tied(np.stack([np.asarray(p(z)).real for p in polys]), 1e-8)
+    return top[i] | top[j]
+
+
+def _transition(polys, pair, diff, dd, a, b, flag):
+    """Point of the traced arc from a to b where the pair's dominance stops
+    being ``flag``, by bisection of the chord with each probe corrected."""
+    lo, hi = 0.0, 1.0
+    chord = b - a
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        zm = _correct(diff, dd, a + mid * chord, pair)
+        if _pair_active(polys, *pair, zm) == flag:
+            lo = mid
+        else:
+            hi = mid
+    return _correct(diff, dd, a + 0.5 * (lo + hi) * chord, pair)
+
+
+def _trace_branch(polys, i, j, diff, z_start, r_max, step_frac):
     dd = diff.deriv()
     pair = (i, j)
     z = _correct(diff, dd, z_start, pair)
-    points = [z]
-    densities = [abs(dd(z)) / TWO_PI]
-    active = [_dominant(polys, i, z)]
+    steps = [z]
     direction = None
     while abs(z) < r_max:
         grad = np.conj(dd(z))
@@ -138,35 +159,23 @@ def _trace_branch(polys, i, j, diff, z_start, r0, r_max, step_frac):
             h *= 0.5
         if z_new is None:
             raise ContinuationError(pair, z, "step size underflow")
-        flag = _dominant(polys, i, z_new)
-        if flag != active[-1]:
-            # locate the dominance transition along the traced curve
-            lo, hi = 0.0, 1.0
-            base, d0 = z, z_new - z
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                zm = _correct(diff, dd, base + mid * d0, pair)
-                if _dominant(polys, i, zm) == active[-1]:
-                    lo = mid
-                else:
-                    hi = mid
-            zc = _correct(diff, dd, base + 0.5 * (lo + hi) * d0, pair)
-            points.append(zc)
-            densities.append(abs(dd(zc)) / TWO_PI)
-            active.append(flag)
         direction = z_new - z
         z = z_new
-        points.append(z)
-        densities.append(abs(dd(z)) / TWO_PI)
-        active.append(flag)
-    pts = np.asarray(points)
+        steps.append(z)
+    # classify all steps at once, then insert the dominance transition
+    # between each pair of consecutive steps whose classes differ
+    steps = np.asarray(steps)
+    flags = _pair_active(polys, i, j, steps)
+    cuts = np.flatnonzero(flags[1:] != flags[:-1]) + 1
+    ends = [_transition(polys, pair, diff, dd, steps[k - 1], steps[k], flags[k - 1]) for k in cuts]
+    pts = np.insert(steps, cuts, ends)
     branch = LocusBranch(
         pair=pair,
         diff=diff,
         points=pts,
         arclens=np.abs(np.diff(pts)),
-        densities=np.asarray(densities),
-        active_mask=np.asarray(active, dtype=bool),
+        densities=np.abs(dd(pts)) / TWO_PI,
+        active_mask=np.insert(flags, cuts, flags[cuts]),
     )
     deg = int(diff.degree())
     branch.b_k = float(deg - 1)
@@ -185,7 +194,7 @@ def trace_branches(polys, r0, r_max, step_frac=0.01):
     for i, j, diff in _pairs(polys):
         for theta in circle_sign_changes(diff, r0):
             z_start = r0 * np.exp(1j * theta)
-            branches.append(_trace_branch(polys, i, j, diff, z_start, r0, r_max, step_frac))
+            branches.append(_trace_branch(polys, i, j, diff, z_start, r_max, step_frac))
     active = [br for br in branches if br.active]
     if active:
         b = max(br.b_k for br in active)

@@ -16,32 +16,32 @@ import numpy as np
 from .characteristic import characteristic_jensen, reduced_characteristic
 from .curves import HolomorphicCurve, estimate_growth
 from .errors import LocusEmptyError
-from .locus import LocusSummary, regularity_radius, trace_branches
+from .locus import LocusSummary, regularity_radius, tied, trace_branches
 from .polynomials import circle_sign_changes
 
 
 def _scan_sign_changes(diff, r, seeds):
     """Angles where diff(r e^{i theta}) changes sign between neighbouring ones
-    of ``seeds`` equally spaced angles, refined by bisection."""
+    of ``seeds`` equally spaced angles, all brackets refined at once by
+    bisection."""
     theta = np.linspace(0.0, 2 * np.pi, seeds, endpoint=False)
     d = diff(r * np.exp(1j * theta))
-    out = []
-    for k in range(seeds):
-        a, b = theta[k], theta[k] + 2 * np.pi / seeds
-        fa, fb = d[k], d[(k + 1) % seeds]
-        if not (np.isfinite(fa) and np.isfinite(fb)):
-            continue
-        if (fa > 0) == (fb > 0):
-            continue
-        for _ in range(60):
-            mid = 0.5 * (a + b)
-            fm = float(diff(r * np.exp(1j * mid)))
-            if (fa > 0) == (fm > 0):
-                a, fa = mid, fm
-            else:
-                b = mid
-        out.append(0.5 * (a + b))
-    return out
+    d_next = np.roll(d, -1)
+    brackets = np.isfinite(d) & np.isfinite(d_next) & ((d > 0) != (d_next > 0))
+    a = theta[brackets]
+    b = a + 2 * np.pi / seeds
+    positive = d[brackets] > 0
+    for _ in range(60):
+        mid = 0.5 * (a + b)
+        same = (diff(r * np.exp(1j * mid)) > 0) == positive
+        a = np.where(same, mid, a)
+        b = np.where(same, b, mid)
+    return 0.5 * (a + b)
+
+
+def _ties(curve: HolomorphicCurve, z, rel):
+    """tied() over the log-moduli of all components at the points z."""
+    return tied(np.stack([c.log_modulus(z) for c in curve.components]), rel)
 
 
 def harvest_tie_points(curve: HolomorphicCurve, radii, seeds=512, cap=400):
@@ -50,44 +50,36 @@ def harvest_tie_points(curve: HolomorphicCurve, radii, seeds=512, cap=400):
     u_i - u_j = Re(P_i - P_j) changes sign at polynomial roots; a pair with
     u_0 is scanned on ``seeds`` angles and bisected."""
     comps = curve.components
-    m = len(comps)
+    first, second = np.triu_indices(len(comps), 1)
     points = []
     for r in radii:
-        for i in range(m):
-            for j in range(i + 1, m):
-                if i == 0:
-                    angles = _scan_sign_changes(
-                        lambda z: comps[0].log_modulus(z) - comps[j].log_modulus(z), r, seeds)
-                else:
-                    angles = circle_sign_changes(comps[i].exponent - comps[j].exponent, r)
-                for t in angles:
-                    zm = r * np.exp(1j * t)
-                    vals = [float(cc.log_modulus(zm)) for cc in comps]
-                    vmax = max(vals)
-                    eta = 1e-7 * (1.0 + abs(vmax))
-                    if vals[i] >= vmax - eta and vals[j] >= vmax - eta:
-                        points.append(zm)
+        angles = [
+            _scan_sign_changes(lambda z: comps[0].log_modulus(z) - comps[j].log_modulus(z), r, seeds)
+            if i == 0 else circle_sign_changes(comps[i].exponent - comps[j].exponent, r)
+            for i, j in zip(first, second)]
+        counts = [len(found) for found in angles]
+        z = r * np.exp(1j * np.concatenate(angles))
+        top = _ties(curve, z, 1e-7)
+        cols = np.arange(z.size)
+        points.extend(z[top[np.repeat(first, counts), cols] & top[np.repeat(second, counts), cols]])
     return points[:cap]
 
 
 def prop1_check(curve: HolomorphicCurve, points, tie_tol_factor=1e-6):
     """Worst margin of (n+1)*||f'||(z) - |grad u_m - grad u_k| over the
-    supplied tie points; the gradient difference is |f_m'/f_m - f_k'/f_k|."""
+    supplied tie points (inf for none); the gradient difference is
+    |f_m'/f_m - f_k'/f_k|, maximised over the pairs tied for the max at z."""
     comps = curve.components
-    worst = math.inf
-    for z in points:
-        vals = [float(c.log_modulus(z)) for c in comps]
-        vmax = max(vals)
-        eta = tie_tol_factor * (1.0 + abs(vmax))
-        tied = [j for j, v in enumerate(vals) if v >= vmax - eta]
-        if len(tied) < 2:
-            raise ValueError(f"point {z!r} has no tied dominant pair")
-        grad_gap = max(
-            abs(comps[m].log_derivative(z) - comps[k].log_derivative(z))
-            for a_, m in enumerate(tied) for k in tied[a_ + 1:])
-        lhs = (curve.n + 1) * float(curve.spherical_derivative(z))
-        worst = min(worst, lhs - grad_gap)
-    return worst
+    z = np.asarray(points, dtype=complex)
+    top = _ties(curve, z, tie_tol_factor)
+    lone = np.flatnonzero(top.sum(axis=0) < 2)
+    if lone.size:
+        raise ValueError(f"point {z[lone[0]]!r} has no tied dominant pair")
+    slopes = np.stack([c.log_derivative(z) for c in comps])
+    m, k = np.triu_indices(len(comps), 1)
+    grad_gap = np.where(top[m] & top[k], np.abs(slopes[m] - slopes[k]), -np.inf).max(axis=0)
+    lhs = (curve.n + 1) * np.asarray(curve.spherical_derivative(z))
+    return float(np.min(lhs - grad_gap, initial=math.inf))
 
 
 def prop2_margin(curve: HolomorphicCurve, epsilon, radii, seeds=1024):
@@ -190,7 +182,6 @@ def verify_theorem(curve: HolomorphicCurve, r_grid, epsilon=0.01, tol=1e-8,
 
     polys = work.reduced_polys()
     summary = None
-    r0 = None
     try:
         r0 = regularity_radius(polys)
         summary = trace_branches(polys, r0, max(4 * r0, r_grid[-1]))
@@ -206,15 +197,11 @@ def verify_theorem(curve: HolomorphicCurve, r_grid, epsilon=0.01, tol=1e-8,
             tie_points.extend(list(pts[:: max(1, len(pts) // 40)]))
     scan_radii = r_grid[:: max(1, len(r_grid) // 6)]
     tie_points.extend(harvest_tie_points(work, scan_radii))
-    # keep only points where the tied pair dominates over the full index range
-    valid_points = []
-    for z in tie_points:
-        vals = [float(c.log_modulus(z)) for c in work.components]
-        vmax = max(vals)
-        eta = 1e-6 * (1.0 + abs(vmax))
-        if sum(1 for v in vals if v >= vmax - eta) >= 2:
-            valid_points.append(z)
-    prop1_worst = prop1_check(work, valid_points) if valid_points else math.inf
+    # keep only points where two components tie for the max over the full
+    # index range
+    tie_points = np.asarray(tie_points, dtype=complex)
+    valid = _ties(work, tie_points, 1e-6).sum(axis=0) >= 2
+    prop1_worst = prop1_check(work, tie_points[valid])
 
     rows2 = prop2_margin(work, epsilon, r_grid)
     tail_start = int(math.floor(len(r_grid) * (1 - tail_fraction)))
@@ -224,7 +211,7 @@ def verify_theorem(curve: HolomorphicCurve, r_grid, epsilon=0.01, tol=1e-8,
 
     prop4_margin = math.inf
     for r in r_grid[tail_start:]:
-        t_star = reduced_characteristic(work, r, tol)
+        t_star = reduced_characteristic(work, r)
         prop4_margin = min(prop4_margin, prop4_bound(n, sigma, K, r) - t_star)
 
     const = theorem_constant(n, sigma, epsilon)

@@ -32,10 +32,6 @@ class ComplexPoly:
     def constant(cls, c):
         return cls((c,))
 
-    @classmethod
-    def monomial(cls, k, c=1.0):
-        return cls((0,) * k + (c,))
-
     # -- structure ------------------------------------------------------------
 
     @property

@@ -148,6 +148,26 @@ class TestCommandMatrix:
         assert status == 2
         assert "error:" in err
 
+    def test_numerical_failure_exit_three(self, tmp_path, capsys):
+        # a generated n = 2, sigma = 0 curve whose branch (0, 1) is still short
+        # of its asymptotics at |z| = 40, so branch_asymptotics raises
+        spec = tmp_path / "locus03.json"
+        spec.write_text(json.dumps({
+            "n": 2, "sigma": 0.0, "K": 1.0,
+            "components": [
+                {"type": "poly", "Q": [[0.07002108764992052, -0.09466213037971212],
+                                       [-0.3993359683864637, 1.1195901512990776],
+                                       [-0.16791452217368838, -0.8278926463945785]]},
+                {"type": "exppoly", "P": [[-0.5049689099079581, 0.21864566543941039],
+                                          [1.1452306976137185, -0.18365671708445427],
+                                          [-0.032566088357298094, 0.2261409074445647]]},
+                {"type": "exppoly", "P": []},
+            ]}))
+        status, err = _run(["locus", "--input", str(spec), "--rmax", "40",
+                            "--out", str(tmp_path)], capsys)
+        assert status == 3
+        assert err.startswith("error:") and err.count("\n") == 1
+
     @pytest.mark.parametrize("command", ["characteristic", "locus", "verify-bound", "analyze"])
     @pytest.mark.parametrize("missing", ["missing.json", "."])
     def test_unreadable_input_exit_two(self, command, missing, tmp_path, capsys):

@@ -18,6 +18,23 @@ Z = ComplexPoly([0, 1])
 Z2 = ComplexPoly([0, 0, 1])
 ZERO = ComplexPoly([])
 
+# reduced exponents P_1..P_5 of a generated n = 5, sigma = 1 curve
+LOCUS14 = [ComplexPoly(c) for c in (
+    [0.6396669119595706 + 0.11524775534198907j, 0.2070459390897382 - 0.052760388089709995j,
+     1.2176818941823004 + 0.38068291208785215j, 0.45189667071020545 + 0.1655055611623894j,
+     0.2515254022116052 - 0.4425403826256995j],
+    [0.1905751700643904 - 0.020878764377973216j, 0.2341972441092215 + 0.15683712509970751j,
+     -0.47520814283692303 + 0.35500011939747056j, -0.5802312453985827 - 0.6740112065127698j,
+     0.2395896253617244 - 0.321089372679131j],
+    [0.2080092084354488 + 0.27034810854156416j, -0.6754759115114827 + 0.37906829974751216j,
+     -0.7644869346927798 + 0.6298571423886316j, -0.2335755888660796 - 0.12464195482572578j,
+     0.35858458469009435 - 0.5823718108582423j],
+    [0.06916497196984564 - 0.012259209545047379j, -0.4666931646383953 + 0.09085896086028346j,
+     0.576377567361516 - 0.6103766219255837j, -0.30509519265520507 + 0.32796514481172906j,
+     -0.2544010788679792 - 0.7047123385535946j],
+    [],
+)]
+
 
 class TestRegularityRadius:
     def test_linear_pair(self):
@@ -106,16 +123,23 @@ class TestRieszMass:
 
     def test_matches_jensen_route(self):
         # independent oracle: nu(t) = t dT*/dt from the exact circle means
-        polys = [Z2, -1 * Z2]
-        r0 = 2.0
-        summary = trace_branches(polys, r0, 45.0)
+        r14 = regularity_radius(LOCUS14)
+        cases = [
+            ([Z2, -1 * Z2], 2.0, 45.0, (5.0, 10.0, 20.0)),
+            # n = 5, sigma = 1 with P_5 = 0: half of its branches lie on loci
+            # where the pair's larger member, not its first, holds the max
+            (LOCUS14, r14, 4 * r14, (2 * r14, 3 * r14)),
+        ]
         h = 1e-5
-        for t in (5.0, 10.0, 20.0):
+        for polys, r0, r_max, radii in cases:
+            summary = trace_branches(polys, r0, r_max)
+
             def nu_jensen(s):
                 return (reduced_characteristic_polys(polys, s * math.exp(h))
                         - reduced_characteristic_polys(polys, s * math.exp(-h))) / (2 * h)
-            oracle = nu_jensen(t) - nu_jensen(r0)
-            assert riesz_of_max(polys, t, r0, summary) == pytest.approx(oracle, rel=0.01)
+            for t in radii:
+                oracle = nu_jensen(t) - nu_jensen(r0)
+                assert riesz_of_max(polys, t, r0, summary) == pytest.approx(oracle, rel=0.01)
 
 
 class TestBranchCountBound:

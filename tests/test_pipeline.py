@@ -39,6 +39,29 @@ class TestProp1:
         assert points
         assert prop1_check(product_curve, points) >= -1e-8
 
+    def test_matches_per_point_loop(self):
+        # reference: the per-point loop that the vectorised tie test and
+        # gradient gap replace; only the order of polynomial evaluation differs
+        rng = np.random.default_rng(5)
+
+        def coeffs(d):
+            return rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1)
+        curve = HolomorphicCurve(3, (
+            CurveComponent.poly_exp(coeffs(2), coeffs(3)), CurveComponent.exp_poly(coeffs(3)),
+            CurveComponent.exp_poly(coeffs(3)), CurveComponent.one()), 0.5)
+        comps = curve.components
+        points = harvest_tie_points(curve, [1.0, 3.0, 8.0])
+        worst = math.inf
+        for z in points:
+            vals = [float(c.log_modulus(z)) for c in comps]
+            vmax = max(vals)
+            top = [j for j, v in enumerate(vals) if v >= vmax - 1e-6 * (1 + abs(vmax))]
+            gap = max(abs(comps[m].log_derivative(z) - comps[k].log_derivative(z))
+                      for a, m in enumerate(top) for k in top[a + 1:])
+            worst = min(worst, 4 * float(curve.spherical_derivative(z)) - gap)
+        assert len(points) > 10
+        assert prop1_check(curve, points) == pytest.approx(worst, rel=1e-12)
+
 
 class TestProp2:
     def test_exp_curve_rows(self, exp_curve):
