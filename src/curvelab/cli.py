@@ -58,14 +58,15 @@ def _cmd_locus(args, out: Path):
         print(f"empty locus: {exc}")
         return EXIT_OK
     summary = trace_branches(polys, r0, max(args.rmax, 4 * r0))
+    # fit every branch before writing anything, so a failed fit leaves no files
+    fits = [branch_asymptotics(br) for br in summary.branches]
     branch_info = []
-    for idx, br in enumerate(summary.branches):
+    for idx, (br, (b_k, c_k)) in enumerate(zip(summary.branches, fits)):
         rows = ["re,im,arclen,density"]
         arc = np.concatenate([[0.0], br.arclens])
         for p, a, d in zip(br.points, arc, br.densities):
             rows.append(f"{p.real!r},{p.imag!r},{a!r},{d!r}")
         (out / f"branch_{idx:03d}.csv").write_text("\n".join(rows) + "\n")
-        b_k, c_k = branch_asymptotics(br)
         branch_info.append({
             "pair": list(br.pair), "b_k": b_k, "c_k": c_k, "active": br.active,
         })

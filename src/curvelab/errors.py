@@ -34,17 +34,5 @@ class LocusEmptyError(CurvelabError, ValueError):
     exit_code = 2
 
 
-class ContinuationError(CurvelabError, RuntimeError):
-    """Predictor-corrector continuation failed along a branch."""
-
-    def __init__(self, pair, last_point, message=""):
-        detail = f"branch {pair}: continuation failed at z={last_point}"
-        if message:
-            detail += f" ({message})"
-        super().__init__(detail)
-        self.pair = pair
-        self.last_point = last_point
-
-
 class AsymptoticsError(CurvelabError, RuntimeError):
     """Fitted branch asymptotics disagree with the symbolic prediction."""

@@ -2,9 +2,10 @@
 
 For polynomial exponents the locus E splits into pair loci {Re(P_i - P_j) = 0}
 whose far branches converge to the 2*deg asymptotic rays of each difference.
-Branches are traced by predictor-corrector continuation from their crossings
-with the circle |z| = r0; along each branch the jump density J/2pi with
-J = |(P_i - P_j)'| accumulates the Riesz measure of the max.
+Past the regularity radius r0 each branch crosses every circle |z| = r once,
+so branches are traced through their crossings with circles of growing
+radius; along each branch the jump density J/2pi with J = |(P_i - P_j)'|
+accumulates the Riesz measure of the max.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AsymptoticsError, ContinuationError, LocusEmptyError
-from .polynomials import ComplexPoly, cauchy_fraction, circle_sign_changes
+from .errors import AsymptoticsError, LocusEmptyError
+from .polynomials import ComplexPoly, cauchy_fraction, circle_roots, refine_angles
 
 TWO_PI = 2 * math.pi
+_RATIO = 1.01   # radius ratio of consecutive trace circles
 
 
 def _re_equivalent(diff: ComplexPoly) -> bool:
@@ -82,24 +84,6 @@ class LocusSummary:
     c0: float
 
 
-def _residual_scale(diff, z):
-    return 1e-12 * (1.0 + abs(z) ** max(int(diff.degree()), 1) * abs(diff.leading))
-
-
-def _correct(diff, dd, z, pair):
-    """Newton steps back onto Re diff = 0 along the gradient direction."""
-    for _ in range(30):
-        res = float(diff(z).real)
-        if abs(res) <= _residual_scale(diff, z):
-            return z
-        grad = np.conj(dd(z))
-        g2 = abs(grad) ** 2
-        if g2 == 0.0:
-            raise ContinuationError(pair, z, "vanishing gradient")
-        z = z - res * grad / g2
-    raise ContinuationError(pair, z, "corrector did not converge")
-
-
 def tied(values, rel):
     """Mask of the rows of ``values`` that attain the column max up to
     rel * (1 + |max|): which of the functions tie for the max at each point."""
@@ -108,93 +92,102 @@ def tied(values, rel):
 
 
 def _pair_active(polys, i, j, z):
-    """Whether the larger of Re P_i, Re P_j attains max_k Re P_k at z (a point
-    or an array of points); a point of pair (i, j) off by a corrector
-    residual is still active when either member holds the max."""
+    """Whether the larger of Re P_i, Re P_j attains max_k Re P_k at z; the
+    pair indices i, j broadcast against the points z, so each point may
+    belong to its own pair. A point off its locus by rounding is still active
+    when either member holds the max."""
     top = tied(np.stack([np.asarray(p(z)).real for p in polys]), 1e-8)
-    return top[i] | top[j]
+    k = np.arange(len(polys)).reshape((-1,) + (1,) * np.ndim(z))
+    return np.any(top & ((k == i) | (k == j)), axis=0)
 
 
-def _transition(polys, pair, diff, dd, a, b, flag):
-    """Point of the traced arc from a to b where the pair's dominance stops
-    being ``flag``, by bisection of the chord with each probe corrected."""
-    lo, hi = 0.0, 1.0
-    chord = b - a
+def _radius_grid(r0, r_max):
+    """The trace radii r0 * 1.01^k below r_max, then r_max."""
+    steps = math.ceil(math.log(r_max / r0) / math.log(_RATIO))
+    return np.append(r0 * _RATIO ** np.arange(steps), r_max)
+
+
+def _branch_angles(diff, radii):
+    """Angle of each branch of Re diff = 0 at each radius: one row per radius,
+    one column per branch, the columns in ascending angle at radii[0].
+
+    Past r0 every root of diff lies inside |z| < r/2, so arg diff is strictly
+    monotone on the circle |z| = r and all 2d roots of ``circle_roots`` lie on
+    it, each a transversal crossing: the branches keep their cyclic order, and
+    the sorted angles at one radius are those at the previous radius shifted
+    by the index to which the first of them moved."""
+    theta = np.sort(np.mod(np.angle(circle_roots(diff, radii)), TWO_PI), axis=1)
+    moved = np.angle(np.exp(1j * (theta[1:] - theta[:-1, :1])))
+    shift = np.cumsum(np.append(0, np.argmin(np.abs(moved), axis=1)))
+    order = (np.arange(theta.shape[1]) + shift[:, None]) % theta.shape[1]
+    return np.take_along_axis(theta, order, axis=1)
+
+
+def _transitions(polys, i, j, coeffs, r_lo, r_hi, th_lo, th_hi, flag):
+    """Points where the dominance of the branch through (r_lo, th_lo) and
+    (r_hi, th_hi) stops being ``flag``, for every bracket at once: bisection
+    in r, each probe put on its branch by Newton's method in theta from the
+    mean angle of the bracket's ends. Column k of ``coeffs`` holds the
+    difference polynomial of bracket k."""
+    th_hi = th_lo + np.angle(np.exp(1j * (th_hi - th_lo)))
     for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        zm = _correct(diff, dd, a + mid * chord, pair)
-        if _pair_active(polys, *pair, zm) == flag:
-            lo = mid
-        else:
-            hi = mid
-    return _correct(diff, dd, a + 0.5 * (lo + hi) * chord, pair)
+        r = 0.5 * (r_lo + r_hi)
+        th = refine_angles(coeffs, r, 0.5 * (th_lo + th_hi))
+        same = _pair_active(polys, i, j, r * np.exp(1j * th)) == flag
+        r_lo, th_lo = np.where(same, r, r_lo), np.where(same, th, th_lo)
+        r_hi, th_hi = np.where(same, r_hi, r), np.where(same, th_hi, th)
+    r = 0.5 * (r_lo + r_hi)
+    return r * np.exp(1j * refine_angles(coeffs, r, 0.5 * (th_lo + th_hi)))
 
 
-def _trace_branch(polys, i, j, diff, z_start, r_max, step_frac):
-    dd = diff.deriv()
-    pair = (i, j)
-    z = _correct(diff, dd, z_start, pair)
-    steps = [z]
-    direction = None
-    while abs(z) < r_max:
-        grad = np.conj(dd(z))
-        tangent = 1j * grad / abs(grad)
-        if direction is None:
-            # choose the outward orientation at the circle crossing
-            if (np.conj(z) * tangent).real < 0:
-                tangent = -tangent
-        elif (np.conj(direction) * tangent).real < 0:
-            tangent = -tangent
-        h = abs(z) * step_frac
-        z_new = None
-        for _ in range(40):
-            try:
-                cand = _correct(diff, dd, z + h * tangent, pair)
-            except ContinuationError:
-                h *= 0.5
-                continue
-            if abs(cand - z) <= 2.0 * h:
-                z_new = cand
-                break
-            h *= 0.5
-        if z_new is None:
-            raise ContinuationError(pair, z, "step size underflow")
-        direction = z_new - z
-        z = z_new
-        steps.append(z)
-    # classify all steps at once, then insert the dominance transition
-    # between each pair of consecutive steps whose classes differ
-    steps = np.asarray(steps)
-    flags = _pair_active(polys, i, j, steps)
-    cuts = np.flatnonzero(flags[1:] != flags[:-1]) + 1
-    ends = [_transition(polys, pair, diff, dd, steps[k - 1], steps[k], flags[k - 1]) for k in cuts]
-    pts = np.insert(steps, cuts, ends)
-    branch = LocusBranch(
-        pair=pair,
-        diff=diff,
-        points=pts,
-        arclens=np.abs(np.diff(pts)),
-        densities=np.abs(dd(pts)) / TWO_PI,
-        active_mask=np.insert(flags, cuts, flags[cuts]),
-    )
-    deg = int(diff.degree())
-    branch.b_k = float(deg - 1)
-    branch.c_k = deg * abs(diff.leading) / TWO_PI
-    branch.active = bool(np.all(branch.active_mask[-max(4, len(pts) // 10):]))
-    return branch
-
-
-def trace_branches(polys, r0, r_max, step_frac=0.01):
+def trace_branches(polys, r0, r_max):
     """Trace every branch of the equal-value locus from |z| = r0 out to
-    |z| = r_max and assemble the summary (asymptotic exponents b, c0)."""
+    |z| = r_max and assemble the summary (asymptotic exponents b, c0).
+
+    r0 must be at least ``regularity_radius(polys)``. Each branch is sampled
+    where it crosses the circles of radius r0 * 1.01^k below r_max and the
+    circle r_max; every sample is classified at once, and the
+    point where a branch's dominance changes is inserted between the
+    samples on either side of it."""
     polys = list(polys)
     if r_max <= r0:
         raise ValueError("r_max must exceed r0")
+    pairs = _pairs(polys)
+    if not pairs:
+        return LocusSummary(r0=r0, branches=[], b=-math.inf, c0=0.0)
+    radii = _radius_grid(r0, r_max)
+    # one column per branch, over all pairs
+    theta = np.hstack([_branch_angles(diff, radii) for _, _, diff in pairs])
+    col = np.repeat(np.arange(len(pairs)), [2 * int(diff.degree()) for _, _, diff in pairs])
+    i, j = np.array([pair[:2] for pair in pairs])[col].T
+    width = max(len(diff.coeffs) for _, _, diff in pairs)
+    coeffs = np.array([np.pad(diff.coeffs, (0, width - len(diff.coeffs)))
+                       for _, _, diff in pairs]).T[:, col]
+    points = radii[:, None] * np.exp(1j * theta)
+    flags = _pair_active(polys, i, j, points)
+    k, c = np.nonzero(flags[1:] != flags[:-1])
+    ends = np.empty(0, complex)
+    if k.size:
+        ends = _transitions(polys, i[c], j[c], coeffs[:, c], radii[k], radii[k + 1],
+                            theta[k, c], theta[k + 1, c], flags[k, c])
     branches = []
-    for i, j, diff in _pairs(polys):
-        for theta in circle_sign_changes(diff, r0):
-            z_start = r0 * np.exp(1j * theta)
-            branches.append(_trace_branch(polys, i, j, diff, z_start, r_max, step_frac))
+    for idx, p in enumerate(col):
+        pi, pj, diff = pairs[p]
+        cuts = k[c == idx] + 1
+        pts = np.insert(points[:, idx], cuts, ends[c == idx])
+        branch = LocusBranch(
+            pair=(pi, pj),
+            diff=diff,
+            points=pts,
+            arclens=np.abs(np.diff(pts)),
+            densities=np.abs(diff.deriv()(pts)) / TWO_PI,
+            active_mask=np.insert(flags[:, idx], cuts, flags[cuts, idx]),
+        )
+        deg = int(diff.degree())
+        branch.b_k = float(deg - 1)
+        branch.c_k = deg * abs(diff.leading) / TWO_PI
+        branch.active = bool(np.all(branch.active_mask[-max(4, len(pts) // 10):]))
+        branches.append(branch)
     active = [br for br in branches if br.active]
     if active:
         b = max(br.b_k for br in active)
@@ -235,18 +228,12 @@ def riesz_of_max(polys, t, r0=None, summary=None):
     total = 0.0
     for br in summary.branches:
         pts, dens, act = br.points, br.densities, br.active_mask
-        for k in range(len(pts) - 1):
-            if not (act[k] and act[k + 1]):
-                continue
-            ra, rb = abs(pts[k]), abs(pts[k + 1])
-            if rb <= r0 or ra > t:
-                continue
-            seg = abs(pts[k + 1] - pts[k])
-            mean_d = 0.5 * (dens[k] + dens[k + 1])
-            frac = 1.0
-            if rb > t and rb > ra:
-                frac = (t - ra) / (rb - ra)
-            total += mean_d * seg * frac
+        ra, rb = np.abs(pts[:-1]), np.abs(pts[1:])
+        keep = act[:-1] & act[1:] & (rb > r0) & (ra <= t)
+        frac = np.ones(len(ra))
+        cut = (rb > t) & (rb > ra)
+        frac[cut] = (t - ra[cut]) / (rb[cut] - ra[cut])
+        total += float(np.sum((0.5 * (dens[:-1] + dens[1:]) * br.arclens * frac)[keep]))
     return total
 
 

@@ -122,35 +122,56 @@ _NEWTON_STEPS = 3
 _MAX_NEWTON_STEP = 1e-3  # larger steps leave the candidate where it is
 
 
-def circle_sign_changes(poly: ComplexPoly, r) -> np.ndarray:
-    """Sorted angles theta in [0, 2pi) where Re poly(r e^{i theta}) changes sign.
+def circle_roots(poly: ComplexPoly, radii) -> np.ndarray:
+    """Roots w of w^d Re poly(r w) for each r in ``radii``, one row of 2d per
+    radius, from one eigenvalue solve over the stacked companion matrices.
 
-    With w = e^{i theta} and poly = sum_k a_k z^k of degree d,
-    w^d Re poly(r w) = (1/2) (sum_k a_k r^k w^{d+k} + sum_k conj(a_k) r^k w^{d-k})
-    is a polynomial of degree 2d in w. Its companion-matrix roots near |w| = 1
-    give candidate angles, which Newton's method polishes in theta. The
-    candidates cut the circle into arcs free of zeros, and a candidate is kept
-    when Re poly has opposite signs on the arcs either side of it, so tangent
-    zeros and roots just off the circle drop out.
+    With poly = sum_k a_k z^k of degree d >= 1,
+    w^d Re poly(r w) = (1/2) (sum_k a_k r^k w^{d+k} + sum_k conj(a_k) r^k w^{d-k}),
+    whose roots on |w| = 1 are where Re poly(r e^{i theta}) vanishes.
     """
     d = len(poly.coeffs) - 1
-    if d < 1:
-        return np.empty(0)
-    a = np.asarray(poly.coeffs) * float(r) ** np.arange(d + 1)
-    w_poly = np.zeros(2 * d + 1, dtype=complex)
-    w_poly[d:] += a / 2
-    w_poly[d::-1] += np.conj(a) / 2
-    roots = np.roots(w_poly[::-1])
-    theta = np.angle(roots[np.abs(np.abs(roots) - 1.0) < _ON_CIRCLE])
-    coeffs = np.asarray(poly.coeffs)
+    radii = np.asarray(radii, dtype=float)
+    a = np.asarray(poly.coeffs) * radii[:, None] ** np.arange(d + 1)
+    w_poly = np.zeros((len(radii), 2 * d + 1), dtype=complex)
+    w_poly[:, d:] += a / 2
+    w_poly[:, d::-1] += np.conj(a) / 2
+    companion = np.zeros((len(radii), 2 * d, 2 * d), dtype=complex)
+    companion[:, 0] = -w_poly[:, -2::-1] / w_poly[:, -1:]
+    companion[:, np.arange(1, 2 * d), np.arange(2 * d - 1)] = 1.0
+    return np.linalg.eigvals(companion)
+
+
+def refine_angles(coeffs, r, theta):
+    """Guarded Newton steps in theta on Re p(r e^{i theta}) = 0, where p has
+    the ascending coefficients ``coeffs`` along axis 0; further axes of
+    ``coeffs`` broadcast against ``r`` and ``theta``, so each angle may have
+    its own polynomial. A step of 1e-3 or more leaves the angle where it is."""
     slope = npoly.polyder(coeffs)
     for _ in range(_NEWTON_STEPS):
         z = r * np.exp(1j * theta)
-        h = npoly.polyval(z, coeffs).real
-        dh = -(z * npoly.polyval(z, slope)).imag
+        h = npoly.polyval(z, coeffs, tensor=False).real
+        dh = -(z * npoly.polyval(z, slope, tensor=False)).imag
         with np.errstate(divide="ignore", invalid="ignore"):
             step = h / dh
         theta = np.where(np.abs(step) < _MAX_NEWTON_STEP, theta - step, theta)
+    return theta
+
+
+def circle_sign_changes(poly: ComplexPoly, r) -> np.ndarray:
+    """Sorted angles theta in [0, 2pi) where Re poly(r e^{i theta}) changes sign.
+
+    The roots of ``circle_roots`` near |w| = 1 give candidate angles, which
+    Newton's method polishes in theta. The candidates cut the circle into arcs
+    free of zeros, and a candidate is kept when Re poly has opposite signs on
+    the arcs either side of it, so tangent zeros and roots just off the circle
+    drop out.
+    """
+    if len(poly.coeffs) < 2:
+        return np.empty(0)
+    roots = circle_roots(poly, [r])[0]
+    coeffs = np.asarray(poly.coeffs)
+    theta = refine_angles(coeffs, r, np.angle(roots[np.abs(np.abs(roots) - 1.0) < _ON_CIRCLE]))
     theta = np.unique(np.mod(theta, 2 * np.pi))
     if theta.size < 2:
         return np.empty(0)

@@ -163,10 +163,14 @@ class TestCommandMatrix:
                                           [-0.032566088357298094, 0.2261409074445647]]},
                 {"type": "exppoly", "P": []},
             ]}))
+        out = tmp_path / "out"
         status, err = _run(["locus", "--input", str(spec), "--rmax", "40",
-                            "--out", str(tmp_path)], capsys)
+                            "--out", str(out)], capsys)
         assert status == 3
         assert err.startswith("error:") and err.count("\n") == 1
+        # no partial output: neither branch files nor a summary
+        assert not list(out.glob("branch_*.csv"))
+        assert not (out / "locus.json").exists()
 
     @pytest.mark.parametrize("command", ["characteristic", "locus", "verify-bound", "analyze"])
     @pytest.mark.parametrize("missing", ["missing.json", "."])

@@ -12,7 +12,8 @@ from curvelab import (
 )
 from curvelab.characteristic import reduced_characteristic_polys
 from curvelab.errors import LocusEmptyError
-from curvelab.polynomials import ComplexPoly
+from curvelab.polynomials import ComplexPoly, circle_sign_changes
+from test_characteristic import _dense_sign_changes
 
 Z = ComplexPoly([0, 1])
 Z2 = ComplexPoly([0, 0, 1])
@@ -81,6 +82,57 @@ class TestTraceBranches:
         for br in summary.branches:
             res = np.abs(np.asarray(diff(br.points)).real)
             assert np.all(res <= 1e-10 * (1 + np.abs(br.points) ** deg))
+
+
+def _random_pairs(count=24):
+    """Pairs (P_a, P_b) with deg(P_a - P_b) in 1..4."""
+    rng = np.random.default_rng(606)
+    pairs = []
+    for _ in range(count):
+        deg = int(rng.integers(1, 5))
+        low = int(rng.integers(0, deg + 1))
+        pairs.append([ComplexPoly(rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)),
+                      ComplexPoly(rng.normal(size=low + 1) + 1j * rng.normal(size=low + 1))])
+    return pairs
+
+
+class TestRadiusGridTrace:
+    """Past r0 the locus of a pair crosses every circle 2*deg times, which is
+    what lets trace_branches follow each branch from circle to circle."""
+
+    def test_circle_crossings_past_r0(self):
+        for polys in _random_pairs():
+            diff = polys[0] - polys[1]
+            r0 = regularity_radius(polys)
+            for factor in (1.0, 1.01, 2.0, 10.0, 100.0):
+                assert len(circle_sign_changes(diff, factor * r0)) == 2 * int(diff.degree())
+
+    def test_branches_are_graphs_over_the_radius(self):
+        for polys in _random_pairs():
+            diff = polys[0] - polys[1]
+            deg = int(diff.degree())
+            r0 = regularity_radius(polys)
+            summary = trace_branches(polys, r0, 10 * r0)
+            assert len(summary.branches) == 2 * deg
+            for br in summary.branches:
+                assert np.all(np.diff(np.abs(br.points)) > 0)
+            # a pair alone always holds the max, so every branch point lies
+            # on a grid circle r0 * 1.01^k or r_max
+            points = np.array([br.points for br in summary.branches])
+            # each branch moves less from one circle to the next than half
+            # the angle between two branches on one circle
+            angles = np.angle(points)
+            step = np.abs(np.angle(np.exp(1j * np.diff(angles, axis=1))))
+            apart = np.sort(np.mod(angles, 2 * np.pi), axis=0)
+            apart = np.diff(np.vstack([apart, apart[:1] + 2 * np.pi]), axis=0)
+            assert step.max() < 0.5 * apart.min()
+            for k in (0, 100, points.shape[1] - 1):
+                radius = r0 * 1.01 ** k if k < points.shape[1] - 1 else 10 * r0
+                assert np.allclose(np.abs(points[:, k]), radius, rtol=1e-14, atol=0.0)
+                dense = _dense_sign_changes(diff, radius)
+                assert len(dense) == 2 * deg
+                for t in np.angle(points[:, k]):
+                    assert np.abs(np.angle(np.exp(1j * (dense - t)))).min() <= 1e-10
 
 
 class TestAsymptotics:
