@@ -49,6 +49,13 @@ def _cmd_characteristic(args, out: Path):
 
 
 def _cmd_locus(args, out: Path):
+    _write_locus(args, out)
+    return EXIT_OK
+
+
+def _write_locus(args, out: Path):
+    """Trace the locus to max(--rmax, 4*r0), write it and return its summary
+    (None for an empty locus)."""
     curve = load_curve(args.input)
     polys = curve.reduced_polys()
     try:
@@ -56,7 +63,7 @@ def _cmd_locus(args, out: Path):
     except LocusEmptyError as exc:
         _write_json(out / "locus.json", {"r0": None, "b": None, "c0": None, "branches": []})
         print(f"empty locus: {exc}")
-        return EXIT_OK
+        return None
     summary = trace_branches(polys, r0, max(args.rmax, 4 * r0))
     # fit every branch before writing anything, so a failed fit leaves no files
     fits = [branch_asymptotics(br) for br in summary.branches]
@@ -76,7 +83,7 @@ def _cmd_locus(args, out: Path):
     })
     print(f"r0={summary.r0:.6g} branches={len(summary.branches)} "
           f"b={summary.b:.6g} c0={summary.c0:.6g}")
-    return EXIT_OK
+    return summary
 
 
 def _cmd_lemmas(args, out: Path):
@@ -89,9 +96,10 @@ def _cmd_lemmas(args, out: Path):
     return EXIT_OK if not report["failures"] else EXIT_VERDICT_FALSE
 
 
-def _cmd_verify_bound(args, out: Path):
+def _cmd_verify_bound(args, out: Path, summary=None):
     curve = load_curve(args.input)
-    report = verify_theorem(curve, _radii(args), epsilon=args.epsilon, tol=args.tol)
+    report = verify_theorem(curve, _radii(args), epsilon=args.epsilon, tol=args.tol,
+                            summary=summary)
     _write_json(out / "bound_report.json", json.loads(report.to_json()))
     print(f"sigma={report.sigma} K={report.K:.6g} "
           f"C(n,sigma)={report.theorem_constant:.6g}")
@@ -102,9 +110,9 @@ def _cmd_verify_bound(args, out: Path):
 
 def _cmd_analyze(args, out: Path):
     status = _cmd_characteristic(args, out)
-    status = max(status, _cmd_locus(args, out))
-    status = max(status, _cmd_verify_bound(args, out))
-    return status
+    # the locus traced for locus.json spans the same radii verify_theorem traces
+    summary = _write_locus(args, out)
+    return max(status, _cmd_verify_bound(args, out, summary))
 
 
 def _checked(convert, test, requirement):

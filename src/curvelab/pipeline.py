@@ -20,25 +20,6 @@ from .locus import LocusSummary, regularity_radius, tied, trace_branches
 from .polynomials import circle_sign_changes
 
 
-def _scan_sign_changes(diff, r, seeds):
-    """Angles where diff(r e^{i theta}) changes sign between neighbouring ones
-    of ``seeds`` equally spaced angles, all brackets refined at once by
-    bisection."""
-    theta = np.linspace(0.0, 2 * np.pi, seeds, endpoint=False)
-    d = diff(r * np.exp(1j * theta))
-    d_next = np.roll(d, -1)
-    brackets = np.isfinite(d) & np.isfinite(d_next) & ((d > 0) != (d_next > 0))
-    a = theta[brackets]
-    b = a + 2 * np.pi / seeds
-    positive = d[brackets] > 0
-    for _ in range(60):
-        mid = 0.5 * (a + b)
-        same = (diff(r * np.exp(1j * mid)) > 0) == positive
-        a = np.where(same, mid, a)
-        b = np.where(same, b, mid)
-    return 0.5 * (a + b)
-
-
 def _ties(curve: HolomorphicCurve, z, rel):
     """tied() over the log-moduli of all components at the points z."""
     return tied(np.stack([c.log_modulus(z) for c in curve.components]), rel)
@@ -46,23 +27,40 @@ def _ties(curve: HolomorphicCurve, z, rel):
 
 def harvest_tie_points(curve: HolomorphicCurve, radii, seeds=512, cap=400):
     """Points where two of the u_j (over the full index range 0..n) agree and
-    jointly attain the maximum, found on circles. For i, j >= 1,
-    u_i - u_j = Re(P_i - P_j) changes sign at polynomial roots; a pair with
-    u_0 is scanned on ``seeds`` angles and bisected."""
+    jointly attain the maximum, found on circles, in the order radius, pair,
+    angle. For i, j >= 1, u_i - u_j = Re(P_i - P_j) changes sign at
+    polynomial roots; for the pairs with u_0, the sign changes on ``seeds``
+    angles of every circle are bisected all at once."""
     comps = curve.components
     first, second = np.triu_indices(len(comps), 1)
-    points = []
-    for r in radii:
-        angles = [
-            _scan_sign_changes(lambda z: comps[0].log_modulus(z) - comps[j].log_modulus(z), r, seeds)
-            if i == 0 else circle_sign_changes(comps[i].exponent - comps[j].exponent, r)
-            for i, j in zip(first, second)]
-        counts = [len(found) for found in angles]
-        z = r * np.exp(1j * np.concatenate(angles))
-        top = _ties(curve, z, 1e-7)
-        cols = np.arange(z.size)
-        points.extend(z[top[np.repeat(first, counts), cols] & top[np.repeat(second, counts), cols]])
-    return points[:cap]
+    radii = np.asarray(radii, dtype=float)
+    theta = np.linspace(0.0, 2 * np.pi, seeds, endpoint=False)
+    u = np.stack([c.log_modulus(radii[:, None] * np.exp(1j * theta)) for c in comps])
+    d = np.moveaxis(u[0] - u[1:], 0, 1)     # u_0 - u_j by radius, j - 1, angle
+    d_next = np.roll(d, -1, axis=2)
+    k, pair, s = np.nonzero(np.isfinite(d) & np.isfinite(d_next) & ((d > 0) != (d_next > 0)))
+    a, b = theta[s], theta[s] + 2 * np.pi / seeds
+    positive = d[k, pair, s] > 0
+    cols = np.arange(k.size)
+    for _ in range(60):
+        mid = 0.5 * (a + b)
+        u = np.stack([c.log_modulus(radii[k] * np.exp(1j * mid)) for c in comps])
+        same = (u[0] - u[pair + 1, cols] > 0) == positive
+        a = np.where(same, mid, a)
+        b = np.where(same, b, mid)
+    ks, pairs, angles = [k], [pair], [0.5 * (a + b)]
+    # the pairs i, j >= 1 follow the pairs (0, j) in triu order
+    for p in range(len(comps) - 1, len(first)):
+        rows = circle_sign_changes(comps[first[p]].exponent - comps[second[p]].exponent, radii)
+        ks.append(np.repeat(np.arange(len(radii)), [len(row) for row in rows]))
+        pairs.append(np.full(ks[-1].size, p))
+        angles.extend(rows)
+    order = np.lexsort((np.concatenate(pairs), np.concatenate(ks)))
+    pair = np.concatenate(pairs)[order]
+    z = radii[np.concatenate(ks)[order]] * np.exp(1j * np.concatenate(angles)[order])
+    top = _ties(curve, z, 1e-7)
+    cols = np.arange(z.size)
+    return list(z[top[first[pair], cols] & top[second[pair], cols]][:cap])
 
 
 def prop1_check(curve: HolomorphicCurve, points, tie_tol_factor=1e-6):
@@ -168,11 +166,12 @@ class BoundReport:
 
 
 def verify_theorem(curve: HolomorphicCurve, r_grid, epsilon=0.01, tol=1e-8,
-                   tail_fraction=0.25, slack=0.1):
+                   tail_fraction=0.25, slack=0.1, summary: LocusSummary | None = None):
     """Run every sub-check and the tail inequality
     T(r) <= K*C(n,sigma)*r^{sigma+1}*(1+slack) on the largest radii of the
     grid. Sub-check failures are recorded as false verdicts; the operation
-    itself does not abort."""
+    itself does not abort. ``summary`` is the locus traced from r0 to
+    max(4*r0, max(r_grid)); it is traced here when not given."""
     r_grid = sorted(float(r) for r in r_grid)
     work = curve
     if work.K is None:
@@ -181,10 +180,10 @@ def verify_theorem(curve: HolomorphicCurve, r_grid, epsilon=0.01, tol=1e-8,
     sigma, K, n = work.sigma, work.K, work.n
 
     polys = work.reduced_polys()
-    summary = None
     try:
         r0 = regularity_radius(polys)
-        summary = trace_branches(polys, r0, max(4 * r0, r_grid[-1]))
+        if summary is None:
+            summary = trace_branches(polys, r0, max(4 * r0, r_grid[-1]))
     except LocusEmptyError:
         pass
 

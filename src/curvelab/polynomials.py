@@ -158,26 +158,32 @@ def refine_angles(coeffs, r, theta):
     return theta
 
 
-def circle_sign_changes(poly: ComplexPoly, r) -> np.ndarray:
-    """Sorted angles theta in [0, 2pi) where Re poly(r e^{i theta}) changes sign.
+def circle_sign_changes(poly: ComplexPoly, r):
+    """Sorted angles theta in [0, 2pi) where Re poly(r e^{i theta}) changes
+    sign: one array for a number r, a list of one array per radius for an
+    array of radii.
 
     The roots of ``circle_roots`` near |w| = 1 give candidate angles, which
-    Newton's method polishes in theta. The candidates cut the circle into arcs
-    free of zeros, and a candidate is kept when Re poly has opposite signs on
-    the arcs either side of it, so tangent zeros and roots just off the circle
-    drop out.
+    Newton's method polishes in theta, all radii in one solve and one polish.
+    The candidates cut each circle into arcs free of zeros, and a candidate is
+    kept when Re poly has opposite signs on the arcs either side of it, so
+    tangent zeros and roots just off the circle drop out.
     """
-    if len(poly.coeffs) < 2:
-        return np.empty(0)
-    roots = circle_roots(poly, [r])[0]
-    coeffs = np.asarray(poly.coeffs)
-    theta = refine_angles(coeffs, r, np.angle(roots[np.abs(np.abs(roots) - 1.0) < _ON_CIRCLE]))
-    theta = np.unique(np.mod(theta, 2 * np.pi))
-    if theta.size < 2:
-        return np.empty(0)
-    mids = 0.5 * (theta + np.append(theta[1:], theta[0] + 2 * np.pi))
-    positive = npoly.polyval(r * np.exp(1j * mids), coeffs).real > 0
-    return theta[positive != np.roll(positive, 1)]
+    radii = np.atleast_1d(np.asarray(r, dtype=float))
+    rows = [np.empty(0)] * len(radii)
+    if len(poly.coeffs) >= 2:
+        roots = circle_roots(poly, radii)
+        near = np.abs(np.abs(roots) - 1.0) < _ON_CIRCLE
+        coeffs = np.asarray(poly.coeffs)
+        theta = refine_angles(coeffs, radii[np.nonzero(near)[0]], np.angle(roots[near]))
+        for k, row in enumerate(np.split(theta, np.cumsum(near.sum(axis=1))[:-1])):
+            row = np.unique(np.mod(row, 2 * np.pi))
+            if row.size < 2:
+                continue
+            mids = 0.5 * (row + np.append(row[1:], row[0] + 2 * np.pi))
+            positive = npoly.polyval(radii[k] * np.exp(1j * mids), coeffs).real > 0
+            rows[k] = row[positive != np.roll(positive, 1)]
+    return rows[0] if np.ndim(r) == 0 else rows
 
 
 def cauchy_fraction(poly: ComplexPoly) -> float:

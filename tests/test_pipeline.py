@@ -11,10 +11,14 @@ from curvelab import (
     prop2_margin,
     prop3_check,
     prop4_bound,
+    regularity_radius,
     theorem_constant,
     trace_branches,
     verify_theorem,
 )
+from curvelab.errors import LocusEmptyError
+from curvelab.locus import tied
+from curvelab.polynomials import circle_sign_changes
 
 
 class TestProp1:
@@ -61,6 +65,77 @@ class TestProp1:
             worst = min(worst, 4 * float(curve.spherical_derivative(z)) - gap)
         assert len(points) > 10
         assert prop1_check(curve, points) == pytest.approx(worst, rel=1e-12)
+
+
+def _scan_sign_changes(diff, r, seeds):
+    """Angles where diff(r e^{i theta}) changes sign between neighbouring ones
+    of ``seeds`` equally spaced angles, refined by bisection."""
+    theta = np.linspace(0.0, 2 * np.pi, seeds, endpoint=False)
+    d = diff(r * np.exp(1j * theta))
+    d_next = np.roll(d, -1)
+    brackets = np.isfinite(d) & np.isfinite(d_next) & ((d > 0) != (d_next > 0))
+    a = theta[brackets]
+    b = a + 2 * np.pi / seeds
+    positive = d[brackets] > 0
+    for _ in range(60):
+        mid = 0.5 * (a + b)
+        same = (diff(r * np.exp(1j * mid)) > 0) == positive
+        a = np.where(same, mid, a)
+        b = np.where(same, b, mid)
+    return 0.5 * (a + b)
+
+
+def _harvest_per_radius(curve, radii, seeds=512, cap=400):
+    """One circle and one pair at a time: a scan and bisection for each pair
+    (0, j), circle_sign_changes at one radius for each pair i, j >= 1."""
+    comps = curve.components
+    first, second = np.triu_indices(len(comps), 1)
+    points = []
+    for r in radii:
+        angles = [
+            _scan_sign_changes(lambda z: comps[0].log_modulus(z) - comps[j].log_modulus(z), r, seeds)
+            if i == 0 else circle_sign_changes(comps[i].exponent - comps[j].exponent, r)
+            for i, j in zip(first, second)]
+        counts = [len(found) for found in angles]
+        z = r * np.exp(1j * np.concatenate(angles))
+        top = tied(np.stack([c.log_modulus(z) for c in comps]), 1e-7)
+        cols = np.arange(z.size)
+        points.extend(z[top[np.repeat(first, counts), cols] & top[np.repeat(second, counts), cols]])
+    return points[:cap]
+
+
+def _random_curve(rng, n, kind0):
+    def coeffs(d):
+        return rng.normal(0.0, 0.5, size=d + 1) + 1j * rng.normal(0.0, 0.5, size=d + 1)
+    first = {"poly": lambda: CurveComponent.poly(coeffs(2)),
+             "exppoly": lambda: CurveComponent.exp_poly(coeffs(2)),
+             "polyexp": lambda: CurveComponent.poly_exp(coeffs(2), coeffs(2))}[kind0]()
+    rest = [CurveComponent.exp_poly(coeffs(2)) for _ in range(1, n)]
+    return HolomorphicCurve(n, (first, *rest, CurveComponent.one()), 0.0)
+
+
+class TestHarvest:
+    def test_matches_per_radius_loop(self):
+        rng = np.random.default_rng(11)
+        for kind0 in ("poly", "exppoly", "polyexp"):
+            for n in range(1, 5):
+                curve = _random_curve(rng, n, kind0)
+                try:
+                    r0 = regularity_radius(curve.reduced_polys())
+                except LocusEmptyError:
+                    r0 = 2.0
+                radii = list(r0 * np.array([0.1, 0.4, 1.0, 2.5, 6.0]))
+                expected = _harvest_per_radius(curve, radii)
+                got = harvest_tie_points(curve, radii)
+                assert len(got) == len(expected) > 0, (kind0, n)
+                assert np.allclose(got, expected, rtol=1e-14, atol=0.0), (kind0, n)
+        # more candidates than the cap: the order decides which points stay
+        curve = _random_curve(rng, 4, "polyexp")
+        radii = list(np.geomspace(0.5, 30.0, 90))
+        assert len(_harvest_per_radius(curve, radii, cap=None)) > 400
+        got = harvest_tie_points(curve, radii)
+        assert len(got) == 400
+        assert np.allclose(got, _harvest_per_radius(curve, radii), rtol=1e-14, atol=0.0)
 
 
 class TestProp2:

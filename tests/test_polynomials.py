@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from curvelab.polynomials import ComplexPoly, cauchy_fraction
+from curvelab.polynomials import ComplexPoly, cauchy_fraction, circle_sign_changes
 
 
 def test_trimming_and_degree():
@@ -48,3 +48,21 @@ def test_cauchy_fraction():
 def test_leading_of_zero_poly_raises():
     with pytest.raises(ValueError):
         _ = ComplexPoly([]).leading
+
+
+def test_circle_sign_changes_over_radii_matches_one_radius():
+    # radii from well inside to past r0, where the count of sign changes
+    # varies from circle to circle
+    rng = np.random.default_rng(3)
+    varied = 0
+    for _ in range(200):
+        deg = int(rng.integers(1, 5))
+        poly = ComplexPoly(rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1))
+        r0 = 2.0 * (1.0 + cauchy_fraction(poly * poly.deriv()))
+        radii = np.sort(r0 * np.exp(rng.uniform(np.log(0.02), np.log(3.0), size=8)))
+        rows = circle_sign_changes(poly, radii)
+        assert len(rows) == len(radii)
+        for r, row in zip(radii, rows):
+            assert np.array_equal(row, circle_sign_changes(poly, r))
+        varied += len({len(row) for row in rows}) > 1
+    assert varied > 50
