@@ -25,6 +25,7 @@ from .polynomials import ComplexPoly, circle_sign_changes
 from .quadrature import adaptive_gauss, periodic_trapezoid
 
 DEFAULT_TOL = 1e-8
+CROSS_CHECK_TOL = 1e-6   # largest gap build_table allows between the two routes
 
 
 class AngularEnergy:
@@ -164,15 +165,14 @@ class CharacteristicTable:
         }, sort_keys=True, indent=2)
 
 
-def build_table(curve: HolomorphicCurve, radii, tol=DEFAULT_TOL,
-                cross_check_tol=1e-6):
+def build_table(curve: HolomorphicCurve, radii, tol=DEFAULT_TOL):
     radii = sorted(float(r) for r in radii)
     energy = AngularEnergy(curve, tol)
     t_area, t_jensen, counting = [], [], []
     for r in radii:
         ta = characteristic_area(energy, r, tol)
         tj = characteristic_jensen(curve, r, tol)
-        if abs(ta - tj) > cross_check_tol:
+        if abs(ta - tj) > CROSS_CHECK_TOL:
             raise RuntimeError(
                 f"characteristic routes disagree at r={r}: "
                 f"area={ta!r}, jensen={tj!r}")

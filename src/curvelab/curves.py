@@ -20,6 +20,8 @@ from .errors import CurveValidationError
 from .polynomials import ComplexPoly
 from .quadrature import CHUNK_POINTS
 
+THETA_NODES = 2048   # angles per circle before estimate_growth refines the sup
+
 
 def _log_abs(values):
     values = np.asarray(values)
@@ -215,36 +217,30 @@ class HolomorphicCurve:
         return HolomorphicCurve(self.n, self.components, self.sigma, K)
 
 
-def estimate_growth(curve: HolomorphicCurve, r_min, r_max, circles=8, sigma=None,
-                    theta_nodes=2048):
+def estimate_growth(curve: HolomorphicCurve, r_min, r_max, circles=8):
     """Least-squares estimate of the growth exponent of sup ||f'|| on circles,
-    and the matching finite-radius surrogate for the constant K.
-
-    K_hat uses the declared sigma when available, the fitted one otherwise.
-    """
+    and the matching finite-radius surrogate for the constant K at the
+    curve's declared sigma."""
     if not (0 < r_min < r_max):
         raise ValueError("need 0 < r_min < r_max")
     if circles < 4:
         raise ValueError("need at least 4 circles")
     radii = np.geomspace(r_min, r_max, circles)
-    sups = np.array([_circle_sup(curve, r, theta_nodes) for r in radii])
+    sups = np.array([_circle_sup(curve, r) for r in radii])
     if np.max(sups) <= 0.0:
         return 0.0, 0.0
     slope, _ = np.polyfit(np.log(radii), np.log(sups), 1)
-    sigma_hat = float(slope)
-    sigma_used = sigma if sigma is not None else (
-        curve.sigma if curve.sigma is not None else sigma_hat)
-    K_hat = float(np.max(sups * radii ** (-sigma_used)))
-    return sigma_hat, K_hat
+    K_hat = float(np.max(sups * radii ** (-curve.sigma)))
+    return float(slope), K_hat
 
 
-def _circle_sup(curve, r, theta_nodes):
+def _circle_sup(curve, r):
     from scipy.optimize import minimize_scalar
 
-    theta = np.linspace(0.0, 2 * np.pi, theta_nodes, endpoint=False)
+    theta = np.linspace(0.0, 2 * np.pi, THETA_NODES, endpoint=False)
     vals = np.asarray(curve.spherical_derivative(r * np.exp(1j * theta)))
     k = int(np.argmax(vals))
-    step = 2 * np.pi / theta_nodes
+    step = 2 * np.pi / THETA_NODES
 
     def neg(t):
         return -float(curve.spherical_derivative(r * np.exp(1j * t)))

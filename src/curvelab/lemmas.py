@@ -19,6 +19,9 @@ import numpy as np
 from .polynomials import ComplexPoly
 
 GRID_SIZE = 4096
+# the boundary angle grid 2*pi*k/GRID_SIZE on the unit circle, shared by every instance
+_CIRCLE = np.exp(1j * (np.arange(GRID_SIZE) * (2 * np.pi / GRID_SIZE)))
+BOUNDARY_TOL = 1e-10   # relative |v(z1)| above which z1 is not a boundary zero
 
 
 def green_disc(z, zeta):
@@ -88,12 +91,9 @@ class DiscHarmonic:
         n = len(samples)
         c = np.fft.fft(samples) / n
         scale = max(1.0, float(np.max(np.abs(c))))
-        m_max = 0
-        for m in range(1, n // 2):
-            if abs(c[m]) > 1e-15 * scale:
-                m_max = m
-        coeffs = [c[0]] + [2.0 * c[m] for m in range(1, m_max + 1)]
-        h = ComplexPoly(coeffs)
+        modes = np.flatnonzero(np.abs(c[1:n // 2]) > 1e-15 * scale)
+        m_max = int(modes[-1]) + 1 if modes.size else 0
+        h = ComplexPoly(np.concatenate((c[:1], 2.0 * c[1:m_max + 1])))
         hp = h.deriv()
         return cls(center, radius, h, hp, boundary_samples=samples)
 
@@ -157,22 +157,22 @@ class DiscSuperharmonic:
                    if abs(zeta - self.center) < self.radius / 2)
 
 
-def verify_lemma1(v: DiscHarmonic, z1, boundary_tol=1e-10):
+def verify_lemma1(v: DiscHarmonic, z1):
     """Check v(a) <= 2R |grad v(z1)| for a nonnegative harmonic v vanishing at
     the boundary point z1. Returns (lhs, rhs, margin)."""
     val = v.value(z1)
-    if abs(val) > boundary_tol * max(1.0, abs(v.value(v.center))):
+    if abs(val) > BOUNDARY_TOL * max(1.0, abs(v.value(v.center))):
         raise ValueError(f"precondition violated: v(z1) = {val!r}, expected 0")
     lhs = v.value(v.center)
     rhs = 2.0 * v.radius * abs(v.grad(z1))
     return lhs, rhs, rhs - lhs
 
 
-def verify_lemma2(v: DiscSuperharmonic, z1, boundary_tol=1e-10):
+def verify_lemma2(v: DiscSuperharmonic, z1):
     """Check mass(B(a, R/2)) <= 3R |grad v(z1)|. Returns (mass, rhs, margin)."""
     val = v.value(z1)
     scale = 1.0 + sum(wt for _, wt in v.masses)
-    if abs(val) > boundary_tol * scale:
+    if abs(val) > BOUNDARY_TOL * scale:
         raise ValueError(f"precondition violated: v(z1) = {val!r}, expected 0")
     for zeta, _ in v.masses:
         if abs(abs(zeta - v.center) - v.radius / 2) < 1e-6 * v.radius:
@@ -184,19 +184,17 @@ def verify_lemma2(v: DiscSuperharmonic, z1, boundary_tol=1e-10):
 
 def _random_harmonic(rng):
     """Nonnegative boundary density |q(e^{i theta})|^2 with q vanishing at a
-    random grid angle theta1; its Poisson extension vanishes at z1."""
+    random grid point w1; its Poisson extension vanishes at z1."""
     center = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
     radius = rng.uniform(0.5, 2.5)
     k1 = int(rng.integers(0, GRID_SIZE))
-    theta1 = 2 * np.pi * k1 / GRID_SIZE
-    w1 = np.exp(1j * theta1)
+    w1 = _CIRCLE[k1]
     deg = int(rng.integers(0, 4))
     p = ComplexPoly([complex(a, b) for a, b in rng.normal(size=(deg + 1, 2))])
     if p.is_zero:
         p = ComplexPoly.constant(1.0)
     q = ComplexPoly([-w1, 1.0]) * p
-    theta = np.arange(GRID_SIZE) * (2 * np.pi / GRID_SIZE)
-    rho = np.abs(q(np.exp(1j * theta))) ** 2
+    rho = np.abs(q(_CIRCLE)) ** 2
     top = float(np.max(rho))
     if top > 0:
         rho = rho * (10.0 / top)
@@ -235,23 +233,13 @@ def random_lemma_family(seed, count, kind="mixed"):
 def harness_report(seed, count):
     """Run both harnesses and report per-instance margins as a dict (the JSON
     interface consumed by the CLI). The failure list must be empty."""
-    margins1, margins2, failures = [], [], []
-    for idx, (v, z1) in enumerate(random_lemma_family(seed, count, "harmonic")):
-        _, _, margin = verify_lemma1(v, z1)
-        margins1.append(margin)
-        if margin < -1e-8:
-            failures.append({"kind": "harmonic", "index": idx, "margin": margin})
-    for idx, (v, z1) in enumerate(random_lemma_family(seed + 1, count, "superharmonic")):
-        _, _, margin = verify_lemma2(v, z1)
-        margins2.append(margin)
-        if margin < -1e-8:
-            failures.append({"kind": "superharmonic", "index": idx, "margin": margin})
-    kernel_min, _ = green_boundary_min(0.5)
-    return {
-        "seed": seed,
-        "count": count,
-        "harmonic_min_margin": min(margins1),
-        "superharmonic_min_margin": min(margins2),
-        "green_kernel_min": kernel_min,
-        "failures": failures,
-    }
+    report, failures = {"seed": seed, "count": count}, []
+    for kind, family_seed, verify in (("harmonic", seed, verify_lemma1),
+                                      ("superharmonic", seed + 1, verify_lemma2)):
+        margins = [verify(v, z1)[2] for v, z1 in random_lemma_family(family_seed, count, kind)]
+        failures += [{"kind": kind, "index": idx, "margin": margin}
+                     for idx, margin in enumerate(margins) if margin < -1e-8]
+        report[f"{kind}_min_margin"] = min(margins)
+    report["green_kernel_min"], _ = green_boundary_min(0.5)
+    report["failures"] = failures
+    return report

@@ -20,6 +20,8 @@ from .polynomials import ComplexPoly, cauchy_fraction, circle_roots, refine_angl
 
 TWO_PI = 2 * math.pi
 _RATIO = 1.01   # radius ratio of consecutive trace circles
+B_GATE = 0.05   # absolute gap allowed between fitted and symbolic b_k
+C_GATE = 0.05   # relative gap allowed between fitted and symbolic c_k
 
 
 def _re_equivalent(diff: ComplexPoly) -> bool:
@@ -197,7 +199,7 @@ def trace_branches(polys, r0, r_max):
     return LocusSummary(r0=r0, branches=branches, b=b, c0=c0)
 
 
-def branch_asymptotics(branch: LocusBranch, b_gate=0.05, c_gate=0.05):
+def branch_asymptotics(branch: LocusBranch):
     """Symbolic (b_k, c_k) from the difference polynomial, validated against a
     log-log fit of the jump density over the outer half of the trace."""
     radii = np.abs(branch.points)
@@ -208,7 +210,7 @@ def branch_asymptotics(branch: LocusBranch, b_gate=0.05, c_gate=0.05):
     y = np.log(branch.densities[mask])
     slope, intercept = np.polyfit(x, y, 1)
     c_fit = math.exp(intercept)
-    if abs(slope - branch.b_k) > b_gate or abs(c_fit - branch.c_k) > c_gate * branch.c_k:
+    if abs(slope - branch.b_k) > B_GATE or abs(c_fit - branch.c_k) > C_GATE * branch.c_k:
         raise AsymptoticsError(
             f"asymptotics not reached on branch {branch.pair}: "
             f"fit (b={slope:.4f}, c={c_fit:.4g}) vs symbolic "

@@ -19,27 +19,34 @@ from .errors import LocusEmptyError
 from .locus import LocusSummary, regularity_radius, tied, trace_branches
 from .polynomials import circle_sign_changes
 
+HARVEST_SEEDS = 512        # scan angles per circle for the pairs with u_0
+HARVEST_CAP = 400          # most tie points harvest_tie_points returns
+TIE_TOL_FACTOR = 1e-6      # relative tolerance of a tie at the max for prop1
+PROP2_SEEDS = 1024         # angles per circle for the sup of u - u*
+TAIL_FRACTION = 0.25       # share of the largest radii checked by verify_theorem
+SLACK = 0.1                # relative slack on the theorem's ceiling
+
 
 def _ties(curve: HolomorphicCurve, z, rel):
     """tied() over the log-moduli of all components at the points z."""
     return tied(np.stack([c.log_modulus(z) for c in curve.components]), rel)
 
 
-def harvest_tie_points(curve: HolomorphicCurve, radii, seeds=512, cap=400):
+def harvest_tie_points(curve: HolomorphicCurve, radii):
     """Points where two of the u_j (over the full index range 0..n) agree and
     jointly attain the maximum, found on circles, in the order radius, pair,
     angle. For i, j >= 1, u_i - u_j = Re(P_i - P_j) changes sign at
-    polynomial roots; for the pairs with u_0, the sign changes on ``seeds``
+    polynomial roots; for the pairs with u_0, the sign changes on HARVEST_SEEDS
     angles of every circle are bisected all at once."""
     comps = curve.components
     first, second = np.triu_indices(len(comps), 1)
     radii = np.asarray(radii, dtype=float)
-    theta = np.linspace(0.0, 2 * np.pi, seeds, endpoint=False)
+    theta = np.linspace(0.0, 2 * np.pi, HARVEST_SEEDS, endpoint=False)
     u = np.stack([c.log_modulus(radii[:, None] * np.exp(1j * theta)) for c in comps])
     d = np.moveaxis(u[0] - u[1:], 0, 1)     # u_0 - u_j by radius, j - 1, angle
     d_next = np.roll(d, -1, axis=2)
     k, pair, s = np.nonzero(np.isfinite(d) & np.isfinite(d_next) & ((d > 0) != (d_next > 0)))
-    a, b = theta[s], theta[s] + 2 * np.pi / seeds
+    a, b = theta[s], theta[s] + 2 * np.pi / HARVEST_SEEDS
     positive = d[k, pair, s] > 0
     cols = np.arange(k.size)
     for _ in range(60):
@@ -60,16 +67,16 @@ def harvest_tie_points(curve: HolomorphicCurve, radii, seeds=512, cap=400):
     z = radii[np.concatenate(ks)[order]] * np.exp(1j * np.concatenate(angles)[order])
     top = _ties(curve, z, 1e-7)
     cols = np.arange(z.size)
-    return list(z[top[first[pair], cols] & top[second[pair], cols]][:cap])
+    return list(z[top[first[pair], cols] & top[second[pair], cols]][:HARVEST_CAP])
 
 
-def prop1_check(curve: HolomorphicCurve, points, tie_tol_factor=1e-6):
+def prop1_check(curve: HolomorphicCurve, points):
     """Worst margin of (n+1)*||f'||(z) - |grad u_m - grad u_k| over the
     supplied tie points (inf for none); the gradient difference is
     |f_m'/f_m - f_k'/f_k|, maximised over the pairs tied for the max at z."""
     comps = curve.components
     z = np.asarray(points, dtype=complex)
-    top = _ties(curve, z, tie_tol_factor)
+    top = _ties(curve, z, TIE_TOL_FACTOR)
     lone = np.flatnonzero(top.sum(axis=0) < 2)
     if lone.size:
         raise ValueError(f"point {z[lone[0]]!r} has no tied dominant pair")
@@ -80,7 +87,7 @@ def prop1_check(curve: HolomorphicCurve, points, tie_tol_factor=1e-6):
     return float(np.min(lhs - grad_gap, initial=math.inf))
 
 
-def prop2_margin(curve: HolomorphicCurve, epsilon, radii, seeds=1024):
+def prop2_margin(curve: HolomorphicCurve, epsilon, radii):
     """Per-radius sup of u - u* on the circle against the explicit ceiling
     K*(2+eps)^{sigma+1}*(n+1)*r^{sigma+1}. Returns a list of
     (r, sup, bound) rows."""
@@ -89,7 +96,7 @@ def prop2_margin(curve: HolomorphicCurve, epsilon, radii, seeds=1024):
     polys = curve.reduced_polys()
     rows = []
     for r in radii:
-        theta = np.linspace(0.0, 2 * np.pi, seeds, endpoint=False)
+        theta = np.linspace(0.0, 2 * np.pi, PROP2_SEEDS, endpoint=False)
         z = r * np.exp(1j * theta)
         u = np.asarray(curve.u(z))
         u_star = np.max(np.stack([np.asarray(p(z)).real for p in polys]), axis=0)
@@ -166,9 +173,9 @@ class BoundReport:
 
 
 def verify_theorem(curve: HolomorphicCurve, r_grid, epsilon=0.01, tol=1e-8,
-                   tail_fraction=0.25, slack=0.1, summary: LocusSummary | None = None):
+                   summary: LocusSummary | None = None):
     """Run every sub-check and the tail inequality
-    T(r) <= K*C(n,sigma)*r^{sigma+1}*(1+slack) on the largest radii of the
+    T(r) <= K*C(n,sigma)*r^{sigma+1}*(1+SLACK) on the largest radii of the
     grid. Sub-check failures are recorded as false verdicts; the operation
     itself does not abort. ``summary`` is the locus traced from r0 to
     max(4*r0, max(r_grid)); it is traced here when not given."""
@@ -199,11 +206,11 @@ def verify_theorem(curve: HolomorphicCurve, r_grid, epsilon=0.01, tol=1e-8,
     # keep only points where two components tie for the max over the full
     # index range
     tie_points = np.asarray(tie_points, dtype=complex)
-    valid = _ties(work, tie_points, 1e-6).sum(axis=0) >= 2
+    valid = _ties(work, tie_points, TIE_TOL_FACTOR).sum(axis=0) >= 2
     prop1_worst = prop1_check(work, tie_points[valid])
 
     rows2 = prop2_margin(work, epsilon, r_grid)
-    tail_start = int(math.floor(len(r_grid) * (1 - tail_fraction)))
+    tail_start = int(math.floor(len(r_grid) * (1 - TAIL_FRACTION)))
     prop2_tail_ok = all(sup <= bound for _, sup, bound in rows2[tail_start:])
 
     p3 = prop3_check(summary, work)
@@ -218,7 +225,7 @@ def verify_theorem(curve: HolomorphicCurve, r_grid, epsilon=0.01, tol=1e-8,
     theorem_ok = True
     for r in r_grid[tail_start:]:
         t = characteristic_jensen(work, r, tol)
-        ceiling = K * const * r ** (sigma + 1) * (1 + slack)
+        ceiling = K * const * r ** (sigma + 1) * (1 + SLACK)
         tail_rows.append((r, t, ceiling))
         theorem_ok = theorem_ok and t <= ceiling
 

@@ -14,6 +14,7 @@ _GL_NODES, _GL_WEIGHTS = leggauss(15)
 # that their (rows, points) temporaries stay small however far a rule refines;
 # the compiled curve kernel in curves.py chunks its evaluations to it too.
 CHUNK_POINTS = 8192
+INITIAL_PANELS = 4   # panels adaptive_gauss starts from
 
 
 class RowAngles(np.ndarray):
@@ -76,7 +77,7 @@ def _gl_panel(f, a, b):
     return half * float(np.dot(_GL_WEIGHTS, f(x)))
 
 
-def adaptive_gauss(f, a, b, tol, initial_panels=4, max_panels=4096):
+def adaptive_gauss(f, a, b, tol, max_panels=4096):
     """Adaptive Gauss-Legendre integration on [a, b] of a function f that maps
     an array of nodes to an array of values; each panel's nodes go to f in
     one call.
@@ -87,11 +88,11 @@ def adaptive_gauss(f, a, b, tol, initial_panels=4, max_panels=4096):
     """
     if a == b:
         return 0.0
-    edges = np.linspace(a, b, initial_panels + 1)
+    edges = np.linspace(a, b, INITIAL_PANELS + 1)
     stack = [(edges[i], edges[i + 1], _gl_panel(f, edges[i], edges[i + 1]))
-             for i in range(initial_panels)]
+             for i in range(INITIAL_PANELS)]
     total = 0.0
-    panels_used = initial_panels
+    panels_used = INITIAL_PANELS
     while stack:
         lo, hi, whole = stack.pop()
         mid = 0.5 * (lo + hi)

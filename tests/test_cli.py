@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,7 @@ from curvelab.specfile import load_curve
 from curvelab.errors import SpecFileError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestSpecFiles:
@@ -179,3 +183,15 @@ class TestCommandMatrix:
                             "--out", str(tmp_path)], capsys)
         assert status == 2
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_import_loads_no_scipy():
+    # every command pays the package import; scipy is imported by the few
+    # functions that need it, when they first run
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    code = ("import sys, curvelab; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

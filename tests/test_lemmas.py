@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from curvelab import (
+    ComplexPoly,
     DiscHarmonic,
     DiscSuperharmonic,
     green_boundary_min,
@@ -14,6 +16,7 @@ from curvelab import (
     verify_lemma1,
     verify_lemma2,
 )
+from curvelab import lemmas
 
 
 class TestGreenKernel:
@@ -141,3 +144,119 @@ class TestFamilyAndReport:
             m_disc = verify_lemma1(v, z1)[2]
             m_unit = verify_lemma1(unit, w1)[2]
             assert m_disc == pytest.approx(m_unit, abs=1e-9)
+
+
+# -- reference routes: the per-mode scan, the per-instance angle grid and the
+# -- two harness loops that the array forms replace --------------------------
+
+def _coeffs_per_mode(samples):
+    """Coefficients of h by scanning every mode below n/2 one at a time."""
+    samples = np.asarray(samples, dtype=float)
+    n = len(samples)
+    c = np.fft.fft(samples) / n
+    scale = max(1.0, float(np.max(np.abs(c))))
+    m_max = 0
+    for m in range(1, n // 2):
+        if abs(c[m]) > 1e-15 * scale:
+            m_max = m
+    return ComplexPoly([c[0]] + [2.0 * c[m] for m in range(1, m_max + 1)]).coeffs
+
+
+def _harmonic_per_instance_grid(rng):
+    """_random_harmonic with its own angle grid and exp(i theta1) per call."""
+    grid = lemmas.GRID_SIZE
+    center = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+    radius = rng.uniform(0.5, 2.5)
+    k1 = int(rng.integers(0, grid))
+    w1 = np.exp(1j * (2 * np.pi * k1 / grid))
+    deg = int(rng.integers(0, 4))
+    p = ComplexPoly([complex(a, b) for a, b in rng.normal(size=(deg + 1, 2))])
+    if p.is_zero:
+        p = ComplexPoly.constant(1.0)
+    q = ComplexPoly([-w1, 1.0]) * p
+    theta = np.arange(grid) * (2 * np.pi / grid)
+    rho = np.abs(q(np.exp(1j * theta))) ** 2
+    top = float(np.max(rho))
+    if top > 0:
+        rho = rho * (10.0 / top)
+    return DiscHarmonic.from_boundary_samples(center, radius, rho), center + radius * w1
+
+
+def _report_two_loops(seed, count):
+    margins1, margins2, failures = [], [], []
+    for idx, (v, z1) in enumerate(random_lemma_family(seed, count, "harmonic")):
+        _, _, margin = verify_lemma1(v, z1)
+        margins1.append(margin)
+        if margin < -1e-8:
+            failures.append({"kind": "harmonic", "index": idx, "margin": margin})
+    for idx, (v, z1) in enumerate(random_lemma_family(seed + 1, count, "superharmonic")):
+        _, _, margin = verify_lemma2(v, z1)
+        margins2.append(margin)
+        if margin < -1e-8:
+            failures.append({"kind": "superharmonic", "index": idx, "margin": margin})
+    return {
+        "seed": seed,
+        "count": count,
+        "harmonic_min_margin": min(margins1),
+        "superharmonic_min_margin": min(margins2),
+        "green_kernel_min": green_boundary_min(0.5)[0],
+        "failures": failures,
+    }
+
+
+class TestModeCut:
+    def _assert_same(self, samples):
+        h = DiscHarmonic.from_boundary_samples(0.0, 1.0, samples)._h
+        assert h.coeffs == _coeffs_per_mode(samples)
+        return h
+
+    def test_random_densities(self):
+        rng = np.random.default_rng(8)
+        theta = np.arange(lemmas.GRID_SIZE) * (2 * np.pi / lemmas.GRID_SIZE)
+        for _ in range(40):
+            q = ComplexPoly(rng.normal(size=int(rng.integers(1, 6))) + 0j)
+            self._assert_same(np.abs(q(np.exp(1j * theta))) ** 2)
+            self._assert_same(rng.uniform(0.0, 1.0, size=int(rng.integers(2, 300))))
+
+    def test_all_zero_samples(self):
+        assert self._assert_same(np.zeros(64)).is_zero
+
+    def test_odd_length(self):
+        for n in (1, 3, 7, 129):
+            self._assert_same(1.0 + np.cos(np.arange(n) * (2 * np.pi / n)))
+
+    def test_planted_mode_at_the_threshold(self):
+        n, m = 256, 100
+        base = 3.0 + np.cos(np.arange(n) * (2 * np.pi / n))
+        scale = max(1.0, float(np.max(np.abs(np.fft.fft(base) / n))))
+        wave = np.cos(m * np.arange(n) * (2 * np.pi / n))
+        degrees = []
+        for factor in (0.5, 0.9, 1.1, 2.0):
+            # a cosine of amplitude A puts A/2 on mode m
+            h = self._assert_same(base + 2.0 * factor * 1e-15 * scale * wave)
+            degrees.append(h.degree())
+        assert degrees == [1, 1, m, m]
+
+
+class TestHarnessAgainstReference:
+    @pytest.mark.parametrize("seed", [1, 4, 9])
+    def test_family_matches_per_instance_grid(self, seed, monkeypatch):
+        kinds = ("harmonic", "superharmonic", "mixed")
+        got = {kind: random_lemma_family(seed, 50, kind) for kind in kinds}
+        monkeypatch.setattr(lemmas, "_random_harmonic", _harmonic_per_instance_grid)
+        for kind in kinds:
+            want = random_lemma_family(seed, 50, kind)
+            for (v, z1), (ref, ref_z1) in zip(got[kind], want, strict=True):
+                assert z1 == ref_z1
+                assert type(v) is type(ref)
+                if isinstance(v, DiscSuperharmonic):
+                    assert v.masses == ref.masses
+                    v, ref = v.harmonic_part, ref.harmonic_part
+                assert np.array_equal(v.boundary_samples, ref.boundary_samples)
+                assert v._h.coeffs == ref._h.coeffs
+
+    @pytest.mark.parametrize("seed", [2, 7, 12])
+    def test_report_matches_two_loops(self, seed):
+        got = harness_report(seed, 50)
+        want = _report_two_loops(seed, 50)
+        assert json.dumps(got) == json.dumps(want)
