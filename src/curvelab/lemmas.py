@@ -45,20 +45,13 @@ def green_boundary_normal(theta, zeta):
 
 
 def green_boundary_min(zeta_abs=0.5):
-    """Minimum of the boundary normal derivative over the circle for a pole of
-    the given modulus; attained at the antipodal boundary point."""
-    from scipy.optimize import minimize_scalar
-
-    zeta = complex(zeta_abs)
+    """Minimum of the boundary normal derivative over a 720-point circle grid
+    for a real pole of the given modulus. The minimum is at the antipodal
+    point (theta = pi, or 0 for a negative modulus), which is a grid point."""
     grid = np.linspace(0.0, 2 * np.pi, 720, endpoint=False)
-    vals = green_boundary_normal(grid, zeta)
+    vals = green_boundary_normal(grid, complex(zeta_abs))
     k = int(np.argmin(vals))
-    step = 2 * np.pi / len(grid)
-    res = minimize_scalar(lambda t: float(green_boundary_normal(t, zeta)),
-                          bounds=(grid[k] - step, grid[k] + step),
-                          method="bounded", options={"xatol": 1e-13})
-    theta_min = float(res.x)
-    return float(green_boundary_normal(theta_min, zeta)), theta_min
+    return float(vals[k]), float(grid[k])
 
 
 def _green_gradient_unit(w, zeta):
@@ -69,33 +62,16 @@ def _green_gradient_unit(w, zeta):
 class DiscHarmonic:
     """Nonnegative harmonic function on a closed disc.
 
-    Internally v = Re h(w) in unit-disc coordinates, where h is either the
-    analytic completion of a boundary trigonometric density (recovered from
-    uniform boundary samples by FFT) or an explicitly supplied analytic
-    function.
+    Internally v = Re h(w) in unit-disc coordinates, where h is either a
+    polynomial (the analytic completion of a boundary trigonometric density)
+    or an explicitly supplied analytic function.
     """
 
-    def __init__(self, center, radius, h, h_prime, boundary_samples=None):
+    def __init__(self, center, radius, h, h_prime):
         self.center = complex(center)
         self.radius = float(radius)
         self._h = h
         self._h_prime = h_prime
-        self.boundary_samples = boundary_samples
-
-    @classmethod
-    def from_boundary_samples(cls, center, radius, samples):
-        """Poisson extension of nonnegative boundary data given on the uniform
-        angle grid; the data must be a trigonometric polynomial of degree well
-        below the grid size for the FFT recovery to be exact."""
-        samples = np.asarray(samples, dtype=float)
-        n = len(samples)
-        c = np.fft.fft(samples) / n
-        scale = max(1.0, float(np.max(np.abs(c))))
-        modes = np.flatnonzero(np.abs(c[1:n // 2]) > 1e-15 * scale)
-        m_max = int(modes[-1]) + 1 if modes.size else 0
-        h = ComplexPoly(np.concatenate((c[:1], 2.0 * c[1:m_max + 1])))
-        hp = h.deriv()
-        return cls(center, radius, h, hp, boundary_samples=samples)
 
     @classmethod
     def from_real_part_poly(cls, center, radius, poly, constant=0.0):
@@ -184,7 +160,10 @@ def verify_lemma2(v: DiscSuperharmonic, z1):
 
 def _random_harmonic(rng):
     """Nonnegative boundary density |q(e^{i theta})|^2 with q vanishing at a
-    random grid point w1; its Poisson extension vanishes at z1."""
+    random grid point w1, scaled to a grid maximum of 10; its Poisson extension
+    Re h vanishes at z1. The density's Fourier coefficients are the
+    autocorrelation c_k = sum_j a_{j+k} conj(a_j) of q's coefficients a, so
+    h = c_0 + 2 sum_{k>=1} c_k w^k."""
     center = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
     radius = rng.uniform(0.5, 2.5)
     k1 = int(rng.integers(0, GRID_SIZE))
@@ -194,12 +173,11 @@ def _random_harmonic(rng):
     if p.is_zero:
         p = ComplexPoly.constant(1.0)
     q = ComplexPoly([-w1, 1.0]) * p
-    rho = np.abs(q(_CIRCLE)) ** 2
-    top = float(np.max(rho))
-    if top > 0:
-        rho = rho * (10.0 / top)
-    z1 = center + radius * w1
-    return DiscHarmonic.from_boundary_samples(center, radius, rho), z1
+    top = float(np.max(np.abs(q(_CIRCLE)) ** 2))
+    a = np.asarray(q.coeffs)
+    c = np.correlate(a, a, "full")[len(a) - 1:] * (10.0 / top)
+    c[1:] *= 2.0
+    return DiscHarmonic.from_real_part_poly(center, radius, c), center + radius * w1
 
 
 def _random_superharmonic(rng):
@@ -220,6 +198,8 @@ def _random_superharmonic(rng):
 def random_lemma_family(seed, count, kind="mixed"):
     """Deterministic family of lemma instances paired with their boundary
     zero z1. kind is one of "harmonic", "superharmonic", "mixed"."""
+    if kind not in ("harmonic", "superharmonic", "mixed"):
+        raise ValueError(f"kind must be 'harmonic', 'superharmonic' or 'mixed', got {kind!r}")
     rng = np.random.default_rng(seed)
     out = []
     for k in range(count):
@@ -233,6 +213,8 @@ def random_lemma_family(seed, count, kind="mixed"):
 def harness_report(seed, count):
     """Run both harnesses and report per-instance margins as a dict (the JSON
     interface consumed by the CLI). The failure list must be empty."""
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count!r}")
     report, failures = {"seed": seed, "count": count}, []
     for kind, family_seed, verify in (("harmonic", seed, verify_lemma1),
                                       ("superharmonic", seed + 1, verify_lemma2)):

@@ -186,12 +186,14 @@ class TestCommandMatrix:
 
 
 def test_import_loads_no_scipy():
-    # every command pays the package import; scipy is imported by the few
-    # functions that need it, when they first run
+    # every command pays the package import, and the lemma harness needs no
+    # scipy at all; scipy is imported by the few functions that need it, when
+    # they first run
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    code = ("import sys, curvelab; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    result = subprocess.run([sys.executable, "-c", code], env=env,
-                            capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    report = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    for run in ("", "curvelab.harness_report(1, 5); "):
+        code = f"import sys, curvelab; {run}{report}"
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "[]", run

@@ -136,18 +136,27 @@ class TestFamilyAndReport:
         assert report["superharmonic_min_margin"] >= -1e-8
         assert abs(report["green_kernel_min"] - 1 / 3) < 1e-9
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="kind"):
+            random_lemma_family(0, 3, "subharmonic")
+
+    def test_report_rejects_empty_count(self):
+        with pytest.raises(ValueError, match="count"):
+            harness_report(7, 0)
+
     def test_affine_covariance(self):
         # same boundary data on B(a, R) and on the unit disc give equal margins
         for v, z1 in random_lemma_family(21, 10, "harmonic"):
-            unit = DiscHarmonic.from_boundary_samples(0.0, 1.0, v.boundary_samples)
+            unit = DiscHarmonic.from_real_part_poly(0.0, 1.0, v._h)
             w1 = (z1 - v.center) / v.radius
             m_disc = verify_lemma1(v, z1)[2]
             m_unit = verify_lemma1(unit, w1)[2]
             assert m_disc == pytest.approx(m_unit, abs=1e-9)
 
 
-# -- reference routes: the per-mode scan, the per-instance angle grid and the
-# -- two harness loops that the array forms replace --------------------------
+# -- reference routes: the FFT recovery of h from boundary samples, the
+# -- per-instance angle grid and the two harness loops that the closed form,
+# -- the shared grid and the one harness loop replace -------------------------
 
 def _coeffs_per_mode(samples):
     """Coefficients of h by scanning every mode below n/2 one at a time."""
@@ -162,9 +171,8 @@ def _coeffs_per_mode(samples):
     return ComplexPoly([c[0]] + [2.0 * c[m] for m in range(1, m_max + 1)]).coeffs
 
 
-def _harmonic_per_instance_grid(rng):
-    """_random_harmonic with its own angle grid and exp(i theta1) per call."""
-    grid = lemmas.GRID_SIZE
+def _draw_q(rng, grid):
+    """The draws of _random_harmonic, with exp(i theta1) computed per call."""
     center = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
     radius = rng.uniform(0.5, 2.5)
     k1 = int(rng.integers(0, grid))
@@ -173,13 +181,30 @@ def _harmonic_per_instance_grid(rng):
     p = ComplexPoly([complex(a, b) for a, b in rng.normal(size=(deg + 1, 2))])
     if p.is_zero:
         p = ComplexPoly.constant(1.0)
-    q = ComplexPoly([-w1, 1.0]) * p
+    return center, radius, w1, ComplexPoly([-w1, 1.0]) * p
+
+
+def _harmonic_per_instance_grid(rng):
+    """_random_harmonic with its own angle grid and exp(i theta1) per call."""
+    grid = lemmas.GRID_SIZE
+    center, radius, w1, q = _draw_q(rng, grid)
     theta = np.arange(grid) * (2 * np.pi / grid)
-    rho = np.abs(q(np.exp(1j * theta))) ** 2
-    top = float(np.max(rho))
-    if top > 0:
-        rho = rho * (10.0 / top)
-    return DiscHarmonic.from_boundary_samples(center, radius, rho), center + radius * w1
+    top = float(np.max(np.abs(q(np.exp(1j * theta))) ** 2))
+    a = np.asarray(q.coeffs)
+    c = np.correlate(a, a, "full")[len(a) - 1:] * (10.0 / top)
+    c[1:] *= 2.0
+    return DiscHarmonic.from_real_part_poly(center, radius, c), center + radius * w1
+
+
+def _harmonic_by_fft(rng):
+    """_random_harmonic through the sampled density: h recovered by FFT and
+    the mode cut; the scaled density is kept on the instance as rho."""
+    center, radius, w1, q = _draw_q(rng, lemmas.GRID_SIZE)
+    rho = np.abs(q(lemmas._CIRCLE)) ** 2
+    rho = rho * (10.0 / float(np.max(rho)))
+    v = DiscHarmonic.from_real_part_poly(center, radius, _coeffs_per_mode(rho))
+    v.rho = rho
+    return v, center + radius * w1
 
 
 def _report_two_loops(seed, count):
@@ -204,40 +229,6 @@ def _report_two_loops(seed, count):
     }
 
 
-class TestModeCut:
-    def _assert_same(self, samples):
-        h = DiscHarmonic.from_boundary_samples(0.0, 1.0, samples)._h
-        assert h.coeffs == _coeffs_per_mode(samples)
-        return h
-
-    def test_random_densities(self):
-        rng = np.random.default_rng(8)
-        theta = np.arange(lemmas.GRID_SIZE) * (2 * np.pi / lemmas.GRID_SIZE)
-        for _ in range(40):
-            q = ComplexPoly(rng.normal(size=int(rng.integers(1, 6))) + 0j)
-            self._assert_same(np.abs(q(np.exp(1j * theta))) ** 2)
-            self._assert_same(rng.uniform(0.0, 1.0, size=int(rng.integers(2, 300))))
-
-    def test_all_zero_samples(self):
-        assert self._assert_same(np.zeros(64)).is_zero
-
-    def test_odd_length(self):
-        for n in (1, 3, 7, 129):
-            self._assert_same(1.0 + np.cos(np.arange(n) * (2 * np.pi / n)))
-
-    def test_planted_mode_at_the_threshold(self):
-        n, m = 256, 100
-        base = 3.0 + np.cos(np.arange(n) * (2 * np.pi / n))
-        scale = max(1.0, float(np.max(np.abs(np.fft.fft(base) / n))))
-        wave = np.cos(m * np.arange(n) * (2 * np.pi / n))
-        degrees = []
-        for factor in (0.5, 0.9, 1.1, 2.0):
-            # a cosine of amplitude A puts A/2 on mode m
-            h = self._assert_same(base + 2.0 * factor * 1e-15 * scale * wave)
-            degrees.append(h.degree())
-        assert degrees == [1, 1, m, m]
-
-
 class TestHarnessAgainstReference:
     @pytest.mark.parametrize("seed", [1, 4, 9])
     def test_family_matches_per_instance_grid(self, seed, monkeypatch):
@@ -252,8 +243,23 @@ class TestHarnessAgainstReference:
                 if isinstance(v, DiscSuperharmonic):
                     assert v.masses == ref.masses
                     v, ref = v.harmonic_part, ref.harmonic_part
-                assert np.array_equal(v.boundary_samples, ref.boundary_samples)
                 assert v._h.coeffs == ref._h.coeffs
+
+    @pytest.mark.parametrize("seed", [1, 4, 9])
+    def test_closed_form_matches_fft_recovery(self, seed, monkeypatch):
+        kinds = ("harmonic", "superharmonic", "mixed")
+        got = {kind: random_lemma_family(seed, 50, kind) for kind in kinds}
+        monkeypatch.setattr(lemmas, "_random_harmonic", _harmonic_by_fft)
+        for kind in kinds:
+            want = random_lemma_family(seed, 50, kind)
+            for (v, _), (ref, _) in zip(got[kind], want, strict=True):
+                if isinstance(v, DiscSuperharmonic):
+                    v, ref = v.harmonic_part, ref.harmonic_part
+                h, h_ref = np.array(v._h.coeffs), np.array(ref._h.coeffs)
+                on_circle = v._h(lemmas._CIRCLE)
+                assert len(h) == len(h_ref)
+                assert np.max(np.abs(h - h_ref)) <= 1e-14 * max(1.0, np.max(np.abs(on_circle)))
+                assert np.max(np.abs(on_circle.real - ref.rho)) <= 1e-13
 
     @pytest.mark.parametrize("seed", [2, 7, 12])
     def test_report_matches_two_loops(self, seed):
