@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import HolomorphicCurve
-from .polynomials import ComplexPoly, circle_sign_changes
+from .polynomials import circle_sign_changes
 from .quadrature import adaptive_gauss, periodic_trapezoid
 
 DEFAULT_TOL = 1e-8
@@ -99,44 +99,50 @@ def counting_function(curve: HolomorphicCurve | AngularEnergy, t, tol=DEFAULT_TO
 
 # -- reduced curve ------------------------------------------------------------
 
-def _arc_integral(poly: ComplexPoly, r, a, b):
-    """Exact integral of Re poly(r e^{i theta}) over theta in [a, b]."""
-    total = 0.0
-    for k, c in enumerate(poly.coeffs):
-        if k == 0:
-            total += (c * (b - a)).real
-        else:
-            total += (c * r ** k * (np.exp(1j * k * b) - np.exp(1j * k * a)) / (1j * k)).real
-    return total
-
-
 def circle_mean_max_re(polys, r):
-    """(1/2pi) * integral over theta of max_j Re P_j(r e^{i theta}).
+    """(1/2pi) * integral over theta of max_j Re P_j(r e^{i theta}), for a
+    number r or elementwise for an array of radii.
 
     The arg-max can switch only where some Re(P_i - P_j) changes sign, so
-    those angles cut the circle into arcs with one winner each, which is read
-    at the arc midpoint; each arc is integrated in closed form.
+    those angles (one circle_sign_changes call per pair for all radii) cut
+    each circle into arcs with one winner each, read at the arc midpoint, and
+    all arcs are integrated in closed form at once. A repeated cut makes an
+    arc of length 0, which adds exactly 0.
     """
     polys = list(polys)
-    cuts = np.unique(np.concatenate([[0.0]] + [
-        circle_sign_changes(polys[i] - polys[j], r)
-        for i in range(len(polys)) for j in range(i + 1, len(polys))]))
-    ends = np.append(cuts[1:], cuts[0] + 2 * np.pi)
-    z = r * np.exp(0.5j * (cuts + ends))
-    winners = np.argmax([np.asarray(p(z)).real for p in polys], axis=0)
-    total = sum(_arc_integral(polys[j], r, a, b) for j, a, b in zip(winners, cuts, ends))
-    return total / (2 * np.pi)
+    radii = np.atleast_1d(np.asarray(r, dtype=float))
+    ks, angles = [np.arange(len(radii))], [np.zeros(len(radii))]
+    for i in range(len(polys)):
+        for j in range(i + 1, len(polys)):
+            rows = circle_sign_changes(polys[i] - polys[j], radii)
+            ks.append(np.repeat(np.arange(len(radii)), [len(row) for row in rows]))
+            angles.extend(rows)
+    # each circle's arcs run between consecutive cuts, the first one at 0
+    k, a = np.concatenate(ks), np.concatenate(angles)
+    order = np.lexsort((a, k))
+    k, a = k[order], a[order]
+    b = np.where(np.append(k[1:] != k[:-1], True), 2 * np.pi, np.roll(a, -1))
+    rk = radii[k]
+    width = max(len(p.coeffs) for p in polys) or 1
+    coeffs = np.array([np.pad(p.coeffs, (0, width - len(p.coeffs))) for p in polys], dtype=complex)
+    mid = rk * np.exp(0.5j * (a + b))
+    c = coeffs[np.argmax([np.asarray(p(mid)).real for p in polys], axis=0)]
+    # integral of Re sum_m c_m r^m e^{i m theta} over [a, b]
+    arcs = (c[:, 0] * (b - a)).real
+    for m in range(1, width):
+        arcs += (c[:, m] * rk ** m * (np.exp(1j * m * b) - np.exp(1j * m * a)) / (1j * m)).real
+    mean = np.bincount(k, weights=arcs, minlength=len(radii)) / (2 * np.pi)
+    return float(mean[0]) if np.ndim(r) == 0 else mean
 
 
 def reduced_characteristic(curve: HolomorphicCurve, r):
     """T*(r): circle average of u* = max_{1<=j<=n} Re P_j minus u*(0), in
-    closed form."""
+    closed form, for a number r or elementwise for an array of radii."""
     return reduced_characteristic_polys(curve.reduced_polys(), r)
 
 
 def reduced_characteristic_polys(polys, r):
-    u_star0 = max(float(p(0.0).real) for p in polys)
-    return circle_mean_max_re(polys, r) - u_star0
+    return circle_mean_max_re(polys, r) - max(float(p(0.0).real) for p in polys)
 
 
 # -- tables -------------------------------------------------------------------

@@ -89,21 +89,17 @@ def prop1_check(curve: HolomorphicCurve, points):
 
 def prop2_margin(curve: HolomorphicCurve, epsilon, radii):
     """Per-radius sup of u - u* on the circle against the explicit ceiling
-    K*(2+eps)^{sigma+1}*(n+1)*r^{sigma+1}. Returns a list of
-    (r, sup, bound) rows."""
+    K*(2+eps)^{sigma+1}*(n+1)*r^{sigma+1}, all radii on one grid of
+    PROP2_SEEDS angles. Returns a list of (r, sup, bound) rows."""
     if curve.K is None:
         raise ValueError("curve needs K declared or estimated")
-    polys = curve.reduced_polys()
-    rows = []
-    for r in radii:
-        theta = np.linspace(0.0, 2 * np.pi, PROP2_SEEDS, endpoint=False)
-        z = r * np.exp(1j * theta)
-        u = np.asarray(curve.u(z))
-        u_star = np.max(np.stack([np.asarray(p(z)).real for p in polys]), axis=0)
-        sup = float(np.max(u - u_star))
-        bound = curve.K * (2 + epsilon) ** (curve.sigma + 1) * (curve.n + 1) * r ** (curve.sigma + 1)
-        rows.append((float(r), sup, bound))
-    return rows
+    radii = np.asarray(radii, dtype=float)
+    z = radii[:, None] * np.exp(1j * np.linspace(0.0, 2 * np.pi, PROP2_SEEDS, endpoint=False))
+    u_star = np.max([np.asarray(p(z)).real for p in curve.reduced_polys()], axis=0)
+    sups = np.max(np.asarray(curve.u(z)) - u_star, axis=1)
+    scale = curve.K * (2 + epsilon) ** (curve.sigma + 1) * (curve.n + 1)
+    return [(float(r), float(sup), scale * float(r) ** (curve.sigma + 1))
+            for r, sup in zip(radii, sups)]
 
 
 def prop3_check(summary: LocusSummary | None, curve: HolomorphicCurve):
@@ -215,19 +211,14 @@ def verify_theorem(curve: HolomorphicCurve, r_grid, epsilon=0.01, tol=1e-8,
 
     p3 = prop3_check(summary, work)
 
-    prop4_margin = math.inf
-    for r in r_grid[tail_start:]:
-        t_star = reduced_characteristic(work, r)
-        prop4_margin = min(prop4_margin, prop4_bound(n, sigma, K, r) - t_star)
+    tail = np.asarray(r_grid[tail_start:])
+    t_star = reduced_characteristic(work, tail)
+    prop4_margin = float(np.min(prop4_bound(n, sigma, K, tail) - t_star))
 
     const = theorem_constant(n, sigma, epsilon)
-    tail_rows = []
-    theorem_ok = True
-    for r in r_grid[tail_start:]:
-        t = characteristic_jensen(work, r, tol)
-        ceiling = K * const * r ** (sigma + 1) * (1 + SLACK)
-        tail_rows.append((r, t, ceiling))
-        theorem_ok = theorem_ok and t <= ceiling
+    tail_rows = [(r, characteristic_jensen(work, r, tol),
+                  K * const * r ** (sigma + 1) * (1 + SLACK)) for r in r_grid[tail_start:]]
+    theorem_ok = all(t <= ceiling for _, t, ceiling in tail_rows)
 
     scale = 1.0 + max(abs(v) for v in ([prop1_worst] if np.isfinite(prop1_worst) else [0.0]))
     verdicts = {

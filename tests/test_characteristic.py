@@ -142,6 +142,25 @@ def _root_finder_cases():
     return cases
 
 
+def _circle_mean_per_arc(polys, r):
+    """circle_mean_max_re at one radius with a Python loop over the arcs and
+    over each winner's coefficients."""
+    cuts = np.unique(np.concatenate([[0.0]] + [
+        circle_sign_changes(polys[i] - polys[j], r)
+        for i in range(len(polys)) for j in range(i + 1, len(polys))]))
+    ends = np.append(cuts[1:], 2 * np.pi)
+    mids = r * np.exp(0.5j * (cuts + ends))
+    winners = np.argmax([np.asarray(p(mids)).real for p in polys], axis=0)
+    total = 0.0
+    for j, a, b in zip(winners, cuts, ends):
+        for k, c in enumerate(polys[j].coeffs):
+            if k == 0:
+                total += (c * (b - a)).real
+            else:
+                total += (c * r ** k * (np.exp(1j * k * b) - np.exp(1j * k * a)) / (1j * k)).real
+    return total / (2 * np.pi)
+
+
 class TestCircleRootFinder:
     def test_roots_match_dense_scan(self):
         for polys, r in _root_finder_cases():
@@ -160,6 +179,11 @@ class TestCircleRootFinder:
             _, z = _dense_circle(r)
             dense = float(np.mean(np.max([np.asarray(p(z)).real for p in polys], axis=0)))
             assert circle_mean_max_re(polys, r) == pytest.approx(dense, rel=1e-9)
+            # one call over an array of radii matches the per-arc loop at each radius
+            radii = np.array([r, 0.5 * r, 2.0 * r, 0.1])
+            per_radius = [_circle_mean_per_arc(polys, s) for s in radii]
+            assert circle_mean_max_re(polys, radii) == pytest.approx(
+                per_radius, rel=1e-14, abs=1e-14)
 
 
 class TestMonotonicityAndTable:

@@ -186,13 +186,15 @@ class TestCommandMatrix:
 
 
 def test_import_loads_no_scipy():
-    # every command pays the package import, and the lemma harness needs no
-    # scipy at all; scipy is imported by the few functions that need it, when
-    # they first run
+    # no module of the package imports scipy: not the import every command
+    # pays, not the lemma harness and not estimate_growth, which verify-bound
+    # runs on a curve that omits K
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     report = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    for run in ("", "curvelab.harness_report(1, 5); "):
+    growth = ("curvelab.estimate_growth(curvelab.load_curve("
+              f"{str(FIXTURES / 'product2.json')!r}).with_K(None), 1.0, 20.0); ")
+    for run in ("", "curvelab.harness_report(1, 5); ", growth):
         code = f"import sys, curvelab; {run}{report}"
         result = subprocess.run([sys.executable, "-c", code], env=env,
                                 capture_output=True, text=True, check=True)

@@ -10,6 +10,7 @@ from curvelab import (
     estimate_growth,
     spherical_derivative_of,
 )
+from curvelab.curves import THETA_NODES
 from curvelab.errors import CurveValidationError
 from curvelab.polynomials import ComplexPoly
 
@@ -67,6 +68,8 @@ class TestValidation:
         with pytest.raises(CurveValidationError, match="constant 1"):
             HolomorphicCurve(1, (CurveComponent.one(),
                                  CurveComponent.exp_poly([0, 1])), 0.0)
+        with pytest.raises(CurveValidationError, match="constant 1"):
+            HolomorphicCurve(1, (CurveComponent.one(), CurveComponent.poly([1])), 0.0)
 
     def test_degree_cap(self):
         with pytest.raises(CurveValidationError, match="exceeds"):
@@ -92,6 +95,33 @@ class TestEstimateGrowth:
         sigma_hat, k_hat = estimate_growth(square_exp_curve, 5.0, 20.0, 8)
         assert sigma_hat == pytest.approx(1.0, abs=1e-6)
         assert k_hat == pytest.approx(1.0, abs=1e-6)
+
+    def test_sharp_peak_sup(self):
+        # n = 1, sigma = 1, f_0 = Q e^P with deg P = 4 and K omitted: at
+        # r = 20 the sup of ||f'|| is a spike 4.2e-6 rad wide at half height,
+        # near a zero of Q where Re P is large, and the r = 20 circle sets K.
+        q = [-0.08488019026801545 + 0.47045248205467055j,
+             -0.5818658321430112 - 0.13631571227931955j,
+             -0.32660855923794924 + 0.6580151547228593j]
+        p = [0.6337877044304207 - 0.7163535494466291j,
+             -1.3426670649596935 + 0.4269588087895828j,
+             1.0525432172668536 - 0.5129413252027069j,
+             -0.1845817565478242 - 0.42691100702985285j,
+             0.8968066845663726 + 0.3953201325533009j]
+        curve = HolomorphicCurve(1, (CurveComponent.poly_exp(q, p), CurveComponent.one()), 1.0)
+        r = 20.0
+        _, k_hat = estimate_growth(curve, 1.0, r, 8)
+        # reference: a 2,000,001-point scan of the two grid cells around the
+        # grid argmax, then 100,001 points over the two scan cells around the
+        # scan argmax (the scan alone lies 7.6e-9 below the peak)
+        step = 2 * np.pi / THETA_NODES
+        grid = curve.spherical_derivative(r * np.exp(1j * step * np.arange(THETA_NODES)))
+        k = int(np.argmax(grid))
+        theta = np.linspace(step * (k - 1), step * (k + 1), 2_000_001)
+        i = int(np.argmax(curve.spherical_derivative(r * np.exp(1j * theta))))
+        theta = np.linspace(theta[i - 1], theta[i + 1], 100_001)
+        dense = np.max(curve.spherical_derivative(r * np.exp(1j * theta)))
+        assert k_hat * r == pytest.approx(dense, rel=1e-10)
 
 
 def _random_curve(rng, n, sigma, kind0):

@@ -145,6 +145,9 @@ class TestProp2:
             # sup u - u* = r + O(1); bound = 0.5*2.01*2*r = 2.01 r
             assert sup <= bound
             assert sup == pytest.approx(r, abs=1.0)
+        # the one-grid call matches one call per radius
+        for row in rows:
+            assert row == pytest.approx(prop2_margin(exp_curve, 0.01, [row[0]])[0], rel=1e-14)
 
     def test_line_curve_log_growth(self, line_curve):
         rows = prop2_margin(line_curve, 0.01, [10.0])
