@@ -22,7 +22,7 @@ import numpy as np
 
 from .curves import HolomorphicCurve
 from .polynomials import circle_sign_changes
-from .quadrature import adaptive_gauss, periodic_trapezoid
+from .quadrature import adaptive_gauss, circle_points, periodic_trapezoid
 
 DEFAULT_TOL = 1e-8
 CROSS_CHECK_TOL = 1e-6   # largest gap build_table allows between the two routes
@@ -44,12 +44,9 @@ class AngularEnergy:
         s = np.asarray(s, dtype=float)
         todo = np.array(sorted({v for v in s.tolist() if v > 0 and v not in self._values}))
         if todo.size:
-            def integrand(theta):
-                rows = getattr(theta, "rows", slice(None))
-                z = todo[rows, None] * np.exp(1j * theta)
-                return np.asarray(self.curve.spherical_derivative(z)) ** 2
-
-            self._values.update(zip(todo.tolist(), periodic_trapezoid(integrand, self.tol)))
+            sd = self.curve.spherical_derivative
+            self._values.update(zip(todo.tolist(), periodic_trapezoid(
+                lambda th: np.asarray(sd(circle_points(todo, th))) ** 2, self.tol)))
         return np.array([self._values.get(v, 0.0) for v in s.tolist()])
 
 
@@ -58,12 +55,15 @@ def _energy(curve, tol):
 
 
 def characteristic_jensen(curve: HolomorphicCurve, r, tol=DEFAULT_TOL):
-    """Circle average of u minus u(0)."""
-    if r <= 0:
+    """Circle average of u minus u(0), for a number r or elementwise for an
+    array of radii; the radii are the rows of one batched periodic_trapezoid,
+    and a single radius is the one-row batch."""
+    radii = np.atleast_1d(np.asarray(r, dtype=float))
+    if not np.all(radii > 0):
         raise ValueError("radius must be positive")
-    mean = periodic_trapezoid(
-        lambda th: np.asarray(curve.u(r * np.exp(1j * th))), tol) / (2 * np.pi)
-    return mean - curve.u(0.0)
+    mean = periodic_trapezoid(lambda th: np.asarray(curve.u(circle_points(radii, th))), tol)
+    mean = mean / (2 * np.pi) - curve.u(0.0)
+    return float(mean[0]) if np.ndim(r) == 0 else mean
 
 
 def characteristic_area(curve: HolomorphicCurve | AngularEnergy, r, tol=DEFAULT_TOL):

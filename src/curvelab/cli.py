@@ -49,13 +49,7 @@ def _cmd_characteristic(args, out: Path):
 
 
 def _cmd_locus(args, out: Path):
-    _write_locus(args, out)
-    return EXIT_OK
-
-
-def _write_locus(args, out: Path):
-    """Trace the locus to max(--rmax, 4*r0), write it and return its summary
-    (None for an empty locus)."""
+    """Trace the locus to max(--rmax, 4*r0) and write it."""
     curve = load_curve(args.input)
     polys = curve.reduced_polys()
     try:
@@ -63,7 +57,7 @@ def _write_locus(args, out: Path):
     except LocusEmptyError as exc:
         _write_json(out / "locus.json", {"r0": None, "b": None, "c0": None, "branches": []})
         print(f"empty locus: {exc}")
-        return None
+        return EXIT_OK
     summary = trace_branches(polys, r0, max(args.rmax, 4 * r0))
     # fit every branch before writing anything, so a failed fit leaves no files
     fits = [branch_asymptotics(br) for br in summary.branches]
@@ -83,7 +77,7 @@ def _write_locus(args, out: Path):
     })
     print(f"r0={summary.r0:.6g} branches={len(summary.branches)} "
           f"b={summary.b:.6g} c0={summary.c0:.6g}")
-    return summary
+    return EXIT_OK
 
 
 def _cmd_lemmas(args, out: Path):
@@ -96,10 +90,9 @@ def _cmd_lemmas(args, out: Path):
     return EXIT_OK if not report["failures"] else EXIT_VERDICT_FALSE
 
 
-def _cmd_verify_bound(args, out: Path, summary=None):
+def _cmd_verify_bound(args, out: Path):
     curve = load_curve(args.input)
-    report = verify_theorem(curve, _radii(args), epsilon=args.epsilon, tol=args.tol,
-                            summary=summary)
+    report = verify_theorem(curve, _radii(args), epsilon=args.epsilon, tol=args.tol)
     _write_json(out / "bound_report.json", json.loads(report.to_json()))
     print(f"sigma={report.sigma} K={report.K:.6g} "
           f"C(n,sigma)={report.theorem_constant:.6g}")
@@ -109,10 +102,7 @@ def _cmd_verify_bound(args, out: Path, summary=None):
 
 
 def _cmd_analyze(args, out: Path):
-    status = _cmd_characteristic(args, out)
-    # the locus traced for locus.json spans the same radii verify_theorem traces
-    summary = _write_locus(args, out)
-    return max(status, _cmd_verify_bound(args, out, summary))
+    return max(cmd(args, out) for cmd in (_cmd_characteristic, _cmd_locus, _cmd_verify_bound))
 
 
 def _checked(convert, test, requirement):

@@ -40,15 +40,10 @@ def _distinct_indices(polys):
 
 
 def _pairs(polys):
+    """(i, j, P_i - P_j) for the distinct i < j whose difference is not constant."""
     keep = _distinct_indices(polys)
-    out = []
-    for a in range(len(keep)):
-        for b in range(a + 1, len(keep)):
-            i, j = keep[a], keep[b]
-            diff = polys[i] - polys[j]
-            if not diff.is_constant():
-                out.append((i, j, diff))
-    return out
+    diffs = [(i, j, polys[i] - polys[j]) for a, i in enumerate(keep) for j in keep[a + 1:]]
+    return [pair for pair in diffs if not pair[2].is_constant()]
 
 
 def regularity_radius(polys):
@@ -73,9 +68,9 @@ class LocusBranch:
     arclens: np.ndarray         # chord lengths between consecutive points
     densities: np.ndarray       # J/2pi at each point
     active_mask: np.ndarray     # dominance of the pair at each point
-    b_k: float = 0.0
-    c_k: float = 0.0
-    active: bool = False
+    b_k: float                  # the jump density is ~ c_k * r^b_k far out
+    c_k: float
+    active: bool                # the pair holds the max on the tail radii
 
 
 @dataclass
@@ -105,6 +100,8 @@ def _pair_active(polys, i, j, z):
 
 def _radius_grid(r0, r_max):
     """The trace radii r0 * 1.01^k below r_max, then r_max."""
+    if r_max <= r0:
+        raise ValueError("r_max must exceed r0")
     steps = math.ceil(math.log(r_max / r0) / math.log(_RATIO))
     return np.append(r0 * _RATIO ** np.arange(steps), r_max)
 
@@ -142,6 +139,47 @@ def _transitions(polys, i, j, coeffs, r_lo, r_hi, th_lo, th_hi, flag):
     return r * np.exp(1j * refine_angles(coeffs, r, 0.5 * (th_lo + th_hi)))
 
 
+def _columns(pairs, radii):
+    """The angles of every branch of every pair at the radii, one column per
+    branch (see _branch_angles), and the pair indices i, j of each column."""
+    theta = np.hstack([_branch_angles(diff, radii) for _, _, diff in pairs])
+    col = np.repeat(np.arange(len(pairs)), [2 * int(diff.degree()) for _, _, diff in pairs])
+    i, j = np.array([pair[:2] for pair in pairs])[col].T
+    return theta, col, i, j
+
+
+def _tail(rows):
+    """The rows of the last max(4, N/10) of N trace radii."""
+    return rows[-max(4, len(rows) // 10):]
+
+
+def _branch_exponents(diff):
+    """(b_k, c_k) of a branch of Re diff = 0."""
+    deg = int(diff.degree())
+    return float(deg - 1), deg * abs(diff.leading) / TWO_PI
+
+
+def _far_field(pairs, col, active):
+    """(b, c0) of the locus: b is the largest b_k of the ``active`` columns
+    and c0 the largest c_k among those with b_k = b; (-inf, 0) for none."""
+    exps = [_branch_exponents(pairs[p][2]) for p in col[active]]
+    b = max((b_k for b_k, _ in exps), default=-math.inf)
+    return b, max((c_k for b_k, c_k in exps if b_k == b), default=0.0)
+
+
+def tail_exponents(polys, r0, r_max):
+    """The (b, c0) of trace_branches(polys, r0, r_max) without the trace: a
+    branch is active when its pair holds the max on all of the tail radii, so
+    only those are solved for and classified."""
+    radii = _tail(_radius_grid(r0, r_max))
+    pairs = _pairs(polys)
+    if not pairs:
+        return -math.inf, 0.0
+    theta, col, i, j = _columns(pairs, radii)
+    flags = _pair_active(polys, i, j, radii[:, None] * np.exp(1j * theta))
+    return _far_field(pairs, col, flags.all(axis=0))
+
+
 def trace_branches(polys, r0, r_max):
     """Trace every branch of the equal-value locus from |z| = r0 out to
     |z| = r_max and assemble the summary (asymptotic exponents b, c0).
@@ -150,23 +188,20 @@ def trace_branches(polys, r0, r_max):
     where it crosses the circles of radius r0 * 1.01^k below r_max and the
     circle r_max; every sample is classified at once, and the
     point where a branch's dominance changes is inserted between the
-    samples on either side of it."""
+    samples on either side of it. A branch is active when its pair holds the
+    max on the last max(4, N/10) of the N circles (see tail_exponents)."""
     polys = list(polys)
-    if r_max <= r0:
-        raise ValueError("r_max must exceed r0")
+    radii = _radius_grid(r0, r_max)
     pairs = _pairs(polys)
     if not pairs:
         return LocusSummary(r0=r0, branches=[], b=-math.inf, c0=0.0)
-    radii = _radius_grid(r0, r_max)
-    # one column per branch, over all pairs
-    theta = np.hstack([_branch_angles(diff, radii) for _, _, diff in pairs])
-    col = np.repeat(np.arange(len(pairs)), [2 * int(diff.degree()) for _, _, diff in pairs])
-    i, j = np.array([pair[:2] for pair in pairs])[col].T
+    theta, col, i, j = _columns(pairs, radii)
     width = max(len(diff.coeffs) for _, _, diff in pairs)
     coeffs = np.array([np.pad(diff.coeffs, (0, width - len(diff.coeffs)))
                        for _, _, diff in pairs]).T[:, col]
     points = radii[:, None] * np.exp(1j * theta)
     flags = _pair_active(polys, i, j, points)
+    active = _tail(flags).all(axis=0)
     k, c = np.nonzero(flags[1:] != flags[:-1])
     ends = np.empty(0, complex)
     if k.size:
@@ -177,26 +212,13 @@ def trace_branches(polys, r0, r_max):
         pi, pj, diff = pairs[p]
         cuts = k[c == idx] + 1
         pts = np.insert(points[:, idx], cuts, ends[c == idx])
-        branch = LocusBranch(
-            pair=(pi, pj),
-            diff=diff,
-            points=pts,
-            arclens=np.abs(np.diff(pts)),
+        b_k, c_k = _branch_exponents(diff)
+        branches.append(LocusBranch(
+            pair=(pi, pj), diff=diff, points=pts, arclens=np.abs(np.diff(pts)),
             densities=np.abs(diff.deriv()(pts)) / TWO_PI,
             active_mask=np.insert(flags[:, idx], cuts, flags[cuts, idx]),
-        )
-        deg = int(diff.degree())
-        branch.b_k = float(deg - 1)
-        branch.c_k = deg * abs(diff.leading) / TWO_PI
-        branch.active = bool(np.all(branch.active_mask[-max(4, len(pts) // 10):]))
-        branches.append(branch)
-    active = [br for br in branches if br.active]
-    if active:
-        b = max(br.b_k for br in active)
-        c0 = max(br.c_k for br in active if br.b_k == b)
-    else:
-        b, c0 = -math.inf, 0.0
-    return LocusSummary(r0=r0, branches=branches, b=b, c0=c0)
+            b_k=b_k, c_k=c_k, active=bool(active[idx])))
+    return LocusSummary(r0, branches, *_far_field(pairs, col, active))
 
 
 def branch_asymptotics(branch: LocusBranch):
@@ -243,11 +265,7 @@ def count_branch_bound(polys, sigma):
     """Asymptotic ray count of the locus against the 2n(n-1)(sigma+1) cap."""
     polys = list(polys)
     n = len(polys)
-    count = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            diff = polys[i] - polys[j]
-            if not diff.is_constant():
-                count += 2 * int(diff.degree())
+    diffs = [p - q for a, p in enumerate(polys) for q in polys[a + 1:]]
+    count = sum(2 * int(diff.degree()) for diff in diffs if not diff.is_constant())
     bound = math.ceil(2 * n * (n - 1) * (sigma + 1))
     return count, bound, count <= bound

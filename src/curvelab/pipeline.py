@@ -16,7 +16,7 @@ import numpy as np
 from .characteristic import characteristic_jensen, reduced_characteristic
 from .curves import HolomorphicCurve, estimate_growth
 from .errors import LocusEmptyError
-from .locus import LocusSummary, regularity_radius, tied, trace_branches
+from .locus import regularity_radius, tail_exponents, tied
 from .polynomials import circle_sign_changes
 
 HARVEST_SEEDS = 512        # scan angles per circle for the pairs with u_0
@@ -102,14 +102,12 @@ def prop2_margin(curve: HolomorphicCurve, epsilon, radii):
             for r, sup in zip(radii, sups)]
 
 
-def prop3_check(summary: LocusSummary | None, curve: HolomorphicCurve):
-    """Asymptotic ceilings b <= sigma and c0 <= 3*4^sigma*K*(n+1)."""
+def prop3_check(far, curve: HolomorphicCurve):
+    """Asymptotic ceilings b <= sigma and c0 <= 3*4^sigma*K*(n+1) on the
+    locus's far-field exponents ``far = (b, c0)``, None for an empty locus."""
     if curve.K is None:
         raise ValueError("curve needs K declared or estimated")
-    if summary is None:
-        b, c0 = -math.inf, 0.0
-    else:
-        b, c0 = summary.b, summary.c0
+    b, c0 = (-math.inf, 0.0) if far is None else far
     c0_ceiling = 3.0 * 4 ** curve.sigma * curve.K * (curve.n + 1)
     verdict_b = b <= curve.sigma + 1e-6
     verdict_c0 = c0 <= c0_ceiling * (1 + 1e-6)
@@ -168,13 +166,13 @@ class BoundReport:
         }, sort_keys=True, indent=2)
 
 
-def verify_theorem(curve: HolomorphicCurve, r_grid, epsilon=0.01, tol=1e-8,
-                   summary: LocusSummary | None = None):
+def verify_theorem(curve: HolomorphicCurve, r_grid, epsilon=0.01, tol=1e-8):
     """Run every sub-check and the tail inequality
     T(r) <= K*C(n,sigma)*r^{sigma+1}*(1+SLACK) on the largest radii of the
     grid. Sub-check failures are recorded as false verdicts; the operation
-    itself does not abort. ``summary`` is the locus traced from r0 to
-    max(4*r0, max(r_grid)); it is traced here when not given."""
+    itself does not abort. prop1 reads the tie points harvested on every
+    (N // 6)-th of the N grid radii; prop3 reads the locus's far field on the
+    tail of the trace radii from r0 to max(4*r0, max(r_grid)), without a trace."""
     r_grid = sorted(float(r) for r in r_grid)
     work = curve
     if work.K is None:
@@ -185,39 +183,25 @@ def verify_theorem(curve: HolomorphicCurve, r_grid, epsilon=0.01, tol=1e-8,
     polys = work.reduced_polys()
     try:
         r0 = regularity_radius(polys)
-        if summary is None:
-            summary = trace_branches(polys, r0, max(4 * r0, r_grid[-1]))
+        far = tail_exponents(polys, r0, max(4 * r0, r_grid[-1]))
     except LocusEmptyError:
-        pass
+        far = None
 
-    # tie points: locus traces (shifted to component indices) plus circle scans
-    # that include the pairs involving component 0
-    tie_points = []
-    if summary is not None:
-        for br in summary.branches:
-            pts = br.points[br.active_mask]
-            tie_points.extend(list(pts[:: max(1, len(pts) // 40)]))
-    scan_radii = r_grid[:: max(1, len(r_grid) // 6)]
-    tie_points.extend(harvest_tie_points(work, scan_radii))
-    # keep only points where two components tie for the max over the full
-    # index range
-    tie_points = np.asarray(tie_points, dtype=complex)
-    valid = _ties(work, tie_points, TIE_TOL_FACTOR).sum(axis=0) >= 2
-    prop1_worst = prop1_check(work, tie_points[valid])
+    prop1_worst = prop1_check(work, harvest_tie_points(work, r_grid[:: max(1, len(r_grid) // 6)]))
 
     rows2 = prop2_margin(work, epsilon, r_grid)
     tail_start = int(math.floor(len(r_grid) * (1 - TAIL_FRACTION)))
     prop2_tail_ok = all(sup <= bound for _, sup, bound in rows2[tail_start:])
 
-    p3 = prop3_check(summary, work)
+    p3 = prop3_check(far, work)
 
     tail = np.asarray(r_grid[tail_start:])
     t_star = reduced_characteristic(work, tail)
     prop4_margin = float(np.min(prop4_bound(n, sigma, K, tail) - t_star))
 
     const = theorem_constant(n, sigma, epsilon)
-    tail_rows = [(r, characteristic_jensen(work, r, tol),
-                  K * const * r ** (sigma + 1) * (1 + SLACK)) for r in r_grid[tail_start:]]
+    tail_rows = [(r, t, K * const * r ** (sigma + 1) * (1 + SLACK))
+                 for r, t in zip(tail.tolist(), characteristic_jensen(work, tail, tol).tolist())]
     theorem_ok = all(t <= ceiling for _, t, ceiling in tail_rows)
 
     scale = 1.0 + max(abs(v) for v in ([prop1_worst] if np.isfinite(prop1_worst) else [0.0]))

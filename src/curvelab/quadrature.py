@@ -30,6 +30,12 @@ def _row_angles(theta, rows):
     return out
 
 
+def circle_points(radii, theta):
+    """The points r e^{i theta} a batched integrand over the circles ``radii``
+    reads: every circle on the bare grid, the circles of the rows on RowAngles."""
+    return radii[getattr(theta, "rows", slice(None)), None] * np.exp(1j * theta)
+
+
 def periodic_trapezoid(f, tol, n_start=64, n_max=1 << 20):
     """Integral of f over [0, 2pi); f maps a 1-D angle array to a value array.
 

@@ -232,3 +232,24 @@ def test_counting_function_matches_radial_derivative_route(name):
     table = build_table(curve, radii)
     for r, n_table in zip(radii, table.n_counting):
         assert n_table == pytest.approx(_n_by_radial_derivative(curve, r), rel=1e-7, abs=0.0)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_batched_jensen_matches_scalar_calls(name):
+    # every radius is a row of one batched trapezoid that stops where the
+    # one-radius call stops, so the values agree bit for bit
+    curve = load_curve(FIXTURES / f"{name}.json")
+    radii = np.array([0.3, 1.0, 2.5, 7.0, 13.0, 20.0])
+    batched = characteristic_jensen(curve, radii)
+    assert isinstance(batched, np.ndarray) and batched.shape == radii.shape
+    scalar = [characteristic_jensen(curve, r) for r in radii]
+    assert batched.tolist() == scalar
+    assert all(isinstance(value, float) for value in scalar)
+    for r, value in zip(radii, scalar):
+        assert characteristic_jensen(curve, np.array([r])).tolist() == [value]
+
+
+@pytest.mark.parametrize("radii", [0.0, -1.0, [1.0, 0.0], np.array([2.0, -3.0, 4.0])])
+def test_jensen_rejects_nonpositive_radius(exp_curve, radii):
+    with pytest.raises(ValueError, match="positive"):
+        characteristic_jensen(exp_curve, radii)

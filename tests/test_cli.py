@@ -98,6 +98,34 @@ class TestCommands:
         r2.pop("generated_at")
         assert r1 == r2
 
+    @pytest.mark.parametrize("command, traces", [("verify-bound", 0), ("analyze", 1)])
+    def test_locus_trace_count(self, command, traces, tmp_path, monkeypatch, capsys):
+        # verify-bound reads prop3 off the locus's far field without a trace;
+        # analyze traces once, for locus.json
+        import curvelab.locus
+        original, calls = curvelab.locus.trace_branches, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "curvelab" and hasattr(module, "trace_branches"):
+                monkeypatch.setattr(module, "trace_branches", counted)
+        assert main([command, "--input", str(FIXTURES / "product2.json"),
+                     "--out", str(tmp_path), "--grid", "8"]) == 0
+        assert len(calls) == traces
+
+    def test_analyze_bound_report_matches_verify_bound(self, tmp_path, capsys):
+        reports = []
+        for command in ("verify-bound", "analyze"):
+            out = tmp_path / command
+            assert main([command, "--input", str(FIXTURES / "product2.json"),
+                         "--out", str(out), "--grid", "8"]) == 0
+            report = json.loads((out / "bound_report.json").read_text())
+            report.pop("generated_at")
+            reports.append(report)
+        assert reports[0] == reports[1]
+
 
 MATRIX_FIXTURES = ("exp", "line", "product2", "squareexp")
 ONE_COMPONENT = ("exp", "line", "squareexp")   # n = 1: empty equal-value locus

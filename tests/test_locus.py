@@ -7,13 +7,15 @@ from curvelab import (
     branch_asymptotics,
     count_branch_bound,
     regularity_radius,
+    load_curve,
     riesz_of_max,
+    tail_exponents,
     trace_branches,
 )
 from curvelab.characteristic import reduced_characteristic_polys
 from curvelab.errors import LocusEmptyError
 from curvelab.polynomials import ComplexPoly, circle_sign_changes
-from test_characteristic import _dense_sign_changes
+from test_characteristic import FIXTURES, _dense_sign_changes
 
 Z = ComplexPoly([0, 1])
 Z2 = ComplexPoly([0, 0, 1])
@@ -133,6 +135,60 @@ class TestRadiusGridTrace:
                 assert len(dense) == 2 * deg
                 for t in np.angle(points[:, k]):
                     assert np.abs(np.angle(np.exp(1j * (dense - t)))).min() <= 1e-10
+
+
+def _random_stacks(seed=13, count=12):
+    """Reduced exponent stacks P_1..P_n of n = 2..6 polynomials of degree 1..4,
+    the last one 0 as for a curve."""
+    rng = np.random.default_rng(seed)
+    stacks = []
+    for _ in range(count):
+        n = int(rng.integers(2, 7))
+        degrees = rng.integers(1, 5, size=n - 1)
+        stacks.append([ComplexPoly(rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1))
+                       for d in degrees] + [ZERO])
+    return stacks
+
+
+class TestTailExponents:
+    """prop3's (b, c0) from the tail radii alone match the full trace's."""
+
+    @staticmethod
+    def _both(polys, r0):
+        r_max = max(4 * r0, 20.0)
+        summary = trace_branches(polys, r0, r_max)
+        return tail_exponents(polys, r0, r_max), (summary.b, summary.c0)
+
+    def test_product2(self):
+        polys = load_curve(FIXTURES / "product2.json").reduced_polys()
+        tail, traced = self._both(polys, regularity_radius(polys))
+        assert tail == traced
+        assert tail == (0.0, pytest.approx(1 / (2 * math.pi)))
+
+    def test_random_stacks(self):
+        finite = 0
+        for polys in _random_stacks():
+            tail, traced = self._both(polys, regularity_radius(polys))
+            assert tail == traced
+            finite += math.isfinite(tail[0])
+        assert finite == 12
+
+    def test_dominated_pair_left_out(self):
+        # on the diagonals Re z^2 = 0 the constant 1 beats both z^2 and -z^2,
+        # so only the hyperbolas Re z^2 = +-1 count: c0 = 2*1/2pi, not 2*2/2pi
+        polys = [Z2, -1 * Z2, ComplexPoly([1])]
+        tail, traced = self._both(polys, regularity_radius(polys))
+        assert tail == traced == (1.0, pytest.approx(1 / math.pi))
+
+    def test_empty_active_set(self):
+        # Re(P_1 - P_2) is constant, so no branch exists, let alone an active one
+        polys = [Z, ComplexPoly([1, 1])]
+        tail, traced = self._both(polys, 2.0)
+        assert tail == traced == (-math.inf, 0.0)
+
+    def test_radius_order_checked(self):
+        with pytest.raises(ValueError, match="r_max"):
+            tail_exponents([Z, ZERO], 4.0, 4.0)
 
 
 class TestAsymptotics:

@@ -7,6 +7,7 @@ from curvelab import (
     CurveComponent,
     HolomorphicCurve,
     harvest_tie_points,
+    parse_curve,
     prop1_check,
     prop2_margin,
     prop3_check,
@@ -163,7 +164,7 @@ class TestProp3Prop4:
                 CurveComponent.one()), 0.0, 1.0)
         polys = curve.reduced_polys()
         summary = trace_branches(polys, 4.0, 40.0)
-        out = prop3_check(summary, curve)
+        out = prop3_check((summary.b, summary.c0), curve)
         assert out["b"] == 0.0
         assert out["c0"] == pytest.approx(1 / math.pi)
         assert out["verdict_b"] and out["verdict_c0"]
@@ -202,6 +203,69 @@ class TestTheoremConstant:
             theorem_constant(1, 0.0, 0.0)
 
 
+# locus17 of the seed-91 locus-bound workload (bench/workloads.py), as written
+LOCUS_BOUND_91_17 = {
+    "n": 6, "sigma": 1.0, "K": 1.0,
+    "components": [
+        {"type": "polyexp",
+         "Q": [
+             [-0.965713591151578, 0.371297981923292],
+             [0.46609544409585113, 0.15508826285021093],
+             [-0.7620791841456641, 0.9289630111218546],
+         ],
+         "P": [
+             [-0.8997313290639006, 0.7579507215527801],
+             [0.37234316466390643, -0.732710643509773],
+             [0.664040598321191, 1.0743370549723124],
+             [-1.063937143196126, -0.8711715130451666],
+             [0.2735940017607168, 0.6433937866487349],
+         ]},
+        {"type": "exppoly",
+         "P": [
+             [0.2179052350666404, -0.34776481874710696],
+             [-0.9234828042996176, 0.882208174243828],
+             [0.5691147033307676, -0.1987688846693773],
+             [-0.29618475336252353, 0.6652344891629174],
+             [0.6537944765160641, -0.4941539322210525],
+         ]},
+        {"type": "exppoly",
+         "P": [
+             [-0.51929932454077, -0.16213107748302266],
+             [0.2629700231654453, -0.19438318166482368],
+             [-0.10349107334484219, 0.25182629347007396],
+             [0.3275541021439321, -0.23485167081694883],
+             [-0.0003672603262259587, -0.014285640096319857],
+         ]},
+        {"type": "exppoly",
+         "P": [
+             [-0.10711679259344682, 0.6989470960528399],
+             [0.7673895006693547, 0.3838887471835109],
+             [-0.5880713822614307, 1.0597727939266013],
+             [-0.8471991592462913, -0.4163755786432219],
+             [0.4744754788939673, -0.12055885581691993],
+         ]},
+        {"type": "exppoly",
+         "P": [
+             [-0.30733160015045036, -0.7163223628210503],
+             [0.4011763724467473, -0.6166414658401738],
+             [0.13042881375427284, 0.23591003893911225],
+             [0.3326339726636806, -0.527130516119353],
+             [0.12293536049902337, -0.0008460910088708729],
+         ]},
+        {"type": "exppoly",
+         "P": [
+             [-0.2710057754310649, 0.062137328130066165],
+             [-0.35769776772161466, -0.7425565192328883],
+             [-0.4753626822168724, -1.0183194772158102],
+             [0.4018775762407679, 0.07403508184159972],
+             [-1.1604026858206156, 0.46715246625394075],
+         ]},
+        {"type": "exppoly",
+         "P": []},
+    ],
+}
+
+
 class TestVerifyTheorem:
     def test_exp_curve_all_verdicts(self, exp_curve):
         report = verify_theorem(exp_curve, np.geomspace(1, 20, 12))
@@ -233,3 +297,13 @@ class TestVerifyTheorem:
         data = json.loads(report.to_json())
         assert data["verdicts"]["theorem"] is True
         assert data["theorem_constant"] == pytest.approx(28.02)
+
+    def test_prop1_reads_harvested_ties_only(self):
+        # far out on its locus (|z| ~ 7000) u is ~3e14, where a relative tie
+        # tolerance of 1e-6 takes a 25-unit gap between u_1 and u_5 for a tie;
+        # a locus point there once drove prop1_worst to -2.87e12. The
+        # harvested ties on the grid circles give the true margin.
+        curve = parse_curve(LOCUS_BOUND_91_17)
+        report = verify_theorem(curve, np.geomspace(1.0, 20.0, 16))
+        assert report.verdicts["prop1"]
+        assert report.prop1_worst == pytest.approx(8.274, abs=1e-3)
