@@ -3,7 +3,10 @@
 Area route: T(r) = int_0^r n(t)/t dt with n(t) = (1/pi) * integral of the
 squared spherical derivative over |z| <= t; after swapping the order of
 integration this is a single radial integral of s*log(r/s)*A(s)/pi where A(s)
-is the angular integral on the circle of radius s.
+is the angular integral on the circle of radius s. Both radial integrals run
+in t = sqrt(s/r) on [0, 1] (s ds = 2 r^2 t^3 dt): in s the log weight is not
+smooth at s = 0 and the adaptive panels piled up there, while in t the area
+weight 4 r^2 t^3 (-log t) is smooth enough that they do not.
 
 Jensen route: T(r) = circle average of u = log||f|| minus u(0). No zero
 correction term is needed even when f_0(0) = 0, because u itself (not
@@ -50,17 +53,28 @@ class AngularEnergy:
         return np.array([self._values.get(v, 0.0) for v in s.tolist()])
 
 
-def _energy(curve, tol):
-    return curve if isinstance(curve, AngularEnergy) else AngularEnergy(curve, tol)
+def _checked_radii(r):
+    radii = np.atleast_1d(np.asarray(r, dtype=float))
+    if not np.all((radii > 0) & np.isfinite(radii)):
+        raise ValueError("radius must be positive and finite")
+    return radii
+
+
+def _disk_integral(curve, r, weight, tol):
+    """(1/pi) int_0^r s w A(s) ds, integrated in t = sqrt(s/r) with the
+    weight w given as a function of t; curve is a HolomorphicCurve or an
+    AngularEnergy of one, whose nodes r t^2 are the same for every weight."""
+    _checked_radii(r)
+    energy = curve if isinstance(curve, AngularEnergy) else AngularEnergy(curve, tol)
+    return adaptive_gauss(lambda t: 2 * r * r * t ** 3 * weight(t) * energy(r * t * t),
+                          0.0, 1.0, tol) / math.pi
 
 
 def characteristic_jensen(curve: HolomorphicCurve, r, tol=DEFAULT_TOL):
     """Circle average of u minus u(0), for a number r or elementwise for an
     array of radii; the radii are the rows of one batched periodic_trapezoid,
     and a single radius is the one-row batch."""
-    radii = np.atleast_1d(np.asarray(r, dtype=float))
-    if not np.all(radii > 0):
-        raise ValueError("radius must be positive")
+    radii = _checked_radii(r)
     mean = periodic_trapezoid(lambda th: np.asarray(curve.u(circle_points(radii, th))), tol)
     mean = mean / (2 * np.pi) - curve.u(0.0)
     return float(mean[0]) if np.ndim(r) == 0 else mean
@@ -73,16 +87,7 @@ def characteristic_area(curve: HolomorphicCurve | AngularEnergy, r, tol=DEFAULT_
     A(s) values with other radial integrals; its own tolerance then governs
     A(s).
     """
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    energy = _energy(curve, tol)
-
-    def integrand(s):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            weight = np.where((s > 0) & (s < r), s * np.log(r / s), 0.0)
-        return weight * energy(s)
-
-    return adaptive_gauss(integrand, 0.0, r, tol) / math.pi
+    return _disk_integral(curve, r, lambda t: -2 * np.log(t), tol)
 
 
 def counting_function(curve: HolomorphicCurve | AngularEnergy, t, tol=DEFAULT_TOL):
@@ -91,10 +96,7 @@ def counting_function(curve: HolomorphicCurve | AngularEnergy, t, tol=DEFAULT_TO
     ``curve`` is a HolomorphicCurve, or an AngularEnergy of one (see
     characteristic_area).
     """
-    if t <= 0:
-        raise ValueError("radius must be positive")
-    energy = _energy(curve, tol)
-    return adaptive_gauss(lambda s: s * energy(s), 0.0, t, tol) / math.pi
+    return _disk_integral(curve, t, lambda _: 1.0, tol)
 
 
 # -- reduced curve ------------------------------------------------------------
@@ -174,15 +176,12 @@ class CharacteristicTable:
 def build_table(curve: HolomorphicCurve, radii, tol=DEFAULT_TOL):
     radii = sorted(float(r) for r in radii)
     energy = AngularEnergy(curve, tol)
-    t_area, t_jensen, counting = [], [], []
-    for r in radii:
-        ta = characteristic_area(energy, r, tol)
-        tj = characteristic_jensen(curve, r, tol)
+    t_area = [characteristic_area(energy, r, tol) for r in radii]
+    t_jensen = characteristic_jensen(curve, np.array(radii), tol).tolist()
+    for r, ta, tj in zip(radii, t_area, t_jensen):
         if abs(ta - tj) > CROSS_CHECK_TOL:
             raise RuntimeError(
                 f"characteristic routes disagree at r={r}: "
                 f"area={ta!r}, jensen={tj!r}")
-        t_area.append(ta)
-        t_jensen.append(tj)
-        counting.append(counting_function(energy, r, tol))
+    counting = [counting_function(energy, r, tol) for r in radii]
     return CharacteristicTable(radii, t_area, t_jensen, counting)

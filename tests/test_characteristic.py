@@ -14,6 +14,7 @@ from curvelab import (
     reduced_characteristic,
     reduced_characteristic_polys,
 )
+from curvelab.characteristic import DEFAULT_TOL, AngularEnergy
 from curvelab.polynomials import ComplexPoly, circle_sign_changes
 
 
@@ -35,8 +36,9 @@ class TestJensenRoute:
 class TestAreaRoute:
     def test_line_closed_form(self, line_curve):
         # T(r) = (1/2) log(1 + r^2) via the Jensen-route oracle
-        assert characteristic_area(line_curve, 1.0) == pytest.approx(
-            0.5 * math.log(2.0), abs=1e-8)
+        for r in (0.01, 0.5, 1.0, 10.0, 40.0):
+            assert characteristic_area(line_curve, r) == pytest.approx(
+                0.5 * math.log1p(r * r), abs=1e-10)
 
     def test_constant_curve(self, constant_curve):
         assert characteristic_area(constant_curve, 2.0) == pytest.approx(0.0, abs=1e-12)
@@ -56,9 +58,9 @@ class TestAreaRoute:
 class TestCountingFunction:
     def test_line_closed_form(self, line_curve):
         # n(t) = t^2/(1+t^2) by the closed-form radial integral
-        for t in (0.5, 1.0, 10.0):
+        for t in (0.01, 0.5, 1.0, 10.0, 40.0):
             assert counting_function(line_curve, t) == pytest.approx(
-                t * t / (1 + t * t), abs=1e-8)
+                t * t / (1 + t * t), abs=1e-12)
 
     def test_constant_curve(self, constant_curve):
         assert counting_function(constant_curve, 5.0) == pytest.approx(0.0, abs=1e-12)
@@ -253,3 +255,32 @@ def test_batched_jensen_matches_scalar_calls(name):
 def test_jensen_rejects_nonpositive_radius(exp_curve, radii):
     with pytest.raises(ValueError, match="positive"):
         characteristic_jensen(exp_curve, radii)
+
+
+@pytest.mark.parametrize("route", [characteristic_area, characteristic_jensen, counting_function])
+@pytest.mark.parametrize("radii", [math.nan, math.inf, [1.0, math.inf]])
+def test_routes_reject_nonfinite_radius(exp_curve, route, radii):
+    with pytest.raises(ValueError, match="positive and finite"):
+        route(exp_curve, radii)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+@pytest.mark.parametrize("r", [2.0, 10.0])
+def test_radial_integrals_read_few_circles(name, r):
+    # in t = sqrt(s/r) the log weight no longer drives the panels toward
+    # s = 0 (180-240 circles here, against 780-1140 when integrating in s),
+    # and n(r) reads only circles the area route already read
+    energy = AngularEnergy(load_curve(FIXTURES / f"{name}.json"), DEFAULT_TOL)
+    characteristic_area(energy, r)
+    circles = len(energy._values)
+    assert circles <= 300
+    counting_function(energy, r)
+    assert len(energy._values) == circles
+
+
+def test_area_and_jensen_agree_on_product2():
+    curve = load_curve(FIXTURES / "product2.json")
+    radii = np.geomspace(1.0, 20.0, 16)
+    energy = AngularEnergy(curve, DEFAULT_TOL)
+    area = np.array([characteristic_area(energy, r) for r in radii])
+    assert np.max(np.abs(area - characteristic_jensen(curve, radii))) <= 1e-9
