@@ -65,7 +65,7 @@ def _cmd_locus(args, out: Path):
     for idx, (br, (b_k, c_k)) in enumerate(zip(summary.branches, fits)):
         rows = ["re,im,arclen,density"]
         arc = np.concatenate([[0.0], br.arclens])
-        for p, a, d in zip(br.points, arc, br.densities):
+        for p, a, d in zip(br.points.tolist(), arc.tolist(), br.densities.tolist()):
             rows.append(f"{p.real!r},{p.imag!r},{a!r},{d!r}")
         (out / f"branch_{idx:03d}.csv").write_text("\n".join(rows) + "\n")
         branch_info.append({

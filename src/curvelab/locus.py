@@ -2,10 +2,10 @@
 
 For polynomial exponents the locus E splits into pair loci {Re(P_i - P_j) = 0}
 whose far branches converge to the 2*deg asymptotic rays of each difference.
-Past the regularity radius r0 each branch crosses every circle |z| = r once,
-so branches are traced through their crossings with circles of growing
-radius; along each branch the jump density J/2pi with J = |(P_i - P_j)'|
-accumulates the Riesz measure of the max.
+Outside every root of P_i - P_j each branch is where the unwrapped phase of
+P_i - P_j meets its own target pi/2 + m*pi, once on each circle |z| = r;
+along each branch the jump density J/2pi with J = |(P_i - P_j)'| accumulates
+the Riesz measure of the max.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AsymptoticsError, LocusEmptyError
-from .polynomials import ComplexPoly, cauchy_fraction, circle_roots, refine_angles
+from .polynomials import ComplexPoly, cauchy_fraction, refine_angles
 
 TWO_PI = 2 * math.pi
 _RATIO = 1.01   # radius ratio of consecutive trace circles
@@ -108,18 +108,32 @@ def _radius_grid(r0, r_max):
 
 def _branch_angles(diff, radii):
     """Angle of each branch of Re diff = 0 at each radius: one row per radius,
-    one column per branch, the columns in ascending angle at radii[0].
+    one column per branch, the columns in ascending angle at radii[0], values
+    in [0, 2pi). radii[0] must exceed the modulus of every root of diff.
 
-    Past r0 every root of diff lies inside |z| < r/2, so arg diff is strictly
-    monotone on the circle |z| = r and all 2d roots of ``circle_roots`` lie on
-    it, each a transversal crossing: the branches keep their cyclic order, and
-    the sorted angles at one radius are those at the previous radius shifted
-    by the index to which the first of them moved."""
-    theta = np.sort(np.mod(np.angle(circle_roots(diff, radii)), TWO_PI), axis=1)
-    moved = np.angle(np.exp(1j * (theta[1:] - theta[:-1, :1])))
-    shift = np.cumsum(np.append(0, np.argmin(np.abs(moved), axis=1)))
-    order = (np.arange(theta.shape[1]) + shift[:, None]) % theta.shape[1]
-    return np.take_along_axis(theta, order, axis=1)
+    Column m solves phi = pi/2 + m pi for the unwrapped phase phi of
+    diff(r e^{i theta}), the same target at every radius, by safeguarded
+    Newton steps on all radii at once (README, "Tracing the locus")."""
+    roots = np.roots(diff.coeffs[::-1])
+    radii = np.asarray(radii, dtype=float)[:, None]
+    if radii[0, 0] <= np.abs(roots).max():
+        raise ValueError(f"r0 = {radii[0, 0]:g} does not exceed every root of {diff!r}")
+    d, c = len(roots), np.angle(diff.leading)
+    phase0 = c + np.angle(1 - roots / radii[0, 0]).sum()
+    tau = np.pi * (np.ceil(phase0 / np.pi - 0.5) + 0.5 + np.arange(2 * d))
+    spread = np.arcsin(np.abs(roots) / radii).sum(axis=1, keepdims=True)
+    lo, hi = (tau - c - spread) / d, (tau - c + spread) / d
+    theta = 0.5 * (lo + hi)
+    for _ in range(60):
+        v = roots / (radii * np.exp(1j * theta))[..., None]
+        f = c + d * theta + np.angle(1 - v).sum(axis=2) - tau
+        lo, hi = np.where(f < 0, theta, lo), np.where(f < 0, hi, theta)
+        step = f / (d + (v / (1 - v)).real.sum(axis=2))
+        inside = (lo <= theta - step) & (theta - step <= hi)
+        theta = np.where(inside, theta - step, 0.5 * (lo + hi))
+        if np.abs(step).max() <= 1e-14:
+            break
+    return np.mod(theta, TWO_PI)
 
 
 def _transitions(polys, i, j, coeffs, r_lo, r_hi, th_lo, th_hi, flag):
@@ -170,13 +184,13 @@ def _far_field(pairs, col, active):
 def tail_exponents(polys, r0, r_max):
     """The (b, c0) of trace_branches(polys, r0, r_max) without the trace: a
     branch is active when its pair holds the max on all of the tail radii, so
-    only those are solved for and classified."""
-    radii = _tail(_radius_grid(r0, r_max))
+    only those are classified; r0 leads the solved radii, to be checked."""
+    radii = np.append(r0, _tail(_radius_grid(r0, r_max)))
     pairs = _pairs(polys)
     if not pairs:
         return -math.inf, 0.0
     theta, col, i, j = _columns(pairs, radii)
-    flags = _pair_active(polys, i, j, radii[:, None] * np.exp(1j * theta))
+    flags = _pair_active(polys, i, j, radii[1:, None] * np.exp(1j * theta[1:]))
     return _far_field(pairs, col, flags.all(axis=0))
 
 
@@ -184,12 +198,12 @@ def trace_branches(polys, r0, r_max):
     """Trace every branch of the equal-value locus from |z| = r0 out to
     |z| = r_max and assemble the summary (asymptotic exponents b, c0).
 
-    r0 must be at least ``regularity_radius(polys)``. Each branch is sampled
-    where it crosses the circles of radius r0 * 1.01^k below r_max and the
-    circle r_max; every sample is classified at once, and the
-    point where a branch's dominance changes is inserted between the
-    samples on either side of it. A branch is active when its pair holds the
-    max on the last max(4, N/10) of the N circles (see tail_exponents)."""
+    r0 must exceed every root of every P_i - P_j, as ``regularity_radius``
+    does, else ValueError. Each branch is sampled where it crosses the circles
+    r0 * 1.01^k below r_max and the circle r_max; every sample is classified
+    at once, and the point where a branch's dominance changes is inserted
+    between the samples on either side of it. A branch is active when its pair
+    holds the max on the last max(4, N/10) of the N circles (tail_exponents)."""
     polys = list(polys)
     radii = _radius_grid(r0, r_max)
     pairs = _pairs(polys)

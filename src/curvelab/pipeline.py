@@ -37,24 +37,29 @@ def harvest_tie_points(curve: HolomorphicCurve, radii):
     jointly attain the maximum, found on circles, in the order radius, pair,
     angle. For i, j >= 1, u_i - u_j = Re(P_i - P_j) changes sign at
     polynomial roots; for the pairs with u_0, the sign changes on HARVEST_SEEDS
-    angles of every circle are bisected all at once."""
+    angles of every circle are bisected all at once, each step evaluating u_0
+    and the u_j of each bracket, until no bracket moves."""
     comps = curve.components
     first, second = np.triu_indices(len(comps), 1)
     radii = np.asarray(radii, dtype=float)
     theta = np.linspace(0.0, 2 * np.pi, HARVEST_SEEDS, endpoint=False)
     u = np.stack([c.log_modulus(radii[:, None] * np.exp(1j * theta)) for c in comps])
-    d = np.moveaxis(u[0] - u[1:], 0, 1)     # u_0 - u_j by radius, j - 1, angle
+    d = u[0] - u[1:]     # u_0 - u_j by j - 1, radius, angle
     d_next = np.roll(d, -1, axis=2)
-    k, pair, s = np.nonzero(np.isfinite(d) & np.isfinite(d_next) & ((d > 0) != (d_next > 0)))
+    pair, k, s = np.nonzero(np.isfinite(d) & np.isfinite(d_next) & ((d > 0) != (d_next > 0)))
     a, b = theta[s], theta[s] + 2 * np.pi / HARVEST_SEEDS
-    positive = d[k, pair, s] > 0
-    cols = np.arange(k.size)
+    positive = d[pair, k, s] > 0
+    ends = np.searchsorted(pair, np.arange(len(comps)))    # u_j's brackets: ends[j-1]:ends[j]
     for _ in range(60):
         mid = 0.5 * (a + b)
-        u = np.stack([c.log_modulus(radii[k] * np.exp(1j * mid)) for c in comps])
-        same = (u[0] - u[pair + 1, cols] > 0) == positive
-        a = np.where(same, mid, a)
-        b = np.where(same, b, mid)
+        z = radii[k] * np.exp(1j * mid)
+        gap = comps[0].log_modulus(z)
+        for j, part in enumerate(map(slice, ends[:-1], ends[1:]), 1):
+            gap[part] -= comps[j].log_modulus(z[part])
+        same = (gap > 0) == positive
+        if not np.any(np.where(same, mid != a, mid != b)):
+            break       # no bracket moves any more
+        a, b = np.where(same, mid, a), np.where(same, b, mid)
     ks, pairs, angles = [k], [pair], [0.5 * (a + b)]
     # the pairs i, j >= 1 follow the pairs (0, j) in triu order
     for p in range(len(comps) - 1, len(first)):

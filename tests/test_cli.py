@@ -67,6 +67,9 @@ class TestCommands:
         assert len(summary["branches"]) == 2
         branch_csv = (tmp_path / "branch_000.csv").read_text().splitlines()
         assert branch_csv[0] == "re,im,arclen,density"
+        # plain float literals, not numpy scalar reprs such as np.float64(2.0)
+        rows = [[float(x) for x in line.split(",")] for line in branch_csv[1:]]
+        assert rows[0][:3] == pytest.approx([0.0, 2.0, 0.0], abs=1e-12)
 
     def test_lemmas_exit_zero(self, tmp_path, capsys):
         status = main(["lemmas", "--seed", "7", "--count", "50",

@@ -14,7 +14,8 @@ from curvelab import (
 )
 from curvelab.characteristic import reduced_characteristic_polys
 from curvelab.errors import LocusEmptyError
-from curvelab.polynomials import ComplexPoly, circle_sign_changes
+from curvelab.locus import _branch_angles
+from curvelab.polynomials import ComplexPoly, circle_roots, circle_sign_changes
 from test_characteristic import FIXTURES, _dense_sign_changes
 
 Z = ComplexPoly([0, 1])
@@ -135,6 +136,48 @@ class TestRadiusGridTrace:
                 assert len(dense) == 2 * deg
                 for t in np.angle(points[:, k]):
                     assert np.abs(np.angle(np.exp(1j * (dense - t)))).min() <= 1e-10
+
+
+class TestBranchAngles:
+    """The phase solve gives the crossings that the companion roots give."""
+
+    @staticmethod
+    def _pairs():
+        rng = np.random.default_rng(1414)
+
+        def poly(deg):
+            return ComplexPoly(rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1))
+        pairs = [[ComplexPoly([0, 0, 0, 0, 1]), ZERO],              # z^4: one root, four times
+                 [ComplexPoly([-1, 3, -3, 1]), ComplexPoly([0.5j])]]  # (z - 1)^3 + const
+        for deg in range(1, 7):
+            pairs += [[poly(deg), poly(0)], [poly(deg), poly(deg)]]
+        return pairs
+
+    def test_matches_circle_roots(self):
+        degrees = set()
+        for polys in self._pairs():
+            diff = polys[0] - polys[1]
+            deg = int(diff.degree())
+            degrees.add(deg)
+            radii = regularity_radius(polys) * np.array([1.0, 1.01, 2.0, 10.0, 100.0, 1e4])
+            theta = _branch_angles(diff, radii)
+            assert theta.shape == (len(radii), 2 * deg)
+            assert np.all((theta >= 0) & (theta < 2 * np.pi))
+            assert np.all(np.diff(theta[0]) > 0)
+            roots = np.sort(np.mod(np.angle(circle_roots(diff, radii)), 2 * np.pi), axis=1)
+            for row, ref in zip(theta, roots):
+                gap = np.abs(np.angle(np.exp(1j * (row[:, None] - ref[None, :]))))
+                assert gap.min(axis=1).max() <= 1e-12
+                assert np.array_equal(np.sort(gap.argmin(axis=1)), np.arange(2 * deg))
+        assert degrees == set(range(1, 7))
+
+    def test_r0_inside_a_root_rejected(self):
+        # Re(z^2 - 4) = 0 has roots +-2, so the circle r0 = 1 is not past them
+        polys = [ComplexPoly([-4, 0, 1]), ZERO]
+        with pytest.raises(ValueError, match="r0"):
+            trace_branches(polys, 1.0, 10.0)
+        with pytest.raises(ValueError, match="r0"):
+            tail_exponents(polys, 1.0, 10.0)
 
 
 def _random_stacks(seed=13, count=12):

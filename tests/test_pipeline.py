@@ -7,6 +7,7 @@ from curvelab import (
     CurveComponent,
     HolomorphicCurve,
     harvest_tie_points,
+    load_curve,
     parse_curve,
     prop1_check,
     prop2_margin,
@@ -20,6 +21,7 @@ from curvelab import (
 from curvelab.errors import LocusEmptyError
 from curvelab.locus import tied
 from curvelab.polynomials import circle_sign_changes
+from test_characteristic import FIXTURE_NAMES, FIXTURES
 
 
 class TestProp1:
@@ -115,6 +117,40 @@ def _random_curve(rng, n, kind0):
     return HolomorphicCurve(n, (first, *rest, CurveComponent.one()), 0.0)
 
 
+def _harvest_all_components(curve, radii):
+    """harvest_tie_points with every component evaluated at each of 60
+    bisection steps, the form the fast bisection must match bit for bit."""
+    comps = curve.components
+    first, second = np.triu_indices(len(comps), 1)
+    radii = np.asarray(radii, dtype=float)
+    theta = np.linspace(0.0, 2 * np.pi, 512, endpoint=False)
+    u = np.stack([c.log_modulus(radii[:, None] * np.exp(1j * theta)) for c in comps])
+    d = np.moveaxis(u[0] - u[1:], 0, 1)
+    d_next = np.roll(d, -1, axis=2)
+    k, pair, s = np.nonzero(np.isfinite(d) & np.isfinite(d_next) & ((d > 0) != (d_next > 0)))
+    a, b = theta[s], theta[s] + 2 * np.pi / 512
+    positive = d[k, pair, s] > 0
+    cols = np.arange(k.size)
+    for _ in range(60):
+        mid = 0.5 * (a + b)
+        u = np.stack([c.log_modulus(radii[k] * np.exp(1j * mid)) for c in comps])
+        same = (u[0] - u[pair + 1, cols] > 0) == positive
+        a = np.where(same, mid, a)
+        b = np.where(same, b, mid)
+    ks, pairs, angles = [k], [pair], [0.5 * (a + b)]
+    for p in range(len(comps) - 1, len(first)):
+        rows = circle_sign_changes(comps[first[p]].exponent - comps[second[p]].exponent, radii)
+        ks.append(np.repeat(np.arange(len(radii)), [len(row) for row in rows]))
+        pairs.append(np.full(ks[-1].size, p))
+        angles.extend(rows)
+    order = np.lexsort((np.concatenate(pairs), np.concatenate(ks)))
+    pair = np.concatenate(pairs)[order]
+    z = radii[np.concatenate(ks)[order]] * np.exp(1j * np.concatenate(angles)[order])
+    top = tied(np.stack([c.log_modulus(z) for c in comps]), 1e-7)
+    cols = np.arange(z.size)
+    return list(z[top[first[pair], cols] & top[second[pair], cols]][:400])
+
+
 class TestHarvest:
     def test_matches_per_radius_loop(self):
         rng = np.random.default_rng(11)
@@ -137,6 +173,20 @@ class TestHarvest:
         got = harvest_tie_points(curve, radii)
         assert len(got) == 400
         assert np.allclose(got, _harvest_per_radius(curve, radii), rtol=1e-14, atol=0.0)
+
+    def test_bisection_bit_identical(self):
+        rng = np.random.default_rng(29)
+        curves = [load_curve(FIXTURES / f"{name}.json") for name in FIXTURE_NAMES]
+        curves += [_random_curve(rng, n, kind0)
+                   for n, kind0 in ((1, "poly"), (2, "polyexp"), (3, "exppoly"), (4, "polyexp"))]
+        radii = list(np.geomspace(1.0, 20.0, 16)[::2])
+        found = 0
+        for curve in curves:
+            got = np.array(harvest_tie_points(curve, radii), dtype=complex)
+            expected = np.array(_harvest_all_components(curve, radii), dtype=complex)
+            assert got.tobytes() == expected.tobytes()
+            found += got.size > 0
+        assert found >= 6
 
 
 class TestProp2:
