@@ -25,32 +25,10 @@ import numpy as np
 
 from .curves import HolomorphicCurve
 from .polynomials import circle_sign_changes
-from .quadrature import adaptive_gauss, circle_points, periodic_trapezoid
+from .quadrature import adaptive_gauss, periodic_trapezoid
 
 DEFAULT_TOL = 1e-8
 CROSS_CHECK_TOL = 1e-6   # largest gap build_table allows between the two routes
-
-
-class AngularEnergy:
-    """A(s) = integral over theta of ||f'||^2(s e^{i theta}), memoised by
-    node so that radial integrals over the same curve share their circles.
-
-    The nodes not yet known go to one batched periodic trapezoid.
-    """
-
-    def __init__(self, curve: HolomorphicCurve, tol):
-        self.curve = curve
-        self.tol = min(tol, 1e-9)
-        self._values = {}
-
-    def __call__(self, s):
-        s = np.asarray(s, dtype=float)
-        todo = np.array(sorted({v for v in s.tolist() if v > 0 and v not in self._values}))
-        if todo.size:
-            sd = self.curve.spherical_derivative
-            self._values.update(zip(todo.tolist(), periodic_trapezoid(
-                lambda th: np.asarray(sd(circle_points(todo, th))) ** 2, self.tol)))
-        return np.array([self._values.get(v, 0.0) for v in s.tolist()])
 
 
 def _checked_radii(r):
@@ -60,43 +38,48 @@ def _checked_radii(r):
     return radii
 
 
-def _disk_integral(curve, r, weight, tol):
-    """(1/pi) int_0^r s w A(s) ds, integrated in t = sqrt(s/r) with the
-    weight w given as a function of t; curve is a HolomorphicCurve or an
-    AngularEnergy of one, whose nodes r t^2 are the same for every weight."""
-    _checked_radii(r)
-    energy = curve if isinstance(curve, AngularEnergy) else AngularEnergy(curve, tol)
-    return adaptive_gauss(lambda t: 2 * r * r * t ** 3 * weight(t) * energy(r * t * t),
-                          0.0, 1.0, tol) / math.pi
+def _per_radius(r, values):
+    """values, one per radius, as a float for a number r."""
+    return float(values[0]) if np.ndim(r) == 0 else values
+
+
+def _disk_integrals(curve: HolomorphicCurve, radii, tol):
+    """(T_area, n) at each radius r in radii: (1/pi) int_0^r s w A(s) ds with
+    w = 2 log(r/s) and w = 1, both from one adaptive pass in t = sqrt(s/r)
+    per radius. A(s), the integral over theta of ||f'||^2(s e^{i theta}), is
+    read on a panel's 15 circles r t^2 by one periodic_trapezoid call."""
+    radii = _checked_radii(radii)
+    sd = curve.spherical_derivative
+
+    def energy(s):
+        return periodic_trapezoid(lambda z: np.asarray(sd(z)) ** 2, s, min(tol, 1e-9))
+
+    out = np.empty((radii.size, 2))
+    for k, r in enumerate(radii.tolist()):
+        def integrand(t):
+            weight, a = 2 * r * r * t ** 3, energy(r * t * t)
+            return np.stack([weight * (-2 * np.log(t)) * a, weight * a], axis=1)
+        out[k] = adaptive_gauss(integrand, 0.0, 1.0, tol) / math.pi
+    return out[:, 0], out[:, 1]
 
 
 def characteristic_jensen(curve: HolomorphicCurve, r, tol=DEFAULT_TOL):
     """Circle average of u minus u(0), for a number r or elementwise for an
-    array of radii; the radii are the rows of one batched periodic_trapezoid,
-    and a single radius is the one-row batch."""
-    radii = _checked_radii(r)
-    mean = periodic_trapezoid(lambda th: np.asarray(curve.u(circle_points(radii, th))), tol)
-    mean = mean / (2 * np.pi) - curve.u(0.0)
-    return float(mean[0]) if np.ndim(r) == 0 else mean
+    array of radii."""
+    mean = periodic_trapezoid(curve.u, _checked_radii(r), tol) / (2 * np.pi) - curve.u(0.0)
+    return _per_radius(r, mean)
 
 
-def characteristic_area(curve: HolomorphicCurve | AngularEnergy, r, tol=DEFAULT_TOL):
-    """Logarithmic area integral of the squared spherical derivative.
-
-    ``curve`` is a HolomorphicCurve, or an AngularEnergy of one to share its
-    A(s) values with other radial integrals; its own tolerance then governs
-    A(s).
-    """
-    return _disk_integral(curve, r, lambda t: -2 * np.log(t), tol)
+def characteristic_area(curve: HolomorphicCurve, r, tol=DEFAULT_TOL):
+    """Logarithmic area integral of the squared spherical derivative, for a
+    number r or elementwise for an array of radii."""
+    return _per_radius(r, _disk_integrals(curve, r, tol)[0])
 
 
-def counting_function(curve: HolomorphicCurve | AngularEnergy, t, tol=DEFAULT_TOL):
-    """n(t): total mass of the Riesz (Cartan) measure in |z| <= t.
-
-    ``curve`` is a HolomorphicCurve, or an AngularEnergy of one (see
-    characteristic_area).
-    """
-    return _disk_integral(curve, t, lambda _: 1.0, tol)
+def counting_function(curve: HolomorphicCurve, t, tol=DEFAULT_TOL):
+    """n(t): total mass of the Riesz (Cartan) measure in |z| <= t, for a
+    number t or elementwise for an array of radii."""
+    return _per_radius(t, _disk_integrals(curve, t, tol)[1])
 
 
 # -- reduced curve ------------------------------------------------------------
@@ -133,8 +116,7 @@ def circle_mean_max_re(polys, r):
     arcs = (c[:, 0] * (b - a)).real
     for m in range(1, width):
         arcs += (c[:, m] * rk ** m * (np.exp(1j * m * b) - np.exp(1j * m * a)) / (1j * m)).real
-    mean = np.bincount(k, weights=arcs, minlength=len(radii)) / (2 * np.pi)
-    return float(mean[0]) if np.ndim(r) == 0 else mean
+    return _per_radius(r, np.bincount(k, weights=arcs, minlength=len(radii)) / (2 * np.pi))
 
 
 def reduced_characteristic(curve: HolomorphicCurve, r):
@@ -175,13 +157,11 @@ class CharacteristicTable:
 
 def build_table(curve: HolomorphicCurve, radii, tol=DEFAULT_TOL):
     radii = sorted(float(r) for r in radii)
-    energy = AngularEnergy(curve, tol)
-    t_area = [characteristic_area(energy, r, tol) for r in radii]
-    t_jensen = characteristic_jensen(curve, np.array(radii), tol).tolist()
-    for r, ta, tj in zip(radii, t_area, t_jensen):
+    t_area, counting = _disk_integrals(curve, radii, tol)
+    t_jensen = characteristic_jensen(curve, np.array(radii), tol)
+    for r, ta, tj in zip(radii, t_area.tolist(), t_jensen.tolist()):
         if abs(ta - tj) > CROSS_CHECK_TOL:
             raise RuntimeError(
                 f"characteristic routes disagree at r={r}: "
                 f"area={ta!r}, jensen={tj!r}")
-    counting = [counting_function(energy, r, tol) for r in radii]
-    return CharacteristicTable(radii, t_area, t_jensen, counting)
+    return CharacteristicTable(radii, t_area.tolist(), t_jensen.tolist(), counting.tolist())

@@ -178,10 +178,10 @@ class HolomorphicCurve:
         if len(self.components) != self.n + 1:
             raise CurveValidationError(
                 f"expected {self.n + 1} components for n={self.n}, got {len(self.components)}")
-        if self.sigma < 0:
-            raise CurveValidationError("sigma must be nonnegative")
-        if self.K is not None and self.K <= 0:
-            raise CurveValidationError("K must be positive when declared")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise CurveValidationError("sigma must be finite and nonnegative")
+        if self.K is not None and not (math.isfinite(self.K) and self.K > 0):
+            raise CurveValidationError("K must be positive and finite when declared")
         last = self.components[-1]
         if not (last.nonvanishing and last.exponent.is_zero):
             raise CurveValidationError(f"component {self.n} must be the constant 1")

@@ -276,10 +276,11 @@ def riesz_of_max(polys, t, r0=None, summary=None):
 
 
 def count_branch_bound(polys, sigma):
-    """Asymptotic ray count of the locus against the 2n(n-1)(sigma+1) cap."""
+    """Asymptotic ray count of the locus against the 2n(n-1)(sigma+1) cap,
+    over the pairs trace_branches follows: a polynomial whose real part
+    repeats an earlier one adds no rays."""
     polys = list(polys)
     n = len(polys)
-    diffs = [p - q for a, p in enumerate(polys) for q in polys[a + 1:]]
-    count = sum(2 * int(diff.degree()) for diff in diffs if not diff.is_constant())
+    count = sum(2 * int(diff.degree()) for _, _, diff in _pairs(polys))
     bound = math.ceil(2 * n * (n - 1) * (sigma + 1))
     return count, bound, count <= bound

@@ -14,64 +14,43 @@ _GL_NODES, _GL_WEIGHTS = leggauss(15)
 # that their (rows, points) temporaries stay small however far a rule refines;
 # the compiled curve kernel in curves.py chunks its evaluations to it too.
 CHUNK_POINTS = 8192
+N_START = 64         # angles per circle at periodic_trapezoid's first level
 INITIAL_PANELS = 4   # panels adaptive_gauss starts from
 
 
-class RowAngles(np.ndarray):
-    """The angles periodic_trapezoid hands a batched integrand after its
-    first call: one copy of the shared grid for each batch row in ``rows``."""
+def periodic_trapezoid(f, radii, tol, n_max=1 << 20):
+    """For each r in radii, the integral over theta in [0, 2pi) of
+    f(r e^{i theta}); f maps an array of complex points to values of the
+    same shape.
 
-    rows: np.ndarray
-
-
-def _row_angles(theta, rows):
-    out = np.broadcast_to(theta, (rows.size, theta.size)).view(RowAngles)
-    out.rows = rows
-    return out
-
-
-def circle_points(radii, theta):
-    """The points r e^{i theta} a batched integrand over the circles ``radii``
-    reads: every circle on the bare grid, the circles of the rows on RowAngles."""
-    return radii[getattr(theta, "rows", slice(None)), None] * np.exp(1j * theta)
-
-
-def periodic_trapezoid(f, tol, n_start=64, n_max=1 << 20):
-    """Integral of f over [0, 2pi); f maps a 1-D angle array to a value array.
-
-    Doubles the node count until two successive estimates agree to tol
-    (relative to max(1, |I|)). An f that returns a leading batch axis is a
-    batch of integrands sharing the grid, and the result is one integral per
-    row; a plain f is the one-row batch and always gets a 1-D angle array.
-    Every row stops at the level where it would stop alone. A batched f gets
-    the bare grid on its first call and returns every row; later calls get
-    RowAngles for some of the rows still running and return just those rows.
-    Raises QuadratureBudgetError for the first row still running at n_max.
+    Each circle doubles its node count from N_START until two successive
+    estimates agree to tol (relative to max(1, |I|)), and stops at the level
+    where it would stop alone. Every level hands f the circles still running
+    as (rows, angles) arrays of about CHUNK_POINTS points. Raises
+    QuadratureBudgetError for the first circle still running at n_max.
     """
-    n = n_start
+    radii = np.asarray(radii, dtype=float)
+    totals = np.zeros(radii.size)
+    integrals = np.full(radii.size, np.inf)   # so the first level's error is inf
+    errors = np.full(radii.size, np.inf)
+    running = np.arange(radii.size)
+    n = N_START
     theta = np.arange(n) * (2 * np.pi / n)
-    first = np.asarray(f(theta))
-    totals = np.atleast_2d(first).sum(axis=1)
-    integrals = totals * (2 * np.pi / n)
-    errors = np.full(totals.shape, np.inf)
-    running = np.arange(totals.size)
-    while n < n_max:
-        mid = theta + np.pi / n
-        if first.ndim == 1:
-            totals += np.asarray(f(mid)).sum()
-        else:
-            per_call = max(1, CHUNK_POINTS // n)
-            for start in range(0, running.size, per_call):
-                rows = running[start:start + per_call]
-                totals[rows] += np.asarray(f(_row_angles(mid, rows))).sum(axis=1)
-        n *= 2
-        theta = np.arange(n) * (2 * np.pi / n)
+    while True:
+        per_call = max(1, CHUNK_POINTS // theta.size)
+        for start in range(0, running.size, per_call):
+            rows = running[start:start + per_call]
+            totals[rows] += np.asarray(f(radii[rows, None] * np.exp(1j * theta))).sum(axis=1)
         new = totals[running] * (2 * np.pi / n)
         errors[running] = np.abs(new - integrals[running])
         integrals[running] = new
         running = running[~(errors[running] <= tol * np.maximum(1.0, np.abs(new)))]
         if not running.size:
-            return integrals if first.ndim == 2 else float(integrals[0])
+            return integrals
+        if n >= n_max:
+            break
+        theta = np.arange(n) * (2 * np.pi / n) + np.pi / n   # the midpoints
+        n *= 2
     row = running[0]
     raise QuadratureBudgetError("periodic trapezoid did not converge",
                                 float(integrals[row]), float(errors[row]))
@@ -80,17 +59,19 @@ def periodic_trapezoid(f, tol, n_start=64, n_max=1 << 20):
 def _gl_panel(f, a, b):
     half = 0.5 * (b - a)
     x = 0.5 * (a + b) + half * _GL_NODES
-    return half * float(np.dot(_GL_WEIGHTS, f(x)))
+    return half * np.dot(_GL_WEIGHTS, f(x))
 
 
 def adaptive_gauss(f, a, b, tol, max_panels=4096):
     """Adaptive Gauss-Legendre integration on [a, b] of a function f that maps
     an array of nodes to an array of values; each panel's nodes go to f in
-    one call.
+    one call. Values with a trailing axis are several integrands on the same
+    panels, and the result has that axis.
 
-    Panels are split until the whole-vs-halves discrepancy is below the
-    tolerance share of each panel. Raises QuadratureBudgetError (carrying the
-    achieved estimate and bound) when the panel budget is exhausted.
+    Panels are split until the whole-vs-halves discrepancy, in its largest
+    component, is below the tolerance share of each panel. Raises
+    QuadratureBudgetError (carrying the achieved estimate and bound) when the
+    panel budget is exhausted.
     """
     if a == b:
         return 0.0
@@ -104,7 +85,7 @@ def adaptive_gauss(f, a, b, tol, max_panels=4096):
         mid = 0.5 * (lo + hi)
         left = _gl_panel(f, lo, mid)
         right = _gl_panel(f, mid, hi)
-        err = abs(left + right - whole)
+        err = np.max(np.abs(left + right - whole))
         if err <= tol * (hi - lo) / (b - a) or (hi - lo) < 1e-14 * abs(b - a):
             total += left + right
             continue

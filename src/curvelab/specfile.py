@@ -10,10 +10,18 @@ must be the constant 1 (exppoly with P = [] or [[0,0]]).
 from __future__ import annotations
 
 import json
+import sys
 
 from .curves import CurveComponent, HolomorphicCurve
 from .errors import CurveValidationError, SpecFileError
 from .polynomials import ComplexPoly
+
+
+def _is_number(x):
+    """A JSON number that is finite as a float; true and false are not
+    numbers here."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
 
 
 def _coeffs(raw, where):
@@ -22,8 +30,8 @@ def _coeffs(raw, where):
     out = []
     for k, pair in enumerate(raw):
         if (not isinstance(pair, (list, tuple)) or len(pair) != 2
-                or not all(isinstance(x, (int, float)) for x in pair)):
-            raise SpecFileError(f"{where}: entry {k} is not a [re, im] pair")
+                or not all(_is_number(x) for x in pair)):
+            raise SpecFileError(f"{where}: entry {k} is not a [re, im] pair of finite numbers")
         out.append(complex(pair[0], pair[1]))
     return ComplexPoly(out)
 
@@ -48,12 +56,18 @@ def _component(raw, index):
 
 
 def parse_curve(data: dict) -> HolomorphicCurve:
+    if not isinstance(data, dict):
+        raise SpecFileError("expected a JSON object at the top level")
     for key in ("n", "sigma", "components"):
         if key not in data:
             raise SpecFileError(f"missing required field {key!r}")
     n = data["n"]
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise SpecFileError("field 'n' must be a positive integer")
+    if not _is_number(data["sigma"]):
+        raise SpecFileError("field 'sigma' must be a finite number")
+    if data.get("K") is not None and not _is_number(data["K"]):
+        raise SpecFileError("field 'K' must be a finite number")
     comps = data["components"]
     if not isinstance(comps, list) or len(comps) != n + 1:
         raise SpecFileError(f"expected {n + 1} components for n={n}")

@@ -61,12 +61,12 @@ def test_criterion_3_classical_asymptotic(exp_curve):
     r = 50.0
     value = characteristic_jensen(exp_curve, r) / r
 
-    # independent oracle: 1-D quadrature of the closed-form circle average
-    def integrand(theta):
-        x = 2 * r * np.cos(theta)
-        return 0.5 * np.logaddexp(0.0, x)
+    # independent oracle: circle quadrature of the closed form
+    # u(z) = log sqrt(1 + e^{2 Re z})
+    def integrand(z):
+        return 0.5 * np.logaddexp(0.0, 2 * z.real)
 
-    oracle = (periodic_trapezoid(integrand, 1e-10) / (2 * math.pi)
+    oracle = (periodic_trapezoid(integrand, [r], 1e-10)[0] / (2 * math.pi)
               - math.log(math.sqrt(2))) / r
     elapsed = time.perf_counter() - start
     ok = (1 / math.pi - 0.01 <= value <= 1 / math.pi + 0.01

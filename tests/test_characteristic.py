@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import curvelab.characteristic
 from curvelab import (
     build_table,
     characteristic_area,
@@ -14,7 +15,7 @@ from curvelab import (
     reduced_characteristic,
     reduced_characteristic_polys,
 )
-from curvelab.characteristic import DEFAULT_TOL, AngularEnergy
+from curvelab.characteristic import DEFAULT_TOL
 from curvelab.polynomials import ComplexPoly, circle_sign_changes
 
 
@@ -44,12 +45,12 @@ class TestAreaRoute:
         assert characteristic_area(constant_curve, 2.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_exp_closed_form_oracle(self, exp_curve):
-        # oracle: (1/2pi) int log sqrt(1 + e^{2r cos t}) dt - log sqrt(2)
+        # oracle: (1/2pi) int log sqrt(1 + e^{2 Re z}) over |z| = r, minus log sqrt(2)
         from curvelab.quadrature import periodic_trapezoid
         r = 10.0
         oracle = periodic_trapezoid(
-            lambda t: 0.5 * np.logaddexp(0.0, 2 * r * np.cos(t)), 1e-10
-        ) / (2 * math.pi) - math.log(math.sqrt(2))
+            lambda z: 0.5 * np.logaddexp(0.0, 2 * z.real), [r], 1e-10
+        )[0] / (2 * math.pi) - math.log(math.sqrt(2))
         assert characteristic_area(exp_curve, r) == pytest.approx(oracle, abs=1e-6)
         # r/pi is the leading asymptotic term; the offset is O(1)
         assert abs(characteristic_area(exp_curve, r) - r / math.pi) < 0.5
@@ -266,21 +267,38 @@ def test_routes_reject_nonfinite_radius(exp_curve, route, radii):
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 @pytest.mark.parametrize("r", [2.0, 10.0])
-def test_radial_integrals_read_few_circles(name, r):
+def test_radial_integrals_read_few_circles(name, r, monkeypatch):
     # in t = sqrt(s/r) the log weight no longer drives the panels toward
     # s = 0 (180-240 circles here, against 780-1140 when integrating in s),
-    # and n(r) reads only circles the area route already read
-    energy = AngularEnergy(load_curve(FIXTURES / f"{name}.json"), DEFAULT_TOL)
-    characteristic_area(energy, r)
-    circles = len(energy._values)
-    assert circles <= 300
-    counting_function(energy, r)
-    assert len(energy._values) == circles
+    # and T_area(r) and n(r) come from one pass over the same circles
+    original, circles = curvelab.characteristic.periodic_trapezoid, []
+
+    def counted(f, radii, tol):
+        circles.extend(radii.tolist())
+        return original(f, radii, tol)
+
+    monkeypatch.setattr(curvelab.characteristic, "periodic_trapezoid", counted)
+    curvelab.characteristic._disk_integrals(
+        load_curve(FIXTURES / f"{name}.json"), [r], DEFAULT_TOL)
+    assert 0 < len(circles) <= 300
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_disk_routes_take_arrays(name):
+    # an array of radii runs one adaptive pass per radius, as the scalar
+    # calls do, so the values agree bit for bit
+    curve = load_curve(FIXTURES / f"{name}.json")
+    radii = np.array([0.3, 2.5, 13.0])
+    for route in (characteristic_area, counting_function):
+        batched = route(curve, radii)
+        assert isinstance(batched, np.ndarray) and batched.shape == radii.shape
+        scalar = [route(curve, r) for r in radii]
+        assert batched.tolist() == scalar
+        assert all(isinstance(value, float) for value in scalar)
 
 
 def test_area_and_jensen_agree_on_product2():
     curve = load_curve(FIXTURES / "product2.json")
     radii = np.geomspace(1.0, 20.0, 16)
-    energy = AngularEnergy(curve, DEFAULT_TOL)
-    area = np.array([characteristic_area(energy, r) for r in radii])
+    area = characteristic_area(curve, radii)
     assert np.max(np.abs(area - characteristic_jensen(curve, radii))) <= 1e-9

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,31 @@ from curvelab.errors import SpecFileError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+_SPEC = {"n": 1, "sigma": 0.0,
+         "components": [{"type": "exppoly", "P": [[0, 0], [1, 0]]}, {"type": "exppoly", "P": []}]}
+# spec -> a part of the one-line diagnostic it must exit 2 with
+MALFORMED = {
+    "vanishing-component": (dict(_SPEC, components=[
+        {"type": "exppoly", "P": [[0, 0], [1, 0]]},
+        {"type": "poly", "Q": [[1, 0], [1, 0]]}]), "component 1"),
+    "sigma-string": (dict(_SPEC, sigma="x"), "'sigma'"),
+    "sigma-infinity": (dict(_SPEC, sigma=math.inf), "'sigma'"),
+    "sigma-nan": (dict(_SPEC, sigma=math.nan), "'sigma'"),
+    "sigma-true": (dict(_SPEC, sigma=True), "'sigma'"),
+    "sigma-null": (dict(_SPEC, sigma=None), "'sigma'"),
+    "huge-coefficient": (dict(_SPEC, components=[
+        {"type": "exppoly", "P": [[0, 0], [10 ** 400, 0]]},
+        {"type": "exppoly", "P": []}]), "component 0"),
+    "n-true": (dict(_SPEC, n=True), "'n'"),
+    "K-infinity": (dict(_SPEC, K=math.inf), "'K'"),
+    "K-nan": (dict(_SPEC, K=math.nan), "'K'"),
+    "nan-coefficient": (dict(_SPEC, components=[
+        {"type": "exppoly", "P": [[0, 0], [math.nan, 0]]},
+        {"type": "exppoly", "P": []}]), "component 0"),
+    "top-level-number": (5, "top level"),
+    "top-level-null": (None, "top level"),
+}
 
 
 class TestSpecFiles:
@@ -78,17 +104,13 @@ class TestCommands:
         report = json.loads((tmp_path / "lemmas.json").read_text())
         assert report["failures"] == []
 
-    def test_malformed_spec_exit_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize("spec, message", list(MALFORMED.values()), ids=list(MALFORMED))
+    def test_malformed_spec_exit_two(self, spec, message, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({
-            "n": 1, "sigma": 0.0,
-            "components": [
-                {"type": "exppoly", "P": [[0, 0], [1, 0]]},
-                {"type": "poly", "Q": [[1, 0], [1, 0]]},
-            ]}))
+        bad.write_text(json.dumps(spec))   # NaN and Infinity as Python's json writes them
         status = main(["characteristic", "--input", str(bad), "--out", str(tmp_path)])
         assert status == 2
-        assert "component 1" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_deterministic_outputs(self, tmp_path, capsys):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -81,6 +81,13 @@ class TestValidation:
                              CurveComponent.exp_poly([0, 0, 0, 1]),
                              CurveComponent.one()), 0.5)
 
+    @pytest.mark.parametrize("sigma, K", [
+        (math.inf, None), (math.nan, None), (-0.5, None),
+        (0.0, math.inf), (0.0, math.nan), (0.0, 0.0)])
+    def test_sigma_and_K_finite(self, sigma, K):
+        with pytest.raises(CurveValidationError, match="sigma" if K is None else "K"):
+            HolomorphicCurve(1, (CurveComponent.poly([0, 1]), CurveComponent.one()), sigma, K)
+
 
 class TestEstimateGrowth:
     def test_exp_curve_K(self, exp_curve):

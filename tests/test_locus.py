@@ -298,6 +298,11 @@ class TestBranchCountBound:
         assert count_branch_bound([Z, ZERO], 0.0) == (2, 4, True)
         assert count_branch_bound([Z2, -1 * Z2], 0.0) == (4, 4, True)
         assert count_branch_bound([Z], 0.0) == (0, 0, True)
+        # P_1 and P_2 share their real part: one pair locus, 2 deg = 4 rays,
+        # each the start of one traced branch
+        polys = [Z2, Z2, ZERO]
+        assert count_branch_bound(polys, 0.0) == (4, 12, True)
+        assert len(trace_branches(polys, regularity_radius(polys), 40.0).branches) == 4
 
     @pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0])
     def test_randomized(self, sigma):

@@ -7,102 +7,97 @@ import pytest
 from curvelab.errors import QuadratureBudgetError
 from curvelab.quadrature import CHUNK_POINTS, adaptive_gauss, periodic_trapezoid
 
-# Periodic integrands of increasing difficulty: a trigonometric polynomial,
-# an entire function, and three with poles nearing the real axis.
-ROWS = (
-    lambda t: np.cos(3 * t) ** 2,
-    lambda t: np.exp(np.cos(t)),
-    lambda t: 1.0 / (1.2 - np.cos(t)),
-    lambda t: 1.0 / (1.02 - np.cos(t)),
-    lambda t: 1.0 / (1.002 - np.cos(t)),
-)
+
+def _pole(z):
+    """1/(2 - Re z): analytic on |z| = r < 2, with a pole nearing the circle
+    as r -> 2; its circle integral is 2 pi / sqrt(4 - r^2)."""
+    return 1.0 / (2.0 - z.real)
 
 
-def _counted(fn, counts, key):
-    def f(theta):
-        counts[key] += np.size(theta)
-        return fn(theta)
-    return f
+# from a trigonometric polynomial's worth of nodes to thousands
+RADII = np.array([0.1, 0.5, 1.0, 1.5, 1.9, 1.99])
 
 
-def _batch(rows, counts):
-    """A batched integrand over `rows` that counts the points of each row."""
-    def f(theta):
-        picked = getattr(theta, "rows", range(len(rows)))
-        grid = np.asarray(theta)
-        out = []
-        for k, row in enumerate(picked):
-            angles = grid if grid.ndim == 1 else grid[k]
-            counts[row] += angles.size
-            out.append(rows[row](angles))
-        return np.array(out)
-    return f
+def _exact(radii):
+    return 2 * math.pi / np.sqrt(4.0 - np.asarray(radii) ** 2)
+
+
+def _counting(f, radii, counts, shapes=None):
+    """f, counting the points of each circle by its nearest radius."""
+    def counted(z):
+        if shapes is not None:
+            shapes.append(z.shape)
+        for row in z:
+            counts[float(radii[np.argmin(np.abs(radii - abs(row[0])))])] += row.size
+        return f(z)
+    return counted
 
 
 class TestPeriodicTrapezoid:
-    def test_budget_below_start_raises_budget_error(self):
-        with pytest.raises(QuadratureBudgetError) as info:
-            periodic_trapezoid(lambda t: np.ones_like(t), 1e-10, n_start=64, n_max=64)
-        assert info.value.estimate == pytest.approx(2 * math.pi, rel=1e-15)
-        assert info.value.error_bound == math.inf
-
-    def test_batch_budget_below_start_raises_budget_error(self):
-        with pytest.raises(QuadratureBudgetError) as info:
-            periodic_trapezoid(_batch(ROWS, Counter()), 1e-10, n_start=128, n_max=64)
-        assert info.value.estimate == pytest.approx(math.pi, rel=1e-15)
-        assert info.value.error_bound == math.inf
+    def test_closed_form(self):
+        values = periodic_trapezoid(_pole, RADII, 1e-12)
+        assert values.shape == RADII.shape
+        np.testing.assert_allclose(values, _exact(RADII), rtol=1e-11)
 
     def test_batch_rows_match_one_row_calls(self):
         tol = 1e-12
         batch_counts, alone_counts = Counter(), Counter()
-        batched = periodic_trapezoid(_batch(ROWS, batch_counts), tol)
-        assert batched.shape == (len(ROWS),)
-        for row, fn in enumerate(ROWS):
-            alone = periodic_trapezoid(_counted(fn, alone_counts, row), tol)
-            assert batched[row] == alone
-        # each row stops at its own level, so it sees exactly its own points
+        batched = periodic_trapezoid(_counting(_pole, RADII, batch_counts), RADII, tol)
+        for r, value in zip(RADII, batched):
+            alone = periodic_trapezoid(_counting(_pole, RADII, alone_counts), [r], tol)
+            assert alone.tolist() == [value]
+        # each radius stops at its own level, so it sees exactly its own points
         assert batch_counts == alone_counts
         assert len(set(alone_counts.values())) >= 3
 
-    def test_plain_integrand_gets_one_dimensional_angles(self):
-        shapes = []
-
-        def f(theta):
-            # depends on the shape of its input: a (1, n) array would give 1
-            shapes.append(np.shape(theta))
-            return np.full(len(theta), 1.0 + np.cos(theta).mean())
-
-        assert periodic_trapezoid(f, 1e-12) == pytest.approx(2 * math.pi, rel=1e-15)
-        assert len(shapes) > 1 and all(len(shape) == 1 for shape in shapes)
-
     def test_one_row_batch_is_the_scalar_rule(self):
-        batched = periodic_trapezoid(_batch(ROWS[-1:], Counter()), 1e-12)
-        assert batched.shape == (1,)
-        assert batched[0] == periodic_trapezoid(ROWS[-1], 1e-12)
+        # the textbook doubling rule on one circle, summed the same way
+        for r in (0.5, 1.9):
+            n, total, previous = 64, 0.0, math.inf
+            theta = np.arange(n) * (2 * math.pi / n)
+            while True:
+                total += _pole(r * np.exp(1j * theta)).sum()
+                estimate = total * (2 * math.pi / n)
+                if abs(estimate - previous) <= 1e-12 * max(1.0, abs(estimate)):
+                    break
+                previous = estimate
+                theta = np.arange(n) * (2 * math.pi / n) + math.pi / n
+                n *= 2
+            assert periodic_trapezoid(_pole, [r], 1e-12).tolist() == [estimate]
+
+    def test_budget_below_start_raises_budget_error(self):
+        # n_max at or below the first level: its estimate, with error inf
+        for n_max in (16, 64):
+            with pytest.raises(QuadratureBudgetError) as info:
+                periodic_trapezoid(lambda z: np.ones(z.shape), [1.0], 1e-10, n_max=n_max)
+            assert info.value.estimate == pytest.approx(2 * math.pi, rel=1e-15)
+            assert info.value.error_bound == math.inf
+
+    def test_batch_budget_below_start_raises_budget_error(self):
+        with pytest.raises(QuadratureBudgetError) as info:
+            periodic_trapezoid(lambda z: z.real ** 2, [2.0, 3.0], 1e-10, n_max=32)
+        assert info.value.estimate == pytest.approx(4 * math.pi, rel=1e-15)
+        assert info.value.error_bound == math.inf
 
     def test_exhausted_row_raises_with_its_own_estimate(self):
-        rows = ROWS[:2] + (lambda t: 1.0 / (1.00001 - np.cos(t)),) + ROWS[2:]
+        radii = np.insert(RADII, 2, 1.99999)
         with pytest.raises(QuadratureBudgetError) as alone:
-            periodic_trapezoid(rows[2], 1e-12, n_max=1024)
+            periodic_trapezoid(_pole, [1.99999], 1e-12, n_max=1024)
         with pytest.raises(QuadratureBudgetError) as batch:
-            periodic_trapezoid(_batch(rows, Counter()), 1e-12, n_max=1024)
+            periodic_trapezoid(_pole, radii, 1e-12, n_max=1024)
         assert batch.value.estimate == alone.value.estimate
         assert batch.value.error_bound == alone.value.error_bound
 
     def test_levels_split_into_bounded_calls(self):
-        rows = ROWS + (lambda t: 1.0 / (1.000001 - np.cos(t)),)
+        # 300 circles: even the first level is more points than one call holds
+        radii = np.append(np.linspace(0.1, 1.9, 299), 1.99999)
         shapes = []
-
-        def f(theta):
-            shapes.append(np.shape(theta))
-            return _batch(rows, Counter())(theta)
-
-        periodic_trapezoid(f, 1e-12)
-        assert shapes[0] == (64,)
-        # past the first call: a few rows per call, or one row alone once its
-        # level alone exceeds the bound
-        assert all(k * n <= CHUNK_POINTS or k == 1 for k, n in shapes[1:])
-        assert max(n for _, n in shapes[1:]) > CHUNK_POINTS
+        periodic_trapezoid(_counting(_pole, radii, Counter(), shapes), radii, 1e-12)
+        per_call = CHUNK_POINTS // 64
+        assert shapes[:3] == [(per_call, 64), (per_call, 64), (radii.size - 2 * per_call, 64)]
+        # a few circles per call, or one alone once its level exceeds the bound
+        assert all(k * n <= CHUNK_POINTS or k == 1 for k, n in shapes)
+        assert max(n for _, n in shapes) > CHUNK_POINTS
 
 
 class TestAdaptiveGauss:
@@ -116,6 +111,19 @@ class TestAdaptiveGauss:
         value = adaptive_gauss(f, 0.0, 1.0, 1e-13)
         assert value == pytest.approx(math.e - 1, abs=1e-13)
         assert set(sizes) == {15}
+
+    def test_trailing_axis_integrands(self):
+        # a smooth and a peaked integrand on the same panels: the peak drives
+        # the splits, and each component meets the tolerance
+        def f(x):
+            return np.stack([np.exp(x), 1.0 / ((x - 0.3) ** 2 + 1e-4)], axis=1)
+
+        value = adaptive_gauss(f, 0.0, 1.0, 1e-9)
+        assert value.shape == (2,)
+        peak = (math.atan(0.7 / 1e-2) + math.atan(0.3 / 1e-2)) / 1e-2
+        assert abs(value[0] - (math.e - 1)) <= 1e-13
+        assert abs(value[1] - peak) <= 1e-9
+        assert np.ndim(adaptive_gauss(np.exp, 0.0, 1.0, 1e-9)) == 0
 
     def test_error_within_tolerance(self):
         # a peak of width 1e-2 forces refinement around x = 0.3
