@@ -8,8 +8,6 @@ from .curves import (
     CurveComponent,
     HolomorphicCurve,
     estimate_growth,
-    log_norm,
-    spherical_derivative_of,
 )
 from .characteristic import (
     CharacteristicTable,

@@ -41,7 +41,13 @@ def _radii(args):
 
 def _cmd_characteristic(args, out: Path):
     curve = load_curve(args.input)
-    table = build_table(curve, _radii(args), tol=args.tol)
+    try:
+        table = build_table(curve, _radii(args), tol=args.tol)
+    except CurvelabError:
+        raise
+    except RuntimeError as exc:    # the two routes disagree: a false verdict
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERDICT_FALSE
     (out / "characteristic.csv").write_text(table.to_csv())
     _write_json(out / "characteristic.json", json.loads(table.to_json()))
     print(table.to_csv(), end="")

@@ -2,10 +2,10 @@
 
 Every component is g(z) * e^{P(z)} with g, P polynomials; the three public
 variants are g alone ("poly"), e^P alone ("exppoly"), and the product
-("polyexp"). All modulus arithmetic is done in log domain so that components
-with Re P in the thousands never overflow: the shared exponential factors of
-the Wronskian terms are cancelled against the norm analytically before any
-exponentiation.
+("polyexp"). One kernel, CompiledCurve, evaluates log|f_k / e^{P_n}| (which is
+log|f_k| on a HolomorphicCurve, where f_n = 1), u and ||f'|| in log domain, so
+components with Re P in the thousands never overflow: the shared exponential
+factors of the Wronskian terms cancel against the norm before exponentiation.
 """
 
 from __future__ import annotations
@@ -22,12 +22,6 @@ from .quadrature import CHUNK_POINTS
 
 THETA_NODES = 2048   # angles per circle before estimate_growth refines the sup
 _GOLDEN = (math.sqrt(5) - 1) / 2
-
-
-def _log_abs(values):
-    values = np.asarray(values)
-    with np.errstate(divide="ignore"):
-        return np.log(np.abs(values))
 
 
 @dataclass(frozen=True)
@@ -64,24 +58,12 @@ class CurveComponent:
 
     def log_modulus(self, z):
         """log |g(z) e^{P(z)}|, vectorized; -inf at zeros of g."""
-        return self.exponent(z).real + _log_abs(self.poly_factor(z))
+        with np.errstate(divide="ignore"):
+            return self.exponent(z).real + np.log(np.abs(self.poly_factor(z)))
 
     def log_derivative(self, z):
         """f'/f = g'/g + P', finite away from zeros of g."""
         return self.poly_factor.deriv()(z) / self.poly_factor(z) + self.exponent.deriv()(z)
-
-    def scaled_by_exp(self, q):
-        """Component multiplied by e^{q(z)} (unnormalized representation)."""
-        return CurveComponent(self.poly_factor, self.exponent + q, "polyexp")
-
-
-def log_norm(components, z):
-    """log sqrt(sum_j |f_j(z)|^2) via log-sum-exp; vectorized in z."""
-    z = np.asarray(z, dtype=complex)
-    stack = np.stack([c.log_modulus(z) for c in components])
-    with np.errstate(invalid="ignore"):
-        out = 0.5 * _logsumexp(2.0 * stack)
-    return out if out.shape else float(out)
 
 
 def _logsumexp(a):
@@ -89,22 +71,21 @@ def _logsumexp(a):
     is not finite is left unshifted, so all -inf gives -inf."""
     top = a.max(axis=0)
     top = np.where(np.isfinite(top), top, 0.0)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         return np.log(np.exp(a - top).sum(axis=0)) + top
 
 
 class CompiledCurve:
-    """The polynomials of a homogeneous representation stacked for vectorized
-    log-domain evaluation of the Fubini-Study derivative.
+    """The polynomials of a homogeneous representation stacked so that one
+    chunked Horner loop evaluates log|f_k|, u = log||f|| and ||f'||.
 
-    ||f'||^2 = ||f||^-4 * sum_{i<j} |f_i' f_j - f_i f_j'|^2, and with
-    f_j = g_j e^{P_j} each Wronskian term factors as
-    e^{P_i + P_j} * (h_i g_j - g_i h_j) with h_j = g_j' + g_j P_j'.
-    ||f'|| is unchanged by a common factor e^{-P_n}, so the exponents are
-    taken as P_j - P_n (a no-op when f_n = 1), which keeps a common part out
-    of the rounding. The rows of the coefficient stack are g_0..g_n, the
-    exponents and the pair polynomials h_i g_j - g_i h_j for i < j,
-    ascending and zero-padded, so one Horner loop evaluates them all.
+    With f_j = g_j e^{P_j} the exponents are taken as P_j - P_n, so the rows
+    of log_moduli are log|f_k / e^{P_n}|, exactly log|f_k| when f_n = 1.
+    ||f'||^2 = ||f||^-4 * sum_{i<j} |f_i' f_j - f_i f_j'|^2 is unchanged by
+    the common factor, and each Wronskian term is e^{P_i + P_j} times the
+    pair polynomial h_i g_j - g_i h_j, h_j = g_j' + g_j P_j'. The stack holds
+    g_0..g_n, the exponents and the pair polynomials for i < j, ascending and
+    zero-padded; log|f_k| and u read the first 2(n+1) rows at their width.
     """
 
     def __init__(self, components):
@@ -119,27 +100,51 @@ class CompiledCurve:
         for row, poly in enumerate(polys):
             self.coeffs[row, :len(poly.coeffs)] = poly.coeffs
         self.m = m
+        self._moduli = self.coeffs[:2 * m, :max(len(poly.coeffs) for poly in g + p)]
         self._first = np.array([i for i, _ in pairs], dtype=int)
         self._second = np.array([j for _, j in pairs], dtype=int)
 
+    def log_moduli(self, z):
+        """(n+1, *z.shape) rows log|f_k(z)|, -inf at zeros of g_k."""
+        return self._chunked(self._log_moduli, z, (self.m,))
+
+    def u(self, z):
+        """log ||f(z)|| at z, any shape; a float for a scalar z."""
+        return self._chunked(lambda w: 0.5 * _logsumexp(2.0 * self._log_moduli(w)), z)
+
     def spherical_derivative(self, z):
         """||f'|| at z, any shape; a float for a scalar z."""
+        return self._chunked(self._spherical, z)
+
+    @staticmethod
+    def _chunked(kernel, z, rows=()):
+        """kernel on CHUNK_POINTS slices of z, shaped rows + z.shape."""
         z = np.asarray(z, dtype=complex)
         flat = z.reshape(-1)
-        out = np.empty(flat.shape)
+        out = np.empty(rows + flat.shape)
         for start in range(0, flat.size, CHUNK_POINTS):
             stop = start + CHUNK_POINTS
-            out[start:stop] = self._spherical(flat[start:stop])
-        out = out.reshape(z.shape)
+            out[..., start:stop] = kernel(flat[start:stop])
+        out = out.reshape(rows + z.shape)
         return out if out.shape else float(out)
+
+    @staticmethod
+    def _horner(coeffs, z):
+        acc = np.empty((len(coeffs), z.size), dtype=complex)
+        acc[:] = coeffs[:, -1:]
+        for k in range(coeffs.shape[1] - 2, -1, -1):
+            acc *= z
+            acc += coeffs[:, k:k + 1]
+        return acc
+
+    def _log_moduli(self, z):
+        acc = self._horner(self._moduli, z)
+        with np.errstate(divide="ignore"):
+            return acc[self.m:].real + np.log(np.abs(acc[:self.m]))
 
     def _spherical(self, z):
         m = self.m
-        acc = np.empty((len(self.coeffs), z.size), dtype=complex)
-        acc[:] = self.coeffs[:, -1:]
-        for k in range(self.coeffs.shape[1] - 2, -1, -1):
-            acc *= z
-            acc += self.coeffs[:, k:k + 1]
+        acc = self._horner(self.coeffs, z)
         with np.errstate(divide="ignore"):
             log_g = np.log(np.abs(acc[:m]))
             log_w = np.log(np.abs(acc[2 * m:]))
@@ -154,12 +159,6 @@ class CompiledCurve:
             den = _logsumexp(2.0 * (q + log_g))
             out = np.exp(num - den)
         return np.where(np.isnan(out), 0.0, out)
-
-
-def spherical_derivative_of(components, z):
-    """Fubini-Study derivative of the curve with the given homogeneous
-    representation, computed entirely in log domain (see CompiledCurve)."""
-    return CompiledCurve(components).spherical_derivative(z)
 
 
 @dataclass(frozen=True)
@@ -199,7 +198,7 @@ class HolomorphicCurve:
 
     def u(self, z):
         """log ||f(z)||; nonnegative because |f_n| = 1."""
-        return log_norm(self.components, z)
+        return self.compiled.u(z)
 
     @cached_property
     def compiled(self):
@@ -241,8 +240,8 @@ def estimate_growth(curve: HolomorphicCurve, r_min, r_max, circles=8):
         fc, fd = (curve.spherical_derivative(radii * np.exp(1j * t)) for t in (c, d))
         a, b = np.where(fc > fd, a, c), np.where(fc > fd, d, b)
         sups = np.maximum.reduce([sups, fc, fd])
-    if np.max(sups) <= 0.0:
-        return 0.0, 0.0
-    slope, _ = np.polyfit(np.log(radii), np.log(sups), 1)
+    # the slope is fitted over the circles whose sup did not underflow to 0
+    fit = sups > 0.0
+    slope = np.polyfit(np.log(radii[fit]), np.log(sups[fit]), 1)[0] if fit.sum() >= 2 else 0.0
     K_hat = float(np.max(sups * radii ** (-curve.sigma)))
     return float(slope), K_hat

@@ -27,11 +27,6 @@ TAIL_FRACTION = 0.25       # share of the largest radii checked by verify_theore
 SLACK = 0.1                # relative slack on the theorem's ceiling
 
 
-def _ties(curve: HolomorphicCurve, z, rel):
-    """tied() over the log-moduli of all components at the points z."""
-    return tied(np.stack([c.log_modulus(z) for c in curve.components]), rel)
-
-
 def harvest_tie_points(curve: HolomorphicCurve, radii):
     """Points where two of the u_j (over the full index range 0..n) agree and
     jointly attain the maximum, found on circles, in the order radius, pair,
@@ -43,7 +38,7 @@ def harvest_tie_points(curve: HolomorphicCurve, radii):
     first, second = np.triu_indices(len(comps), 1)
     radii = np.asarray(radii, dtype=float)
     theta = np.linspace(0.0, 2 * np.pi, HARVEST_SEEDS, endpoint=False)
-    u = np.stack([c.log_modulus(radii[:, None] * np.exp(1j * theta)) for c in comps])
+    u = curve.compiled.log_moduli(radii[:, None] * np.exp(1j * theta))
     d = u[0] - u[1:]     # u_0 - u_j by j - 1, radius, angle
     d_next = np.roll(d, -1, axis=2)
     pair, k, s = np.nonzero(np.isfinite(d) & np.isfinite(d_next) & ((d > 0) != (d_next > 0)))
@@ -70,7 +65,7 @@ def harvest_tie_points(curve: HolomorphicCurve, radii):
     order = np.lexsort((np.concatenate(pairs), np.concatenate(ks)))
     pair = np.concatenate(pairs)[order]
     z = radii[np.concatenate(ks)[order]] * np.exp(1j * np.concatenate(angles)[order])
-    top = _ties(curve, z, 1e-7)
+    top = tied(curve.compiled.log_moduli(z), 1e-7)
     cols = np.arange(z.size)
     return list(z[top[first[pair], cols] & top[second[pair], cols]][:HARVEST_CAP])
 
@@ -81,7 +76,7 @@ def prop1_check(curve: HolomorphicCurve, points):
     |f_m'/f_m - f_k'/f_k|, maximised over the pairs tied for the max at z."""
     comps = curve.components
     z = np.asarray(points, dtype=complex)
-    top = _ties(curve, z, TIE_TOL_FACTOR)
+    top = tied(curve.compiled.log_moduli(z), TIE_TOL_FACTOR)
     lone = np.flatnonzero(top.sum(axis=0) < 2)
     if lone.size:
         raise ValueError(f"point {z[lone[0]]!r} has no tied dominant pair")
@@ -100,8 +95,9 @@ def prop2_margin(curve: HolomorphicCurve, epsilon, radii):
         raise ValueError("curve needs K declared or estimated")
     radii = np.asarray(radii, dtype=float)
     z = radii[:, None] * np.exp(1j * np.linspace(0.0, 2 * np.pi, PROP2_SEEDS, endpoint=False))
-    u_star = np.max([np.asarray(p(z)).real for p in curve.reduced_polys()], axis=0)
-    sups = np.max(np.asarray(curve.u(z)) - u_star, axis=1)
+    # log|f_j| = Re P_j for j >= 1, where g_j = 1
+    u_star = curve.compiled.log_moduli(z)[1:].max(axis=0)
+    sups = np.max(curve.u(z) - u_star, axis=1)
     scale = curve.K * (2 + epsilon) ** (curve.sigma + 1) * (curve.n + 1)
     return [(float(r), float(sup), scale * float(r) ** (curve.sigma + 1))
             for r, sup in zip(radii, sups)]

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from curvelab import cli
 from curvelab.cli import main
 from curvelab.specfile import load_curve
-from curvelab.errors import SpecFileError
+from curvelab.errors import QuadratureBudgetError, SpecFileError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -228,6 +229,30 @@ class TestCommandMatrix:
         # no partial output: neither branch files nor a summary
         assert not list(out.glob("branch_*.csv"))
         assert not (out / "locus.json").exists()
+
+    def test_route_disagreement_exit_one(self, tmp_path, capsys):
+        # Re P = 1e200 Re z: the area route reads ||f'|| = 0 on every circle
+        # while the Jensen route reads u ~ 1e200, so build_table's
+        # cross-check fails at the first radius
+        spec = tmp_path / "huge.json"
+        spec.write_text(json.dumps(dict(_SPEC, components=[
+            {"type": "exppoly", "P": [[0, 0], [1e200, 0]]}, {"type": "exppoly", "P": []}])))
+        status, err = _run(["characteristic", "--input", str(spec), "--rmax", "1e4",
+                            "--out", str(tmp_path / "out")], capsys)
+        assert status == 1
+        assert err.startswith("error: characteristic routes disagree") and err.count("\n") == 1
+        assert not (tmp_path / "out" / "characteristic.csv").exists()
+
+    def test_budget_error_in_table_exits_three(self, tmp_path, capsys, monkeypatch):
+        # QuadratureBudgetError is a RuntimeError too, and keeps its exit code
+        def exhausted(*args, **kwargs):
+            raise QuadratureBudgetError("budget exhausted", 0.0, 1.0)
+
+        monkeypatch.setattr(cli, "build_table", exhausted)
+        status, err = _run(["characteristic", "--input", str(FIXTURES / "line.json"),
+                            "--out", str(tmp_path)], capsys)
+        assert status == 3
+        assert err.startswith("error: budget exhausted") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["characteristic", "locus", "verify-bound", "analyze"])
     @pytest.mark.parametrize("missing", ["missing.json", "."])

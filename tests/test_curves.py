@@ -1,4 +1,6 @@
 import math
+import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -8,11 +10,15 @@ from curvelab import (
     CurveComponent,
     HolomorphicCurve,
     estimate_growth,
-    spherical_derivative_of,
+    load_curve,
+    verify_theorem,
 )
-from curvelab.curves import THETA_NODES
+from curvelab.curves import THETA_NODES, CompiledCurve
 from curvelab.errors import CurveValidationError
 from curvelab.polynomials import ComplexPoly
+from curvelab.quadrature import CHUNK_POINTS
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 class TestLogNorm:
@@ -50,10 +56,10 @@ class TestSphericalDerivative:
     def test_permutation_invariance(self, product_curve):
         rng = np.random.default_rng(1)
         z = rng.uniform(-5, 5, 200) + 1j * rng.uniform(-5, 5, 200)
-        base = np.asarray(spherical_derivative_of(product_curve.components, z))
+        base = np.asarray(CompiledCurve(product_curve.components).spherical_derivative(z))
         perm = (product_curve.components[2], product_curve.components[0],
                 product_curve.components[1])
-        other = np.asarray(spherical_derivative_of(perm, z))
+        other = np.asarray(CompiledCurve(perm).spherical_derivative(z))
         assert np.allclose(base, other, rtol=1e-12, atol=1e-300)
 
 
@@ -97,6 +103,21 @@ class TestEstimateGrowth:
 
     def test_constant_curve_degenerate(self, constant_curve):
         assert estimate_growth(constant_curve, 1.0, 10.0, 4) == (0.0, 0.0)
+
+    def test_underflowing_sups_take_no_log_of_zero(self):
+        # sigma = 20, f_0 = e^{z^41}: on the outer circles ||f'|| underflows
+        # to 0 at every grid angle, and the slope is fitted without them
+        curve = HolomorphicCurve(
+            1, (CurveComponent.exp_poly([0] * 41 + [1]), CurveComponent.one()), 20.0)
+        radii = np.geomspace(1.0, 20.0, 8)
+        grid = curve.spherical_derivative(radii[:, None] * np.exp(1j * np.linspace(0, 6, 64)))
+        assert np.any(grid.max(axis=1) == 0.0) and np.any(grid.max(axis=1) > 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            slope, k_hat = estimate_growth(curve, 1.0, 20.0, 8)
+            report = verify_theorem(curve, np.geomspace(1.0, 20.0, 16))
+        assert math.isfinite(slope) and k_hat > 0.0
+        assert report.K == max(k_hat, 1e-12)
 
     def test_square_exp_slope(self, square_exp_curve):
         sigma_hat, k_hat = estimate_growth(square_exp_curve, 5.0, 20.0, 8)
@@ -228,3 +249,55 @@ class TestCompiledKernelOracle:
 
     def test_compiled_once_per_curve(self, product_curve):
         assert product_curve.compiled is product_curve.compiled
+
+
+def _logsumexp_u(stack):
+    """0.5 * log(sum_k exp(2 stack_k)) by the column-max shift."""
+    a = 2.0 * stack
+    top = a.max(axis=0)
+    top = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        return 0.5 * (np.log(np.exp(a - top).sum(axis=0)) + top)
+
+
+class TestLogModuliKernel:
+    """The compiled rows against CurveComponent.log_modulus, bit for bit."""
+
+    @staticmethod
+    def _curves():
+        curves = [load_curve(path) for path in sorted(FIXTURES.glob("*.json"))]
+        rng = np.random.default_rng(2024)
+        for n, sigma, kind0 in [(1, 0.0, "poly"), (2, 0.5, "polyexp"), (3, 1.0, "exppoly"),
+                                (6, 1.0, "polyexp"), (4, 0.0, "poly")]:
+            curves.append(_random_curve(rng, n, sigma, kind0))
+        # g_0(0) = 0 exactly, so row 0 is -inf at z = 0
+        curves.append(HolomorphicCurve(2, (
+            CurveComponent.poly_exp([0, 0.3 - 0.2j, 1j], [0.1, -0.4j, 0.2, 0.7]),
+            CurveComponent.exp_poly([0.5, 0.1j, -0.3, 0.2j]), CurveComponent.one()), 1.0))
+        return curves
+
+    @staticmethod
+    def _points():
+        rng = np.random.default_rng(5)
+        cloud = rng.normal(0.0, 3.0, 600) + 1j * rng.normal(0.0, 3.0, 600)
+        far = 40.0 * np.exp(2j * np.pi * rng.uniform(size=300))    # |Re P| in the thousands
+        return [0.0, 0.5 - 2j, np.complex128(-3.0), cloud, np.append(far, 0.0),
+                cloud[:400].reshape(20, 20), np.empty(0), np.empty((3, 0)),
+                rng.normal(size=(2, CHUNK_POINTS)) * 8 + 1j * rng.normal(size=(2, CHUNK_POINTS))]
+
+    def test_rows_and_u_bit_identical(self):
+        thousands = minus_inf = 0
+        for curve in self._curves():
+            compiled = curve.compiled
+            for z in self._points():
+                stack = np.stack([c.log_modulus(z) for c in curve.components])
+                rows = compiled.log_moduli(z)
+                assert rows.shape == (curve.n + 1,) + np.shape(z)
+                assert np.array_equal(rows, stack, equal_nan=True)
+                u = curve.u(z)
+                if np.ndim(z) == 0:
+                    assert type(u) is float
+                assert np.array_equal(u, _logsumexp_u(stack), equal_nan=True)
+                thousands += np.sum(np.abs(stack[1:]) > 1000.0)
+                minus_inf += np.sum(stack[0] == -np.inf)
+        assert thousands > 0 and minus_inf > 0
