@@ -89,23 +89,17 @@ def circle_mean_max_re(polys, r):
     number r or elementwise for an array of radii.
 
     The arg-max can switch only where some Re(P_i - P_j) changes sign, so
-    those angles (one circle_sign_changes call per pair for all radii) cut
+    those angles (one circle_sign_changes call for all pairs and radii) cut
     each circle into arcs with one winner each, read at the arc midpoint, and
     all arcs are integrated in closed form at once. A repeated cut makes an
     arc of length 0, which adds exactly 0.
     """
     polys = list(polys)
     radii = np.atleast_1d(np.asarray(r, dtype=float))
-    ks, angles = [np.arange(len(radii))], [np.zeros(len(radii))]
-    for i in range(len(polys)):
-        for j in range(i + 1, len(polys)):
-            rows = circle_sign_changes(polys[i] - polys[j], radii)
-            ks.append(np.repeat(np.arange(len(radii)), [len(row) for row in rows]))
-            angles.extend(rows)
+    _, k, a = circle_sign_changes(polys, radii)
     # each circle's arcs run between consecutive cuts, the first one at 0
-    k, a = np.concatenate(ks), np.concatenate(angles)
-    order = np.lexsort((a, k))
-    k, a = k[order], a[order]
+    cuts = np.sort(np.append(np.arange(len(radii)), k) + 1j * np.append(np.zeros(len(radii)), a))
+    k, a = cuts.real.astype(int), cuts.imag     # complex numbers sort by real part first
     b = np.where(np.append(k[1:] != k[:-1], True), 2 * np.pi, np.roll(a, -1))
     rk = radii[k]
     width = max(len(p.coeffs) for p in polys) or 1

@@ -35,7 +35,7 @@ class CurveComponent:
     @classmethod
     def poly(cls, q):
         q = q if isinstance(q, ComplexPoly) else ComplexPoly(q)
-        return cls(q, ComplexPoly.zero(), "poly")
+        return cls(q, ComplexPoly(), "poly")
 
     @classmethod
     def exp_poly(cls, p):
@@ -50,7 +50,7 @@ class CurveComponent:
 
     @classmethod
     def one(cls):
-        return cls.exp_poly(ComplexPoly.zero())
+        return cls.exp_poly(ComplexPoly())
 
     @property
     def nonvanishing(self):
@@ -237,7 +237,7 @@ def estimate_growth(curve: HolomorphicCurve, r_min, r_max, circles=8):
     sups = vals.max(axis=1)
     while np.max(b - a) > 1e-12:
         c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-        fc, fd = (curve.spherical_derivative(radii * np.exp(1j * t)) for t in (c, d))
+        fc, fd = curve.spherical_derivative(radii * np.exp(1j * np.stack([c, d])))
         a, b = np.where(fc > fd, a, c), np.where(fc > fd, d, b)
         sups = np.maximum.reduce([sups, fc, fd])
     # the slope is fitted over the circles whose sup did not underflow to 0

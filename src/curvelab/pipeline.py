@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .characteristic import characteristic_jensen, reduced_characteristic
-from .curves import HolomorphicCurve, estimate_growth
+from .curves import HolomorphicCurve, _logsumexp, estimate_growth
 from .errors import LocusEmptyError
 from .locus import regularity_radius, tail_exponents, tied
 from .polynomials import circle_sign_changes
@@ -55,16 +55,12 @@ def harvest_tie_points(curve: HolomorphicCurve, radii):
         if not np.any(np.where(same, mid != a, mid != b)):
             break       # no bracket moves any more
         a, b = np.where(same, mid, a), np.where(same, b, mid)
-    ks, pairs, angles = [k], [pair], [0.5 * (a + b)]
-    # the pairs i, j >= 1 follow the pairs (0, j) in triu order
-    for p in range(len(comps) - 1, len(first)):
-        rows = circle_sign_changes(comps[first[p]].exponent - comps[second[p]].exponent, radii)
-        ks.append(np.repeat(np.arange(len(radii)), [len(row) for row in rows]))
-        pairs.append(np.full(ks[-1].size, p))
-        angles.extend(rows)
-    order = np.lexsort((np.concatenate(pairs), np.concatenate(ks)))
-    pair = np.concatenate(pairs)[order]
-    z = radii[np.concatenate(ks)[order]] * np.exp(1j * np.concatenate(angles)[order])
+    # the pairs i, j >= 1 follow the n pairs (0, j) in triu order
+    p, kp, angles = circle_sign_changes(curve.reduced_polys(), radii)
+    k, pair = np.append(k, kp), np.append(pair, p + curve.n)
+    order = np.lexsort((pair, k))
+    pair = pair[order]
+    z = radii[k[order]] * np.exp(1j * np.append(0.5 * (a + b), angles)[order])
     top = tied(curve.compiled.log_moduli(z), 1e-7)
     cols = np.arange(z.size)
     return list(z[top[first[pair], cols] & top[second[pair], cols]][:HARVEST_CAP])
@@ -95,9 +91,9 @@ def prop2_margin(curve: HolomorphicCurve, epsilon, radii):
         raise ValueError("curve needs K declared or estimated")
     radii = np.asarray(radii, dtype=float)
     z = radii[:, None] * np.exp(1j * np.linspace(0.0, 2 * np.pi, PROP2_SEEDS, endpoint=False))
-    # log|f_j| = Re P_j for j >= 1, where g_j = 1
-    u_star = curve.compiled.log_moduli(z)[1:].max(axis=0)
-    sups = np.max(curve.u(z) - u_star, axis=1)
+    # u and u* from one kernel pass; log|f_j| = Re P_j for j >= 1, where g_j = 1
+    rows = curve.compiled.log_moduli(z)
+    sups = np.max(0.5 * _logsumexp(2.0 * rows) - rows[1:].max(axis=0), axis=1)
     scale = curve.K * (2 + epsilon) ** (curve.sigma + 1) * (curve.n + 1)
     return [(float(r), float(sup), scale * float(r) ** (curve.sigma + 1))
             for r, sup in zip(radii, sups)]
@@ -177,7 +173,8 @@ def verify_theorem(curve: HolomorphicCurve, r_grid, epsilon=0.01, tol=1e-8):
     r_grid = sorted(float(r) for r in r_grid)
     work = curve
     if work.K is None:
-        _, k_hat = estimate_growth(work, max(r_grid[0], 1.0), r_grid[-1], circles=8)
+        r_min = max(r_grid[0], 1.0) if r_grid[-1] > 1.0 else r_grid[0]   # circles from r = 1 on
+        _, k_hat = estimate_growth(work, r_min, r_grid[-1], circles=8)
         work = work.with_K(max(k_hat, 1e-12))
     sigma, K, n = work.sigma, work.K, work.n
 

@@ -25,10 +25,6 @@ class ComplexPoly:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def zero(cls):
-        return cls(())
-
-    @classmethod
     def constant(cls, c):
         return cls((c,))
 
@@ -83,9 +79,6 @@ class ComplexPoly:
     def __sub__(self, other):
         return self + (-_coerce(other))
 
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
-
     def __mul__(self, other):
         other = _coerce(other)
         if self.is_zero or other.is_zero:
@@ -122,23 +115,26 @@ _NEWTON_STEPS = 3
 _MAX_NEWTON_STEP = 1e-3  # larger steps leave the candidate where it is
 
 
-def circle_roots(poly: ComplexPoly, radii) -> np.ndarray:
-    """Roots w of w^d Re poly(r w) for each r in ``radii``, one row of 2d per
-    radius, from one eigenvalue solve over the stacked companion matrices.
+def circle_roots(coeffs, radii) -> np.ndarray:
+    """Roots w of w^d Re p(r w) for each row p of ``coeffs`` (ascending
+    coefficients of degree d >= 1, one polynomial per row) and each r in
+    ``radii``, shape (rows, radii, 2d), from one eigenvalue solve over the
+    stacked companion matrices.
 
-    With poly = sum_k a_k z^k of degree d >= 1,
-    w^d Re poly(r w) = (1/2) (sum_k a_k r^k w^{d+k} + sum_k conj(a_k) r^k w^{d-k}),
-    whose roots on |w| = 1 are where Re poly(r e^{i theta}) vanishes.
+    With p = sum_k a_k z^k, w^d Re p(r w) =
+    (1/2) (sum_k a_k r^k w^{d+k} + sum_k conj(a_k) r^k w^{d-k}),
+    whose roots on |w| = 1 are where Re p(r e^{i theta}) vanishes.
     """
-    d = len(poly.coeffs) - 1
+    coeffs = np.asarray(coeffs, dtype=complex)
+    d = coeffs.shape[1] - 1
     radii = np.asarray(radii, dtype=float)
-    a = np.asarray(poly.coeffs) * radii[:, None] ** np.arange(d + 1)
-    w_poly = np.zeros((len(radii), 2 * d + 1), dtype=complex)
-    w_poly[:, d:] += a / 2
-    w_poly[:, d::-1] += np.conj(a) / 2
-    companion = np.zeros((len(radii), 2 * d, 2 * d), dtype=complex)
-    companion[:, 0] = -w_poly[:, -2::-1] / w_poly[:, -1:]
-    companion[:, np.arange(1, 2 * d), np.arange(2 * d - 1)] = 1.0
+    a = coeffs[:, None] * radii[:, None] ** np.arange(d + 1)
+    w_poly = np.zeros(a.shape[:2] + (2 * d + 1,), dtype=complex)
+    w_poly[..., d:] += a / 2
+    w_poly[..., d::-1] += np.conj(a) / 2
+    companion = np.zeros(a.shape[:2] + (2 * d, 2 * d), dtype=complex)
+    companion[..., 0, :] = -w_poly[..., -2::-1] / w_poly[..., -1:]
+    companion[..., np.arange(1, 2 * d), np.arange(2 * d - 1)] = 1.0
     return np.linalg.eigvals(companion)
 
 
@@ -158,32 +154,45 @@ def refine_angles(coeffs, r, theta):
     return theta
 
 
-def circle_sign_changes(poly: ComplexPoly, r):
-    """Sorted angles theta in [0, 2pi) where Re poly(r e^{i theta}) changes
-    sign: one array for a number r, a list of one array per radius for an
-    array of radii.
+def circle_sign_changes(polys, radii):
+    """Every angle theta in [0, 2pi) where Re(P_i - P_j)(r e^{i theta})
+    changes sign, for each pair i < j of ``polys`` (np.triu_indices order)
+    and each r in ``radii``: flat arrays (pair, circle, theta), sorted in that
+    order, where circle indexes ``radii``.
 
-    The roots of ``circle_roots`` near |w| = 1 give candidate angles, which
-    Newton's method polishes in theta, all radii in one solve and one polish.
-    The candidates cut each circle into arcs free of zeros, and a candidate is
-    kept when Re poly has opposite signs on the arcs either side of it, so
-    tangent zeros and roots just off the circle drop out.
+    The pair differences of each degree share one ``circle_roots`` solve, and
+    the roots near |w| = 1 give candidate angles, which one Newton polish
+    refines in theta. The candidates cut each circle into arcs free of zeros,
+    and a candidate is kept when the difference has opposite signs on the arcs
+    either side of it, so tangent zeros and roots just off the circle drop out.
     """
-    radii = np.atleast_1d(np.asarray(r, dtype=float))
-    rows = [np.empty(0)] * len(radii)
-    if len(poly.coeffs) >= 2:
-        roots = circle_roots(poly, radii)
-        near = np.abs(np.abs(roots) - 1.0) < _ON_CIRCLE
-        coeffs = np.asarray(poly.coeffs)
-        theta = refine_angles(coeffs, radii[np.nonzero(near)[0]], np.angle(roots[near]))
-        for k, row in enumerate(np.split(theta, np.cumsum(near.sum(axis=1))[:-1])):
-            row = np.unique(np.mod(row, 2 * np.pi))
-            if row.size < 2:
-                continue
-            mids = 0.5 * (row + np.append(row[1:], row[0] + 2 * np.pi))
-            positive = npoly.polyval(radii[k] * np.exp(1j * mids), coeffs).real > 0
-            rows[k] = row[positive != np.roll(positive, 1)]
-    return rows[0] if np.ndim(r) == 0 else rows
+    radii = np.atleast_1d(np.asarray(radii, dtype=float))
+    stack = np.zeros((len(polys), max([len(p.coeffs) for p in polys] + [1])), dtype=complex)
+    for row, poly in enumerate(polys):
+        stack[row, :len(poly.coeffs)] = poly.coeffs
+    first, second = np.triu_indices(len(polys), 1)
+    diffs = stack[first] - stack[second]
+    degree = np.max(np.where(diffs != 0, np.arange(stack.shape[1]), 0), axis=1, initial=0)
+    group, theta = np.empty(0, dtype=int), np.empty(0)     # group = pair * len(radii) + circle
+    for d in np.unique(degree[degree > 0]):
+        rows = np.flatnonzero(degree == d)
+        roots = circle_roots(diffs[rows, :d + 1], radii)
+        p, k, m = np.nonzero(np.abs(np.abs(roots) - 1.0) < _ON_CIRCLE)
+        group = np.append(group, rows[p] * len(radii) + k)
+        theta = np.append(theta, np.angle(roots[p, k, m]))
+    pair, circle = np.divmod(group, len(radii))
+    theta = np.mod(refine_angles(diffs[pair].T, radii[circle], theta), 2 * np.pi)
+    # sorted by group, then angle, without repeats: complex numbers sort by real part first
+    key = np.unique(group + 1j * theta)
+    (pair, circle), theta = np.divmod(key.real.astype(int), len(radii)), key.imag
+    # the arc after an angle ends at the next angle of its group, or wraps round to the first
+    start, end = np.diff(key.real, prepend=-1) != 0, np.diff(key.real, append=-1) != 0
+    g = np.cumsum(start) - 1
+    mids = 0.5 * (theta + np.where(end, theta[start][g] + 2 * np.pi, np.roll(theta, -1)))
+    z = radii[circle] * np.exp(1j * mids)
+    positive = npoly.polyval(z, diffs[pair].T, tensor=False).real > 0
+    change = positive != np.where(start, positive[end][g], np.roll(positive, 1))
+    return pair[change], circle[change], theta[change]
 
 
 def cauchy_fraction(poly: ComplexPoly) -> float:

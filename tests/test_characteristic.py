@@ -103,6 +103,10 @@ def _dense_circle(r, nodes=DENSE_NODES):
     return theta, r * np.exp(1j * theta)
 
 
+def _sign_changes(poly, r):
+    return circle_sign_changes([poly, ComplexPoly()], r)[2]
+
+
 def _dense_sign_changes(poly, r, nodes=1 << 16):
     """Sign changes of Re poly on the circle from a dense scan, each bracket
     refined by bisection."""
@@ -149,7 +153,7 @@ def _circle_mean_per_arc(polys, r):
     """circle_mean_max_re at one radius with a Python loop over the arcs and
     over each winner's coefficients."""
     cuts = np.unique(np.concatenate([[0.0]] + [
-        circle_sign_changes(polys[i] - polys[j], r)
+        _sign_changes(polys[i] - polys[j], r)
         for i in range(len(polys)) for j in range(i + 1, len(polys))]))
     ends = np.append(cuts[1:], 2 * np.pi)
     mids = r * np.exp(0.5j * (cuts + ends))
@@ -170,7 +174,7 @@ class TestCircleRootFinder:
             for i in range(len(polys)):
                 for j in range(i + 1, len(polys)):
                     diff = polys[i] - polys[j]
-                    roots = circle_sign_changes(diff, r)
+                    roots = _sign_changes(diff, r)
                     dense = _dense_sign_changes(diff, r)
                     assert len(roots) == len(dense), (r, diff)
                     for t in roots:

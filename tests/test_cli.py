@@ -184,6 +184,17 @@ class TestCommandMatrix:
         if command == "analyze":
             assert (tmp_path / "bound_report.json").exists()
 
+    @pytest.mark.parametrize("command", ["verify-bound", "analyze"])
+    def test_K_omitted_grid_inside_unit_disk(self, command, tmp_path, capsys):
+        # K is estimated on circles from --rmin when the whole grid lies in |z| <= 1
+        spec = json.loads((FIXTURES / "product2.json").read_text())
+        del spec["K"]
+        path = tmp_path / "product2_no_K.json"
+        path.write_text(json.dumps(spec))
+        status, _ = _run([command, "--input", str(path), "--rmin", "0.1", "--rmax", "1",
+                          "--out", str(tmp_path / "out")], capsys)
+        assert status in (0, 1)
+
     def test_lemmas(self, tmp_path, capsys):
         status, _ = _run(["lemmas", "--count", "5", "--out", str(tmp_path)], capsys)
         assert status == 0

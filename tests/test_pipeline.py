@@ -21,7 +21,7 @@ from curvelab import (
 from curvelab.errors import LocusEmptyError
 from curvelab.locus import tied
 from curvelab.polynomials import circle_sign_changes
-from test_characteristic import FIXTURE_NAMES, FIXTURES
+from test_characteristic import FIXTURE_NAMES, FIXTURES, _sign_changes
 
 
 class TestProp1:
@@ -97,7 +97,7 @@ def _harvest_per_radius(curve, radii, seeds=512, cap=400):
     for r in radii:
         angles = [
             _scan_sign_changes(lambda z: comps[0].log_modulus(z) - comps[j].log_modulus(z), r, seeds)
-            if i == 0 else circle_sign_changes(comps[i].exponent - comps[j].exponent, r)
+            if i == 0 else _sign_changes(comps[i].exponent - comps[j].exponent, r)
             for i, j in zip(first, second)]
         counts = [len(found) for found in angles]
         z = r * np.exp(1j * np.concatenate(angles))
@@ -139,10 +139,12 @@ def _harvest_all_components(curve, radii):
         b = np.where(same, b, mid)
     ks, pairs, angles = [k], [pair], [0.5 * (a + b)]
     for p in range(len(comps) - 1, len(first)):
-        rows = circle_sign_changes(comps[first[p]].exponent - comps[second[p]].exponent, radii)
-        ks.append(np.repeat(np.arange(len(radii)), [len(row) for row in rows]))
-        pairs.append(np.full(ks[-1].size, p))
-        angles.extend(rows)
+        # one pair at a time, over all radii
+        _, circle, theta = circle_sign_changes(
+            [comps[first[p]].exponent, comps[second[p]].exponent], radii)
+        ks.append(circle)
+        pairs.append(np.full(circle.size, p))
+        angles.append(theta)
     order = np.lexsort((np.concatenate(pairs), np.concatenate(ks)))
     pair = np.concatenate(pairs)[order]
     z = radii[np.concatenate(ks)[order]] * np.exp(1j * np.concatenate(angles)[order])

@@ -50,6 +50,26 @@ def test_leading_of_zero_poly_raises():
         _ = ComplexPoly([]).leading
 
 
+def _sign_changes(poly, r):
+    return circle_sign_changes([poly, ComplexPoly()], r)[2]
+
+
+def _random_poly(rng, deg):
+    return ComplexPoly(rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1))
+
+
+def _poly_lists(rng):
+    """The empty list, one poly alone, and lists of 2-6 polys of mixed degree
+    holding a constant and a repeat of another entry (a zero difference)."""
+    lists = [[], [_random_poly(rng, 3)]]
+    for _ in range(40):
+        polys = [_random_poly(rng, int(rng.integers(1, 5))) for _ in range(rng.integers(0, 4))]
+        polys += [_random_poly(rng, 0), _random_poly(rng, int(rng.integers(1, 5)))]
+        polys.insert(int(rng.integers(0, len(polys) + 1)), polys[-1])
+        lists.append([polys[k] for k in rng.permutation(len(polys))])
+    return lists
+
+
 def test_circle_sign_changes_over_radii_matches_one_radius():
     # radii from well inside to past r0, where the count of sign changes
     # varies from circle to circle
@@ -60,9 +80,26 @@ def test_circle_sign_changes_over_radii_matches_one_radius():
         poly = ComplexPoly(rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1))
         r0 = 2.0 * (1.0 + cauchy_fraction(poly * poly.deriv()))
         radii = np.sort(r0 * np.exp(rng.uniform(np.log(0.02), np.log(3.0), size=8)))
-        rows = circle_sign_changes(poly, radii)
-        assert len(rows) == len(radii)
+        pair, circle, theta = circle_sign_changes([poly, ComplexPoly()], radii)
+        assert np.all(pair == 0)
+        rows = [theta[circle == k] for k in range(len(radii))]
         for r, row in zip(radii, rows):
-            assert np.array_equal(row, circle_sign_changes(poly, r))
+            assert np.array_equal(row, _sign_changes(poly, r))
         varied += len({len(row) for row in rows}) > 1
     assert varied > 50
+    # every pair of a list on every circle in one call, against each pair on
+    # each circle alone
+    radii = np.array([0.05, 0.3, 1.0, 2.0, 5.0, 20.0])
+    zero_pairs = 0
+    for polys in _poly_lists(rng):
+        pair, circle, theta = circle_sign_changes(polys, radii)
+        assert np.array_equal(np.lexsort((theta, circle, pair)), np.arange(theta.size))
+        first, second = np.triu_indices(len(polys), 1)
+        assert np.all(pair < len(first))
+        for p, (i, j) in enumerate(zip(first, second)):
+            zero_pairs += polys[i] == polys[j]
+            for k, r in enumerate(radii):
+                expected = _sign_changes(polys[i] - polys[j], r)
+                assert np.array_equal(theta[(pair == p) & (circle == k)], expected)
+                assert expected.size == 0 or polys[i] != polys[j]
+    assert zero_pairs >= 40
