@@ -47,7 +47,7 @@ def _disk_integrals(curve: HolomorphicCurve, radii, tol):
     """(T_area, n) at each radius r in radii: (1/pi) int_0^r s w A(s) ds with
     w = 2 log(r/s) and w = 1, both from one adaptive pass in t = sqrt(s/r)
     per radius. A(s), the integral over theta of ||f'||^2(s e^{i theta}), is
-    read on a panel's 15 circles r t^2 by one periodic_trapezoid call."""
+    read on all circles r t^2 of a refinement level by one periodic_trapezoid call."""
     radii = _checked_radii(radii)
     sd = curve.spherical_derivative
 

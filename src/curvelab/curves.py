@@ -67,12 +67,13 @@ class CurveComponent:
 
 
 def _logsumexp(a):
-    """log(sum(exp(a), axis=0)), shifted by the column max. A column whose max
-    is not finite is left unshifted, so all -inf gives -inf."""
+    """log(sum(exp(a), axis=0)), shifted by the column max (unshifted where it is not
+    finite, so all -inf gives -inf). Rows add in order; numpy sums a lone column pairwise."""
     top = a.max(axis=0)
     top = np.where(np.isfinite(top), top, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.log(np.exp(a - top).sum(axis=0)) + top
+        e = np.exp(a - top)
+        return np.log(e.sum(axis=0) if e.size > len(e) else sum(e)) + top
 
 
 class CompiledCurve:
@@ -151,7 +152,8 @@ class CompiledCurve:
         # exponents relative to the largest log|f_k|, which cancels between
         # numerator and denominator, so that no sum of exponents in the
         # thousands is rounded before they cancel
-        re_p = acc[m:2 * m].real
+        re_p = acc[m:2 * m].real.copy()
+        del acc   # freed first: a lower peak per chunk avoids heap trim-and-regrow churn
         top = (re_p + log_g).max(axis=0)
         with np.errstate(invalid="ignore"):
             q = re_p - top

@@ -171,6 +171,8 @@ def verify_theorem(curve: HolomorphicCurve, r_grid, epsilon=0.01, tol=1e-8):
     (N // 6)-th of the N grid radii; prop3 reads the locus's far field on the
     tail of the trace radii from r0 to max(4*r0, max(r_grid)), without a trace."""
     r_grid = sorted(float(r) for r in r_grid)
+    if not r_grid or (curve.K is None and r_grid[0] == r_grid[-1]):
+        raise ValueError("empty r_grid" if not r_grid else "declare K or pass two distinct radii")
     work = curve
     if work.K is None:
         r_min = max(r_grid[0], 1.0) if r_grid[-1] > 1.0 else r_grid[0]   # circles from r = 1 on

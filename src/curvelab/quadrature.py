@@ -56,45 +56,45 @@ def periodic_trapezoid(f, radii, tol, n_max=1 << 20):
                                 float(integrals[row]), float(errors[row]))
 
 
-def _gl_panel(f, a, b):
-    half = 0.5 * (b - a)
-    x = 0.5 * (a + b) + half * _GL_NODES
-    return half * np.dot(_GL_WEIGHTS, f(x))
+def _gl_estimates(f, lo, hi):
+    """The Gauss-Legendre estimate on each panel [lo[p], hi[p]], all nodes in one
+    call to f; one dot per panel, as a tensordot over panels rounds differently."""
+    half = 0.5 * (hi - lo)
+    values = np.asarray(f(((0.5 * (lo + hi))[:, None] + half[:, None] * _GL_NODES).reshape(-1)))
+    values = values.reshape((lo.size, _GL_NODES.size) + values.shape[1:])
+    return np.array([h * np.dot(_GL_WEIGHTS, v) for h, v in zip(half, values)])
 
 
 def adaptive_gauss(f, a, b, tol, max_panels=4096):
     """Adaptive Gauss-Legendre integration on [a, b] of a function f that maps
-    an array of nodes to an array of values; each panel's nodes go to f in
-    one call. Values with a trailing axis are several integrands on the same
-    panels, and the result has that axis.
+    an array of nodes to an array of values. Values with a trailing axis are
+    several integrands on the same panels, and the result has that axis.
 
     Panels are split until the whole-vs-halves discrepancy, in its largest
-    component, is below the tolerance share of each panel. Raises
-    QuadratureBudgetError (carrying the achieved estimate and bound) when the
-    panel budget is exhausted.
-    """
+    component, is below the tolerance share of each panel. Each level hands the
+    halves of all open panels to f in one call, and the accepted panels are
+    summed from b towards a, so the result is the depth-first rule's to the
+    last bit. Raises QuadratureBudgetError (carrying the achieved estimate and
+    bound) when the panel budget is exhausted."""
     if a == b:
         return 0.0
     edges = np.linspace(a, b, INITIAL_PANELS + 1)
-    stack = [(edges[i], edges[i + 1], _gl_panel(f, edges[i], edges[i + 1]))
-             for i in range(INITIAL_PANELS)]
-    total = 0.0
+    lo, hi, whole = edges[:-1], edges[1:], _gl_estimates(f, edges[:-1], edges[1:])
+    accepted = []   # (left end, left + right) of every accepted panel
     panels_used = INITIAL_PANELS
-    while stack:
-        lo, hi, whole = stack.pop()
+    while lo.size:
         mid = 0.5 * (lo + hi)
-        left = _gl_panel(f, lo, mid)
-        right = _gl_panel(f, mid, hi)
-        err = np.max(np.abs(left + right - whole))
-        if err <= tol * (hi - lo) / (b - a) or (hi - lo) < 1e-14 * abs(b - a):
-            total += left + right
-            continue
-        panels_used += 2
+        halves = _gl_estimates(f, np.concatenate([lo, mid]), np.concatenate([mid, hi]))
+        pair = halves[:lo.size] + halves[lo.size:]
+        err = np.abs(pair - whole).reshape(lo.size, -1).max(axis=1)
+        done = (err <= tol * (hi - lo) / (b - a)) | (hi - lo < 1e-14 * abs(b - a))
+        accepted += zip(lo[done], pair[done])
+        panels_used += 2 * np.count_nonzero(~done)
         if panels_used > max_panels:
-            remaining = sum(p[2] for p in stack)
-            estimate = total + whole + remaining
+            estimate = np.sum([s for _, s in accepted] + list(pair[~done]), axis=0)
             raise QuadratureBudgetError(
-                "adaptive Gauss-Legendre panel budget exhausted", estimate, err)
-        stack.append((lo, mid, left))
-        stack.append((mid, hi, right))
-    return total
+                "adaptive Gauss-Legendre panel budget exhausted", estimate, err[~done].max())
+        lo, mid, hi, whole = lo[~done], mid[~done], hi[~done], halves[np.tile(~done, 2)]
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+    accepted.sort(key=lambda panel: panel[0], reverse=a < b)
+    return np.cumsum([s for _, s in accepted], axis=0)[-1]   # added one by one in that order

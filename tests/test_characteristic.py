@@ -17,6 +17,7 @@ from curvelab import (
 )
 from curvelab.characteristic import DEFAULT_TOL
 from curvelab.polynomials import ComplexPoly, circle_sign_changes
+from test_quadrature import _depth_first
 
 
 class TestJensenRoute:
@@ -269,22 +270,44 @@ def test_routes_reject_nonfinite_radius(exp_curve, route, radii):
         route(exp_curve, radii)
 
 
+# circles per radius that the radial pass reads on the fixtures, the same
+# as when the depth-first panel rule read them one panel (15 circles) at a time
+PASS_CIRCLES = {("exp", 2.0): 180, ("exp", 10.0): 180, ("line", 2.0): 180, ("line", 10.0): 240,
+                ("product2", 2.0): 180, ("product2", 10.0): 180,
+                ("squareexp", 2.0): 180, ("squareexp", 10.0): 180}
+
+
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 @pytest.mark.parametrize("r", [2.0, 10.0])
 def test_radial_integrals_read_few_circles(name, r, monkeypatch):
     # in t = sqrt(s/r) the log weight no longer drives the panels toward
     # s = 0 (180-240 circles here, against 780-1140 when integrating in s),
-    # and T_area(r) and n(r) come from one pass over the same circles
-    original, circles = curvelab.characteristic.periodic_trapezoid, []
+    # and T_area(r) and n(r) come from one pass over the same circles, read
+    # in one periodic_trapezoid call for the initial panels and one for each
+    # refinement level (12-16 calls when each panel was its own call)
+    original, calls = curvelab.characteristic.periodic_trapezoid, []
 
     def counted(f, radii, tol):
-        circles.extend(radii.tolist())
+        calls.append(radii.size)
         return original(f, radii, tol)
 
     monkeypatch.setattr(curvelab.characteristic, "periodic_trapezoid", counted)
     curvelab.characteristic._disk_integrals(
         load_curve(FIXTURES / f"{name}.json"), [r], DEFAULT_TOL)
-    assert 0 < len(circles) <= 300
+    assert len(calls) <= 3
+    assert sum(calls) == PASS_CIRCLES[name, r] <= 300
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_radial_pass_matches_depth_first_rule(name, monkeypatch):
+    # the level-by-level panels give T_area and n to the last bit of the
+    # depth-first rule (summing the panels in another order moves them)
+    curve, radii = load_curve(FIXTURES / f"{name}.json"), [0.5, 2.0, 10.0]
+    levels = curvelab.characteristic._disk_integrals(curve, radii, DEFAULT_TOL)
+    monkeypatch.setattr(curvelab.characteristic, "adaptive_gauss",
+                        lambda *args: _depth_first(*args)[0])
+    depth_first = curvelab.characteristic._disk_integrals(curve, radii, DEFAULT_TOL)
+    assert [v.tolist() for v in levels] == [v.tolist() for v in depth_first]
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)

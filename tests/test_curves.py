@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import curvelab.curves
 from curvelab import (
     CurveComponent,
     HolomorphicCurve,
@@ -301,3 +302,35 @@ class TestLogModuliKernel:
                 thousands += np.sum(np.abs(stack[1:]) > 1000.0)
                 minus_inf += np.sum(stack[0] == -np.inf)
         assert thousands > 0 and minus_inf > 0
+
+
+def test_kernel_values_whatever_the_chunk(monkeypatch):
+    # the kernel works through its points CHUNK_POINTS at a time; ||f'||, u
+    # and log|f_k| are the same bits at any chunk size, one point included
+    curves = [load_curve(path) for path in sorted(FIXTURES.glob("*.json"))]
+    rng = np.random.default_rng(18)
+    for n in range(1, 7):
+        curves.append(_random_curve(rng, n, (0.0, 0.5, 1.0)[n % 3], ("poly", "polyexp")[n % 2]))
+    # g_0(0) = 0 exactly
+    curves.append(HolomorphicCurve(2, (
+        CurveComponent.poly_exp([0, 0.3 - 0.2j, 1j], [0.1, -0.4j, 0.2, 0.7]),
+        CurveComponent.exp_poly([0.5, 0.1j, -0.3, 0.2j]), CurveComponent.one()), 1.0))
+    cloud = rng.normal(0.0, 3.0, 500) + 1j * rng.normal(0.0, 3.0, 500)
+    far = 40.0 * np.exp(2j * np.pi * rng.uniform(size=300))    # |Re P| in the thousands
+    points = [np.complex128(0.0), np.concatenate([cloud, far, [0.0]]), cloud[:400].reshape(20, 20)]
+    big = rng.normal(size=(2, CHUNK_POINTS)) * 8 + 1j * rng.normal(size=(2, CHUNK_POINTS))
+    thousands = zeros = 0
+    for curve in curves:
+        compiled = curve.compiled
+        kernels = (compiled.spherical_derivative, compiled.u, compiled.log_moduli)
+        expected = [[kernel(z) for z in points + [big]] for kernel in kernels]
+        for size in (1, 7, 1000, CHUNK_POINTS):
+            monkeypatch.setattr(curvelab.curves, "CHUNK_POINTS", size)
+            for kernel, wants in zip(kernels, expected):
+                for z, want in zip(points + ([big] if size > 1 else []), wants):
+                    got = kernel(z)
+                    assert type(got) is type(want) and np.array_equal(got, want)
+        rows = compiled.log_moduli(points[1])
+        thousands += np.sum(np.abs(rows[1:]) > 1000.0)
+        zeros += np.sum(rows[0] == -np.inf)
+    assert thousands > 0 and zeros > 0

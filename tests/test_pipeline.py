@@ -343,6 +343,24 @@ class TestVerifyTheorem:
         assert report.K == pytest.approx(0.5, abs=1e-3)
         assert report.all_true
 
+    @pytest.mark.parametrize("grid", [[2.0], [3.0, 3.0]])
+    def test_K_omitted_needs_two_distinct_radii(self, grid):
+        bare = load_curve(FIXTURES / "product2.json").with_K(None)
+        with pytest.raises(ValueError, match="declare K or pass two distinct radii"):
+            verify_theorem(bare, grid)
+
+    def test_empty_grid(self):
+        for curve in (load_curve(FIXTURES / "product2.json"),
+                      load_curve(FIXTURES / "product2.json").with_K(None)):
+            with pytest.raises(ValueError, match="empty r_grid"):
+                verify_theorem(curve, [])
+
+    def test_declared_K_single_radius(self):
+        curve = load_curve(FIXTURES / "product2.json")
+        report = verify_theorem(curve, [2.0])
+        assert report.K == curve.K
+        assert [row[0] for row in report.tail_rows] == [2.0]
+
     def test_report_json_roundtrip(self, exp_curve):
         import json
         report = verify_theorem(exp_curve, np.geomspace(1, 10, 8))

@@ -100,17 +100,77 @@ class TestPeriodicTrapezoid:
         assert max(n for _, n in shapes) > CHUNK_POINTS
 
 
+def _peak(x):
+    return 1.0 / ((x - 0.3) ** 2 + 1e-4)
+
+
+def _two_columns(x):
+    return np.stack([np.exp(x), _peak(x)], axis=1)
+
+
+def _depth_first(f, a, b, tol, max_panels=4096):
+    """The depth-first panel rule, one panel's 15 nodes per call: (value,
+    panels whose halves it evaluated, by depth)."""
+    nodes, weights = np.polynomial.legendre.leggauss(15)
+
+    def panel(lo, hi):
+        half = 0.5 * (hi - lo)
+        return half * np.dot(weights, f(0.5 * (lo + hi) + half * nodes))
+
+    edges = np.linspace(a, b, 5)
+    stack = [(edges[i], edges[i + 1], panel(edges[i], edges[i + 1]), 0) for i in range(4)]
+    total, used, opened = 0.0, 4, Counter()
+    while stack:
+        lo, hi, whole, depth = stack.pop()
+        opened[depth] += 1
+        mid = 0.5 * (lo + hi)
+        left, right = panel(lo, mid), panel(mid, hi)
+        err = np.max(np.abs(left + right - whole))
+        if err <= tol * (hi - lo) / (b - a) or (hi - lo) < 1e-14 * abs(b - a):
+            total += left + right
+            continue
+        used += 2
+        if used > max_panels:
+            raise QuadratureBudgetError("panel budget exhausted", total, err)
+        stack += [(lo, mid, left, depth + 1), (mid, hi, right, depth + 1)]
+    return total, opened
+
+
+def _area_weights(x):
+    # the two radial weights of the area route, t^3 log t and t^3
+    return np.stack([x ** 3 * np.log(x), x ** 3], axis=1)
+
+
 class TestAdaptiveGauss:
-    def test_panel_nodes_in_one_call(self):
+    @pytest.mark.parametrize("f, tol, depth", [(np.exp, 1e-13, 1), (_peak, 1e-9, 5),
+                                               (_two_columns, 1e-9, 5),
+                                               (_area_weights, 1e-12, 2)])
+    def test_level_nodes_in_one_call(self, f, tol, depth):
         sizes = []
 
-        def f(x):
+        def counted(x):
             sizes.append(np.size(x))
-            return np.exp(x)
+            return f(x)
 
-        value = adaptive_gauss(f, 0.0, 1.0, 1e-13)
-        assert value == pytest.approx(math.e - 1, abs=1e-13)
-        assert set(sizes) == {15}
+        value = adaptive_gauss(counted, 0.0, 1.0, tol)
+        expected, opened = _depth_first(f, 0.0, 1.0, tol)
+        # bit for bit: a tensordot over the panels moves _area_weights
+        assert type(value) is type(expected) and np.shape(value) == np.shape(expected)
+        assert np.array_equal(value, expected)
+        # the initial panels, then the halves of every open panel of each depth
+        assert all(size % 15 == 0 for size in sizes)
+        assert sizes == [4 * 15] + [2 * 15 * opened[d] for d in range(len(opened))]
+        assert sorted(opened) == list(range(depth))
+        if f is np.exp:
+            assert value == pytest.approx(math.e - 1, abs=1e-13)
+
+    def test_budget_as_depth_first(self):
+        def f(x):
+            return 1.0 / np.sqrt(np.abs(x - 1.0 / 3.0))
+
+        for rule in (adaptive_gauss, _depth_first):
+            with pytest.raises(QuadratureBudgetError):
+                rule(f, 0.0, 1.0, 1e-12, max_panels=64)
 
     def test_trailing_axis_integrands(self):
         # a smooth and a peaked integrand on the same panels: the peak drives
