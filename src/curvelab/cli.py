@@ -136,7 +136,7 @@ _FLAGS = {
     "--tol": dict(type=_POSITIVE, default=1e-8),
     "--epsilon": dict(type=_POSITIVE, default=0.01,
                       help="slack in the distance constant (2+epsilon)^{sigma+1}"),
-    "--seed": dict(type=int, default=0),
+    "--seed": dict(type=_checked(int, lambda v: v >= 0, "an integer >= 0"), default=0),
     "--count": dict(type=_checked(int, lambda v: v >= 1, "an integer >= 1"), default=1000),
 }
 _TABLE_FLAGS = ("--input", "--out", "--rmin", "--rmax", "--grid", "--tol")

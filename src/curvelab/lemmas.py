@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polynomials import ComplexPoly
+from .polynomials import ComplexPoly, circle_roots
 
 GRID_SIZE = 4096
 # the boundary angle grid 2*pi*k/GRID_SIZE on the unit circle, shared by every instance
@@ -136,10 +136,9 @@ class DiscSuperharmonic:
 def verify_lemma1(v: DiscHarmonic, z1):
     """Check v(a) <= 2R |grad v(z1)| for a nonnegative harmonic v vanishing at
     the boundary point z1. Returns (lhs, rhs, margin)."""
-    val = v.value(z1)
-    if abs(val) > BOUNDARY_TOL * max(1.0, abs(v.value(v.center))):
+    val, lhs = v.value(z1), v.value(v.center)
+    if abs(val) > BOUNDARY_TOL * max(1.0, abs(lhs)):
         raise ValueError(f"precondition violated: v(z1) = {val!r}, expected 0")
-    lhs = v.value(v.center)
     rhs = 2.0 * v.radius * abs(v.grad(z1))
     return lhs, rhs, rhs - lhs
 
@@ -158,31 +157,19 @@ def verify_lemma2(v: DiscSuperharmonic, z1):
     return mass, rhs, rhs - mass
 
 
-def _random_harmonic(rng):
-    """Nonnegative boundary density |q(e^{i theta})|^2 with q vanishing at a
-    random grid point w1, scaled to a grid maximum of 10; its Poisson extension
-    Re h vanishes at z1. The density's Fourier coefficients are the
-    autocorrelation c_k = sum_j a_{j+k} conj(a_j) of q's coefficients a, so
-    h = c_0 + 2 sum_{k>=1} c_k w^k."""
-    center = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+def _draw(rng, superharmonic):
+    """One instance's draws, in the order they leave rng: the centre, the
+    radius, the boundary zero w1 = _CIRCLE[k1], the coefficients of
+    q = (w - w1) p, and for a superharmonic instance its atoms (else None)."""
+    center = complex(*rng.uniform(-2, 2, size=2))     # the same two doubles as two scalar calls
     radius = rng.uniform(0.5, 2.5)
-    k1 = int(rng.integers(0, GRID_SIZE))
-    w1 = _CIRCLE[k1]
-    deg = int(rng.integers(0, 4))
-    p = ComplexPoly([complex(a, b) for a, b in rng.normal(size=(deg + 1, 2))])
-    if p.is_zero:
-        p = ComplexPoly.constant(1.0)
-    q = ComplexPoly([-w1, 1.0]) * p
-    top = float(np.max(np.abs(q(_CIRCLE)) ** 2))
-    a = np.asarray(q.coeffs)
-    c = np.correlate(a, a, "full")[len(a) - 1:] * (10.0 / top)
-    c[1:] *= 2.0
-    return DiscHarmonic.from_real_part_poly(center, radius, c), center + radius * w1
-
-
-def _random_superharmonic(rng):
-    harmonic, z1 = _random_harmonic(rng)
-    center, radius = harmonic.center, harmonic.radius
+    w1 = _CIRCLE[int(rng.integers(0, GRID_SIZE))]
+    p = rng.normal(size=(int(rng.integers(0, 4)) + 1, 2)).view(complex)[:, 0]
+    if p[-1] == 0:      # trimmed as ComplexPoly trims; the zero polynomial becomes 1
+        p = np.trim_zeros(p, "b") if p.any() else np.ones(1)
+    q = np.convolve([-w1, 1.0], p)
+    if not superharmonic:
+        return center, radius, w1, q, None
     masses = []
     for _ in range(int(rng.integers(1, 5))):
         while True:
@@ -192,21 +179,66 @@ def _random_superharmonic(rng):
         phi = rng.uniform(0.0, 2 * np.pi)
         zeta = center + radius * rho * np.exp(1j * phi)
         masses.append((zeta, float(rng.exponential(1.0))))
-    return DiscSuperharmonic(center, radius, masses, harmonic), z1
+    return center, radius, w1, q, masses
+
+
+def _grid_top(qs, autocorr):
+    """max |q|^2 over _CIRCLE for each coefficient array q in qs, given its
+    autocorrelation r_k = sum_j q_{j+k} conj(q_j), k >= 0.
+
+    rho = |q(e^{i theta})|^2 has rho' = Re p(e^{i theta}), p = sum_k 2ik r_k z^k,
+    and the grid argmax has a critical angle of rho within one grid step. So q
+    is evaluated, with npoly.polyval's Horner steps, only at the grid indices
+    floor(theta/step) + (-1, 0, 1, 2) around the angle of every root from one
+    circle_roots solve per (length of q, last k with r_k != 0).
+    """
+    groups = {}
+    for i, (q, r) in enumerate(zip(qs, autocorr)):
+        d = len(r) - 1
+        while d and r[d] == 0:      # r_m = q_m conj(q_0) vanishes when q_0 = 0
+            d -= 1
+        groups.setdefault((len(q), d), []).append(i)
+    tops = np.empty(len(qs))
+    for (n, d), rows in groups.items():
+        if d == 0:      # |q| is constant on the circle: read every grid point
+            idx = np.broadcast_to(np.arange(GRID_SIZE), (len(rows), GRID_SIZE))
+        else:
+            p = np.array([autocorr[i][:d + 1] for i in rows]) * (2j * np.arange(d + 1))
+            theta = np.angle(circle_roots(p, [1.0])[:, 0])
+            base = np.floor(theta * (GRID_SIZE / (2 * np.pi))).astype(int)
+            idx = (base[..., None] + np.arange(-1, 3)).reshape(len(rows), -1) % GRID_SIZE
+        a, x = np.array([qs[i] for i in rows]), _CIRCLE[idx]
+        acc = a[:, -1:] + x * 0
+        for k in range(n - 2, -1, -1):
+            acc = a[:, k:k + 1] + acc * x
+        tops[rows] = np.max(np.abs(acc) ** 2, axis=1)
+    return tops
 
 
 def random_lemma_family(seed, count, kind="mixed"):
     """Deterministic family of lemma instances paired with their boundary
-    zero z1. kind is one of "harmonic", "superharmonic", "mixed"."""
+    zero z1. kind is one of "harmonic", "superharmonic", "mixed".
+
+    A harmonic part has the boundary density |q(e^{i theta})|^2 scaled to a
+    grid maximum of 10, so v = Re h, h = c_0 + 2 sum_k c_k w^k, where c is
+    the autocorrelation of q's coefficients times 10 / top. Every instance is
+    drawn first, in rng order; then one _grid_top call gives every top.
+    """
     if kind not in ("harmonic", "superharmonic", "mixed"):
         raise ValueError(f"kind must be 'harmonic', 'superharmonic' or 'mixed', got {kind!r}")
     rng = np.random.default_rng(seed)
+    draws = [_draw(rng, kind == "superharmonic" or (kind == "mixed" and k % 2 == 1))
+             for k in range(count)]
+    qs = [q for _, _, _, q, _ in draws]
+    autocorr = [np.correlate(q, q, "full")[len(q) - 1:] for q in qs]
     out = []
-    for k in range(count):
-        if kind == "harmonic" or (kind == "mixed" and k % 2 == 0):
-            out.append(_random_harmonic(rng))
-        else:
-            out.append(_random_superharmonic(rng))
+    for (center, radius, w1, _, masses), r, top in zip(draws, autocorr, _grid_top(qs, autocorr)):
+        c = r * (10.0 / top)
+        c[1:] *= 2.0
+        v = DiscHarmonic.from_real_part_poly(center, radius, c)
+        if masses is not None:
+            v = DiscSuperharmonic(center, radius, masses, v)
+        out.append((v, center + radius * w1))
     return out
 
 

@@ -57,9 +57,7 @@ class ComplexPoly:
         return npoly.polyval(z, np.asarray(self.coeffs, dtype=complex))
 
     def deriv(self):
-        if len(self.coeffs) <= 1:
-            return ComplexPoly(())
-        return ComplexPoly(npoly.polyder(np.asarray(self.coeffs, dtype=complex)))
+        return ComplexPoly([k * c for k, c in enumerate(self.coeffs)][1:])
 
     # -- arithmetic -----------------------------------------------------------
 

@@ -210,6 +210,7 @@ class TestCommandMatrix:
         ["characteristic", "--input", "exp.json", "--rmin", "5", "--rmax", "4"],
         ["locus", "--input", "exp.json", "--rmax", "-1"],
         ["locus", "--input", "exp.json", "--grid", "8"],
+        ["lemmas", "--seed", "-1"],
     ])
     def test_bad_arguments_exit_two(self, args, tmp_path, capsys):
         args = [str(FIXTURES / a) if a.endswith(".json") else a for a in args]

@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -155,8 +156,10 @@ class TestFamilyAndReport:
 
 
 # -- reference routes: the FFT recovery of h from boundary samples, the
-# -- per-instance angle grid and the two harness loops that the closed form,
-# -- the shared grid and the one harness loop replace -------------------------
+# -- per-instance angle grid with its 4096-point scan for the scale, the
+# -- instance-by-instance family and the two harness loops that the closed
+# -- form, the critical-angle scale, the batched family and the one harness
+# -- loop replace ---------------------------------------------------------------
 
 def _coeffs_per_mode(samples):
     """Coefficients of h by scanning every mode below n/2 one at a time."""
@@ -172,7 +175,7 @@ def _coeffs_per_mode(samples):
 
 
 def _draw_q(rng, grid):
-    """The draws of _random_harmonic, with exp(i theta1) computed per call."""
+    """A harmonic instance's draws, with exp(i theta1) computed per call."""
     center = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
     radius = rng.uniform(0.5, 2.5)
     k1 = int(rng.integers(0, grid))
@@ -185,7 +188,8 @@ def _draw_q(rng, grid):
 
 
 def _harmonic_per_instance_grid(rng):
-    """_random_harmonic with its own angle grid and exp(i theta1) per call."""
+    """A harmonic instance scaled by the maximum of |q|^2 over all 4096
+    points of its own angle grid."""
     grid = lemmas.GRID_SIZE
     center, radius, w1, q = _draw_q(rng, grid)
     theta = np.arange(grid) * (2 * np.pi / grid)
@@ -197,14 +201,37 @@ def _harmonic_per_instance_grid(rng):
 
 
 def _harmonic_by_fft(rng):
-    """_random_harmonic through the sampled density: h recovered by FFT and
-    the mode cut; the scaled density is kept on the instance as rho."""
+    """A harmonic instance through the sampled density: h recovered by FFT
+    and the mode cut; the scaled density is kept on the instance as rho."""
     center, radius, w1, q = _draw_q(rng, lemmas.GRID_SIZE)
     rho = np.abs(q(lemmas._CIRCLE)) ** 2
     rho = rho * (10.0 / float(np.max(rho)))
     v = DiscHarmonic.from_real_part_poly(center, radius, _coeffs_per_mode(rho))
     v.rho = rho
     return v, center + radius * w1
+
+
+def _family_one_by_one(seed, count, kind, harmonic):
+    """random_lemma_family built one instance at a time: harmonic(rng) draws
+    and builds each harmonic part, and a superharmonic instance draws its
+    atoms right after it."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(count):
+        v, z1 = harmonic(rng)
+        if kind == "superharmonic" or (kind == "mixed" and k % 2 == 1):
+            masses = []
+            for _ in range(int(rng.integers(1, 5))):
+                while True:
+                    rho = math.sqrt(rng.uniform(0.0, 0.9))
+                    if abs(rho - 0.5) > 1e-3:
+                        break
+                phi = rng.uniform(0.0, 2 * np.pi)
+                zeta = v.center + v.radius * rho * np.exp(1j * phi)
+                masses.append((zeta, float(rng.exponential(1.0))))
+            v = DiscSuperharmonic(v.center, v.radius, masses, v)
+        out.append((v, z1))
+    return out
 
 
 def _report_two_loops(seed, count):
@@ -231,13 +258,11 @@ def _report_two_loops(seed, count):
 
 class TestHarnessAgainstReference:
     @pytest.mark.parametrize("seed", [1, 4, 9])
-    def test_family_matches_per_instance_grid(self, seed, monkeypatch):
-        kinds = ("harmonic", "superharmonic", "mixed")
-        got = {kind: random_lemma_family(seed, 50, kind) for kind in kinds}
-        monkeypatch.setattr(lemmas, "_random_harmonic", _harmonic_per_instance_grid)
-        for kind in kinds:
-            want = random_lemma_family(seed, 50, kind)
-            for (v, z1), (ref, ref_z1) in zip(got[kind], want, strict=True):
+    def test_family_matches_per_instance_grid(self, seed):
+        for kind in ("harmonic", "superharmonic", "mixed"):
+            got = random_lemma_family(seed, 50, kind)
+            want = _family_one_by_one(seed, 50, kind, _harmonic_per_instance_grid)
+            for (v, z1), (ref, ref_z1) in zip(got, want, strict=True):
                 assert z1 == ref_z1
                 assert type(v) is type(ref)
                 if isinstance(v, DiscSuperharmonic):
@@ -246,13 +271,11 @@ class TestHarnessAgainstReference:
                 assert v._h.coeffs == ref._h.coeffs
 
     @pytest.mark.parametrize("seed", [1, 4, 9])
-    def test_closed_form_matches_fft_recovery(self, seed, monkeypatch):
-        kinds = ("harmonic", "superharmonic", "mixed")
-        got = {kind: random_lemma_family(seed, 50, kind) for kind in kinds}
-        monkeypatch.setattr(lemmas, "_random_harmonic", _harmonic_by_fft)
-        for kind in kinds:
-            want = random_lemma_family(seed, 50, kind)
-            for (v, _), (ref, _) in zip(got[kind], want, strict=True):
+    def test_closed_form_matches_fft_recovery(self, seed):
+        for kind in ("harmonic", "superharmonic", "mixed"):
+            got = random_lemma_family(seed, 50, kind)
+            want = _family_one_by_one(seed, 50, kind, _harmonic_by_fft)
+            for (v, _), (ref, _) in zip(got, want, strict=True):
                 if isinstance(v, DiscSuperharmonic):
                     v, ref = v.harmonic_part, ref.harmonic_part
                 h, h_ref = np.array(v._h.coeffs), np.array(ref._h.coeffs)
@@ -266,3 +289,100 @@ class TestHarnessAgainstReference:
         got = harness_report(seed, 50)
         want = _report_two_loops(seed, 50)
         assert json.dumps(got) == json.dumps(want)
+
+
+def _scanned_top(q):
+    """max |q|^2 over all 4096 points of the shared grid."""
+    return np.max(np.abs(ComplexPoly(q)(lemmas._CIRCLE)) ** 2)
+
+
+def _critical_angle_tops(qs):
+    qs = [np.asarray(q, dtype=complex) for q in qs]
+    return lemmas._grid_top(qs, [np.correlate(q, q, "full")[len(q) - 1:] for q in qs])
+
+
+def _two_close_peaks(theta0, eps=1e-7):
+    """Coefficients of q with |q(e^{i theta})|^2 proportional to
+    6 + (4 - 2 eps) cos t - cos 2t, t = theta - theta0: near t = 0 it is
+    6 + eps t^2 - t^4 / 2 + ..., so it peaks at t = +-sqrt(eps), 6.3e-4
+    apart, less than one grid step. q takes the roots of the density's
+    w-polynomial outside the unit circle (Fejer-Riesz)."""
+    density = np.array([-0.5, 2 - eps, 6.0, 2 - eps, -0.5])   # w^2 sum_k rho_k w^k
+    roots = np.roots(density[::-1])
+    outside = roots[np.abs(roots) > 1] * np.exp(1j * theta0)
+    return np.poly(outside)[::-1]
+
+
+class TestCriticalAngleMaximum:
+    """_grid_top reads the same grid maximum of |q|^2 as the full scan."""
+
+    def test_random_polynomials(self):
+        rng = np.random.default_rng(2024)
+        qs = [rng.normal(size=(deg + 1, 2)) @ [1, 1j]
+              for deg in rng.integers(1, 5, size=5000)]
+        got = _critical_angle_tops(qs)
+        want = [_scanned_top(q) for q in qs]
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize("k1", [0, 1, 1000, 2047, 2048, 4095])
+    def test_linear_peak_on_antipodal_grid_point(self, k1):
+        q = [-lemmas._CIRCLE[k1], 1.0]
+        assert np.argmax(np.abs(lemmas._CIRCLE + q[0]) ** 2) == (k1 + 2048) % 4096
+        assert _critical_angle_tops([q])[0] == _scanned_top(q)
+
+    @pytest.mark.parametrize("k", [0, 17, 2047, 4095])
+    def test_peak_midway_between_grid_points(self, k):
+        w1 = -np.exp(1j * (2 * np.pi * (k + 0.5) / 4096))    # peak at angle (k + 1/2) step
+        qs = [[-w1, 1.0], np.convolve([-w1, 1.0], [1.0, 0.3j])]
+        assert _critical_angle_tops(qs).tolist() == [_scanned_top(q) for q in qs]
+
+    @pytest.mark.parametrize("offset", [0.0, 0.5, 0.25])
+    def test_two_peaks_closer_than_a_grid_step(self, offset):
+        step = 2 * np.pi / 4096
+        theta0 = (1234 + offset) * step
+        q = _two_close_peaks(theta0)
+        # the dip between the peaks is about 5e-15 deep: rho rises and falls
+        # twice over t in (-2s, 2s), s = sqrt(eps), an interval shorter than a step
+        s = math.sqrt(1e-7)
+        with mpmath.workdps(40):
+            rho = [abs(mpmath.polyval([mpmath.mpc(c) for c in q[::-1]],
+                                      mpmath.expjpi((theta0 + k * s) / mpmath.pi))) ** 2
+                   for k in (-2, -1, 0, 1, 2)]
+        assert rho[0] < rho[1] > rho[2] < rho[3] > rho[4] and 4 * s < step
+        assert _critical_angle_tops([q])[0] == _scanned_top(q)
+
+    def test_vanishing_constant_coefficient(self):
+        # q_0 = 0 zeroes the leading coefficient r_m of the critical-angle
+        # polynomial; a monomial has constant |q| and no critical angle at all
+        w1 = lemmas._CIRCLE[123]
+        qs = [[0.0, -w1, 1.0], [0.0, 0.0, 1 + 2j, -0.5, 0.25j], [0.0, 0.0, 3.0], [2j],
+              [0.0, 1.0]]
+        assert _critical_angle_tops(qs).tolist() == [_scanned_top(q) for q in qs]
+
+    @pytest.mark.parametrize("kind", ["harmonic", "superharmonic", "mixed"])
+    def test_empty_family(self, kind):
+        for seed in (0, 5):
+            assert random_lemma_family(seed, 0, kind) == []
+
+
+# harness_report JSON recorded before the scale moved from the 4096-point scan
+# to the critical angles
+GOLDEN_REPORTS = {
+    (0, 1000): '{"seed": 0, "count": 1000, "harmonic_min_margin": 0.4021572194168339, '
+               '"superharmonic_min_margin": 4.860005289357551, '
+               '"green_kernel_min": 0.3333333333333333, "failures": []}',
+    (7, 1000): '{"seed": 7, "count": 1000, "harmonic_min_margin": 0.6306448679181207, '
+               '"superharmonic_min_margin": 4.840836570941615, '
+               '"green_kernel_min": 0.3333333333333333, "failures": []}',
+    (2, 50): '{"seed": 2, "count": 50, "harmonic_min_margin": 1.0159329531234826, '
+             '"superharmonic_min_margin": 6.380617081300036, '
+             '"green_kernel_min": 0.3333333333333333, "failures": []}',
+    (12, 50): '{"seed": 12, "count": 50, "harmonic_min_margin": 0.5230912652392692, '
+              '"superharmonic_min_margin": 5.889092804653731, '
+              '"green_kernel_min": 0.3333333333333333, "failures": []}',
+}
+
+
+@pytest.mark.parametrize("seed, count", list(GOLDEN_REPORTS))
+def test_report_matches_recorded_json(seed, count):
+    assert json.dumps(harness_report(seed, count)) == GOLDEN_REPORTS[seed, count]
