@@ -25,10 +25,12 @@ import numpy as np
 
 from .curves import HolomorphicCurve
 from .polynomials import circle_sign_changes
-from .quadrature import adaptive_gauss, periodic_trapezoid
+from .quadrature import _trapezoid_levels, adaptive_gauss, periodic_trapezoid
 
 DEFAULT_TOL = 1e-8
 CROSS_CHECK_TOL = 1e-6   # largest gap build_table allows between the two routes
+JENSEN_HANDOVER = 1024              # angles by which a Jensen circle settles or goes to panels
+JENSEN_MAX_PANELS = (1 << 20) // 15  # as many nodes as the trapezoid's 2^20 angles
 
 
 def _checked_radii(r):
@@ -65,9 +67,42 @@ def _disk_integrals(curve: HolomorphicCurve, radii, tol):
 
 def characteristic_jensen(curve: HolomorphicCurve, r, tol=DEFAULT_TOL):
     """Circle average of u minus u(0), for a number r or elementwise for an
-    array of radii."""
-    mean = periodic_trapezoid(curve.u, _checked_radii(r), tol) / (2 * np.pi) - curve.u(0.0)
-    return _per_radius(r, mean)
+    array of radii.
+
+    The periodic trapezoid runs up to JENSEN_HANDOVER angles. Circles it has
+    not settled by then, with ties sharper than the grid, finish on tie-guarded
+    Gauss-Legendre panels in theta (_tie_guarded_u), one tree per circle, to
+    the trapezoid's tolerance relative to its last estimate.
+    """
+    radii = _checked_radii(r)
+    integrals, _, running = _trapezoid_levels(curve.u, radii, tol, JENSEN_HANDOVER)
+    if running.size:
+        # |z| = r is the image of the segment from -i log r to 2pi - i log r under z = e^{ix}
+        a = -1j * np.log(radii[running])
+        integrals[running] = adaptive_gauss(
+            _tie_guarded_u(curve), a, a + 2 * np.pi,
+            tol * np.maximum(1.0, np.abs(integrals[running])), JENSEN_MAX_PANELS)
+    return _per_radius(r, integrals / (2 * np.pi) - curve.u(0.0))
+
+
+def _tie_guarded_u(curve: HolomorphicCurve):
+    """u(e^{ix}) at the nodes of each panel row x, and the panel's tie guard:
+    its 17 points share one winning row of log_moduli, or exactly two whose gap
+    changes by at most 1 across it, so the panel is narrower than the layer
+    where u turns from one winner to the other. Without it, a switch past the
+    outermost node, or halves agreeing by chance around an interior switch,
+    passes the whole-vs-halves test."""
+    def integrand(x):
+        rows = curve.compiled.log_moduli(np.exp(1j * x))     # (n + 1, panels, 17)
+        top = rows.max(axis=0)
+        shifted = rows - top                                 # 0 where a row wins
+        wins = (shifted == 0.0).any(axis=2)                  # (n + 1, panels)
+        first, last = wins.argmax(axis=0), len(wins) - 1 - wins[::-1].argmax(axis=0)
+        panel = np.arange(len(top))
+        gap = shifted[first, panel] - shifted[last, panel]
+        accept = (wins.sum(axis=0) <= 2) & (gap.max(axis=1) - gap.min(axis=1) <= 1.0)
+        return (top + 0.5 * np.log(np.exp(2.0 * shifted).sum(axis=0)))[:, 1:-1], accept
+    return integrand
 
 
 def characteristic_area(curve: HolomorphicCurve, r, tol=DEFAULT_TOL):

@@ -206,3 +206,57 @@ class TestAdaptiveGauss:
         # each of the at most 64/2 splits evaluates two halves, and so does
         # each of the at most splits + 2 accepted panels
         assert len(calls) <= 8 + 2 * 64
+
+
+def _rows_peak(rows):
+    # 1/((Re x - 0.3)^2 + 1e-4) + Im x at the nodes of each panel row
+    x = rows[:, 1:-1]
+    return 1.0 / ((x.real - 0.3) ** 2 + 1e-4) + x.imag
+
+
+class TestManyIntervals:
+    def test_each_interval_to_its_own_tolerance(self):
+        # two real intervals and a segment parallel to the real axis
+        a, b = np.array([0.0, 0.0, 2j]), np.array([1.0, 2.0, 1.0 + 2j])
+        tol = np.array([1e-9, 1e-8, 1e-9])
+        values = adaptive_gauss(_rows_peak, a, b, tol)
+        assert values.shape == (3,) and values.dtype == float
+
+        def peak(hi):
+            return (math.atan((hi - 0.3) / 1e-2) + math.atan(0.3 / 1e-2)) / 1e-2
+
+        exact = [peak(1.0), peak(2.0), peak(1.0) + 2.0]
+        assert np.all(np.abs(values - exact) <= tol)
+        # an interval's value does not depend on the intervals beside it
+        for k in range(3):
+            assert adaptive_gauss(_rows_peak, a[k:k + 1], b[k:k + 1], tol[k:k + 1]).tolist() == [values[k]]
+
+    def test_mask_splits_panels_whose_halves_agree(self):
+        calls = []
+
+        def flat(rows, masked):
+            calls.append(len(rows))
+            values = np.ones(rows[:, 1:-1].shape)
+            return (values, (rows[:, -1] - rows[:, 0]).real < 1 / 64) if masked else values
+
+        plain = adaptive_gauss(lambda rows: flat(rows, False), np.array([0.0]), np.array([1.0]), 1e-12)
+        assert calls == [4, 8]
+        calls.clear()
+        masked = adaptive_gauss(lambda rows: flat(rows, True), np.array([0.0]), np.array([1.0]), 1e-12)
+        # a panel is accepted once it is narrower than 1/64: the whole of width
+        # 1/128, whose halves of width 1/256 make the last level
+        assert calls == [4, 8, 16, 32, 64, 128, 256]
+        assert plain.tolist() == [pytest.approx(1.0, abs=1e-15)]
+        assert masked.tolist() == [pytest.approx(1.0, abs=1e-13)]
+
+    def test_levels_split_into_bounded_calls(self):
+        sizes = []
+
+        def counted(rows):
+            sizes.append(rows.size)
+            return np.exp(rows[:, 1:-1].real)
+
+        a = np.linspace(0.0, 1.0, 600)
+        values = adaptive_gauss(counted, a, a + 1.0, 1e-12)
+        np.testing.assert_allclose(values, np.exp(a) * (math.e - 1), rtol=1e-13)
+        assert max(sizes) <= CHUNK_POINTS < sum(sizes[:5])
