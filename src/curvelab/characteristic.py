@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import HolomorphicCurve
-from .polynomials import circle_sign_changes
+from .polynomials import circle_sign_changes, horner, stack
 from .quadrature import _trapezoid_levels, adaptive_gauss, periodic_trapezoid
 
 DEFAULT_TOL = 1e-8
@@ -137,13 +137,11 @@ def circle_mean_max_re(polys, r):
     k, a = cuts.real.astype(int), cuts.imag     # complex numbers sort by real part first
     b = np.where(np.append(k[1:] != k[:-1], True), 2 * np.pi, np.roll(a, -1))
     rk = radii[k]
-    width = max(len(p.coeffs) for p in polys) or 1
-    coeffs = np.array([np.pad(p.coeffs, (0, width - len(p.coeffs))) for p in polys], dtype=complex)
-    mid = rk * np.exp(0.5j * (a + b))
-    c = coeffs[np.argmax([np.asarray(p(mid)).real for p in polys], axis=0)]
+    coeffs = stack(polys)
+    c = coeffs[np.argmax(horner(coeffs, rk * np.exp(0.5j * (a + b))).real, axis=0)]
     # integral of Re sum_m c_m r^m e^{i m theta} over [a, b]
     arcs = (c[:, 0] * (b - a)).real
-    for m in range(1, width):
+    for m in range(1, coeffs.shape[1]):
         arcs += (c[:, m] * rk ** m * (np.exp(1j * m * b) - np.exp(1j * m * a)) / (1j * m)).real
     return _per_radius(r, np.bincount(k, weights=arcs, minlength=len(radii)) / (2 * np.pi))
 

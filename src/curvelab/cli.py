@@ -30,9 +30,10 @@ EXIT_VERDICT_FALSE = 1
 
 
 def _write_json(path: Path, payload: dict):
-    payload = dict(payload)
+    """payload and a timestamp as strict JSON: a non-finite number is written as null."""
+    payload = json.loads(json.dumps(payload), parse_constant=lambda _: None)
     payload["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def _radii(args):

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CurveValidationError
-from .polynomials import ComplexPoly
+from .polynomials import ComplexPoly, horner, stack
 from .quadrature import CHUNK_POINTS
 
 THETA_NODES = 2048   # angles per circle before estimate_growth refines the sup
@@ -95,13 +95,9 @@ class CompiledCurve:
         p = [c.exponent - components[-1].exponent for c in components]
         h = [gj.deriv() + gj * pj.deriv() for gj, pj in zip(g, p)]
         pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-        polys = g + p + [h[i] * g[j] - g[i] * h[j] for i, j in pairs]
-        width = max(len(poly.coeffs) for poly in polys)
-        self.coeffs = np.zeros((len(polys), width), dtype=complex)
-        for row, poly in enumerate(polys):
-            self.coeffs[row, :len(poly.coeffs)] = poly.coeffs
+        self.coeffs = stack(g + p + [h[i] * g[j] - g[i] * h[j] for i, j in pairs])
         self.m = m
-        self._moduli = self.coeffs[:2 * m, :max(len(poly.coeffs) for poly in g + p)]
+        self._moduli = stack(g + p)
         self._first = np.array([i for i, _ in pairs], dtype=int)
         self._second = np.array([j for _, j in pairs], dtype=int)
 
@@ -129,23 +125,14 @@ class CompiledCurve:
         out = out.reshape(rows + z.shape)
         return out if out.shape else float(out)
 
-    @staticmethod
-    def _horner(coeffs, z):
-        acc = np.empty((len(coeffs), z.size), dtype=complex)
-        acc[:] = coeffs[:, -1:]
-        for k in range(coeffs.shape[1] - 2, -1, -1):
-            acc *= z
-            acc += coeffs[:, k:k + 1]
-        return acc
-
     def _log_moduli(self, z):
-        acc = self._horner(self._moduli, z)
+        acc = horner(self._moduli, z)
         with np.errstate(divide="ignore"):
             return acc[self.m:].real + np.log(np.abs(acc[:self.m]))
 
     def _spherical(self, z):
         m = self.m
-        acc = self._horner(self.coeffs, z)
+        acc = horner(self.coeffs, z)
         with np.errstate(divide="ignore"):
             log_g = np.log(np.abs(acc[:m]))
             log_w = np.log(np.abs(acc[2 * m:]))

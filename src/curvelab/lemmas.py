@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polynomials import ComplexPoly, circle_roots
+from .polynomials import ComplexPoly, circle_roots, horner
 
 GRID_SIZE = 4096
 # the boundary angle grid 2*pi*k/GRID_SIZE on the unit circle, shared by every instance
@@ -188,7 +188,7 @@ def _grid_top(qs, autocorr):
 
     rho = |q(e^{i theta})|^2 has rho' = Re p(e^{i theta}), p = sum_k 2ik r_k z^k,
     and the grid argmax has a critical angle of rho within one grid step. So q
-    is evaluated, with npoly.polyval's Horner steps, only at the grid indices
+    is evaluated, by polynomials.horner, only at the grid indices
     floor(theta/step) + (-1, 0, 1, 2) around the angle of every root from one
     circle_roots solve per (length of q, last k with r_k != 0).
     """
@@ -199,7 +199,7 @@ def _grid_top(qs, autocorr):
             d -= 1
         groups.setdefault((len(q), d), []).append(i)
     tops = np.empty(len(qs))
-    for (n, d), rows in groups.items():
+    for (_, d), rows in groups.items():
         if d == 0:      # |q| is constant on the circle: read every grid point
             idx = np.broadcast_to(np.arange(GRID_SIZE), (len(rows), GRID_SIZE))
         else:
@@ -207,10 +207,7 @@ def _grid_top(qs, autocorr):
             theta = np.angle(circle_roots(p, [1.0])[:, 0])
             base = np.floor(theta * (GRID_SIZE / (2 * np.pi))).astype(int)
             idx = (base[..., None] + np.arange(-1, 3)).reshape(len(rows), -1) % GRID_SIZE
-        a, x = np.array([qs[i] for i in rows]), _CIRCLE[idx]
-        acc = a[:, -1:] + x * 0
-        for k in range(n - 2, -1, -1):
-            acc = a[:, k:k + 1] + acc * x
+        acc = horner(np.array([qs[i] for i in rows]), _CIRCLE[idx])
         tops[rows] = np.max(np.abs(acc) ** 2, axis=1)
     return tops
 

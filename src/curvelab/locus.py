@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AsymptoticsError, LocusEmptyError
-from .polynomials import ComplexPoly, cauchy_fraction, refine_angles
+from .polynomials import ComplexPoly, cauchy_fraction, horner, refine_angles, stack
 
 TWO_PI = 2 * math.pi
 _RATIO = 1.01   # radius ratio of consecutive trace circles
@@ -93,7 +93,8 @@ def _pair_active(polys, i, j, z):
     pair indices i, j broadcast against the points z, so each point may
     belong to its own pair. A point off its locus by rounding is still active
     when either member holds the max."""
-    top = tied(np.stack([np.asarray(p(z)).real for p in polys]), 1e-8)
+    values = horner(stack(polys), np.ravel(z)).real
+    top = tied(values.reshape((len(polys),) + np.shape(z)), 1e-8)
     k = np.arange(len(polys)).reshape((-1,) + (1,) * np.ndim(z))
     return np.any(top & ((k == i) | (k == j)), axis=0)
 
@@ -140,7 +141,7 @@ def _transitions(polys, i, j, coeffs, r_lo, r_hi, th_lo, th_hi, flag):
     """Points where the dominance of the branch through (r_lo, th_lo) and
     (r_hi, th_hi) stops being ``flag``, for every bracket at once: bisection
     in r, each probe put on its branch by Newton's method in theta from the
-    mean angle of the bracket's ends. Column k of ``coeffs`` holds the
+    mean angle of the bracket's ends. Row k of ``coeffs`` holds the
     difference polynomial of bracket k."""
     th_hi = th_lo + np.angle(np.exp(1j * (th_hi - th_lo)))
     for _ in range(60):
@@ -210,16 +211,14 @@ def trace_branches(polys, r0, r_max):
     if not pairs:
         return LocusSummary(r0=r0, branches=[], b=-math.inf, c0=0.0)
     theta, col, i, j = _columns(pairs, radii)
-    width = max(len(diff.coeffs) for _, _, diff in pairs)
-    coeffs = np.array([np.pad(diff.coeffs, (0, width - len(diff.coeffs)))
-                       for _, _, diff in pairs]).T[:, col]
+    coeffs = stack([diff for _, _, diff in pairs])[col]
     points = radii[:, None] * np.exp(1j * theta)
     flags = _pair_active(polys, i, j, points)
     active = _tail(flags).all(axis=0)
     k, c = np.nonzero(flags[1:] != flags[:-1])
     ends = np.empty(0, complex)
     if k.size:
-        ends = _transitions(polys, i[c], j[c], coeffs[:, c], radii[k], radii[k + 1],
+        ends = _transitions(polys, i[c], j[c], coeffs[c], radii[k], radii[k + 1],
                             theta[k, c], theta[k + 1, c], flags[k, c])
     branches = []
     for idx, p in enumerate(col):

@@ -17,7 +17,7 @@ from .characteristic import characteristic_jensen, reduced_characteristic
 from .curves import HolomorphicCurve, _logsumexp, estimate_growth
 from .errors import LocusEmptyError
 from .locus import regularity_radius, tail_exponents, tied
-from .polynomials import circle_sign_changes
+from .polynomials import circle_sign_changes, horner, stack
 
 HARVEST_SEEDS = 512        # scan angles per circle for the pairs with u_0
 HARVEST_CAP = 400          # most tie points harvest_tie_points returns
@@ -32,10 +32,9 @@ def harvest_tie_points(curve: HolomorphicCurve, radii):
     jointly attain the maximum, found on circles, in the order radius, pair,
     angle. For i, j >= 1, u_i - u_j = Re(P_i - P_j) changes sign at
     polynomial roots; for the pairs with u_0, the sign changes on HARVEST_SEEDS
-    angles of every circle are bisected all at once, each step evaluating u_0
-    and the u_j of each bracket, until no bracket moves."""
-    comps = curve.components
-    first, second = np.triu_indices(len(comps), 1)
+    angles of every circle are bisected all at once, each step reading the
+    rows of log_moduli at the bracket midpoints, until no bracket moves."""
+    first, second = np.triu_indices(curve.n + 1, 1)
     radii = np.asarray(radii, dtype=float)
     theta = np.linspace(0.0, 2 * np.pi, HARVEST_SEEDS, endpoint=False)
     u = curve.compiled.log_moduli(radii[:, None] * np.exp(1j * theta))
@@ -44,14 +43,11 @@ def harvest_tie_points(curve: HolomorphicCurve, radii):
     pair, k, s = np.nonzero(np.isfinite(d) & np.isfinite(d_next) & ((d > 0) != (d_next > 0)))
     a, b = theta[s], theta[s] + 2 * np.pi / HARVEST_SEEDS
     positive = d[pair, k, s] > 0
-    ends = np.searchsorted(pair, np.arange(len(comps)))    # u_j's brackets: ends[j-1]:ends[j]
+    cols = np.arange(pair.size)
     for _ in range(60):
         mid = 0.5 * (a + b)
-        z = radii[k] * np.exp(1j * mid)
-        gap = comps[0].log_modulus(z)
-        for j, part in enumerate(map(slice, ends[:-1], ends[1:]), 1):
-            gap[part] -= comps[j].log_modulus(z[part])
-        same = (gap > 0) == positive
+        rows = curve.compiled.log_moduli(radii[k] * np.exp(1j * mid))
+        same = (rows[0] - rows[pair + 1, cols] > 0) == positive
         if not np.any(np.where(same, mid != a, mid != b)):
             break       # no bracket moves any more
         a, b = np.where(same, mid, a), np.where(same, b, mid)
@@ -76,7 +72,10 @@ def prop1_check(curve: HolomorphicCurve, points):
     lone = np.flatnonzero(top.sum(axis=0) < 2)
     if lone.size:
         raise ValueError(f"point {z[lone[0]]!r} has no tied dominant pair")
-    slopes = np.stack([c.log_derivative(z) for c in comps])
+    g = [c.poly_factor for c in comps]
+    # f_k'/f_k = g_k'/g_k + P_k', from one pass over the rows g, g' and P'
+    acc = horner(stack(g + [q.deriv() for q in g] + [c.exponent.deriv() for c in comps]), z)
+    slopes = acc[len(g):2 * len(g)] / acc[:len(g)] + acc[2 * len(g):]
     m, k = np.triu_indices(len(comps), 1)
     grad_gap = np.where(top[m] & top[k], np.abs(slopes[m] - slopes[k]), -np.inf).max(axis=0)
     lhs = (curve.n + 1) * np.asarray(curve.spherical_derivative(z))

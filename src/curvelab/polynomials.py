@@ -136,16 +136,37 @@ def circle_roots(coeffs, radii) -> np.ndarray:
     return np.linalg.eigvals(companion)
 
 
+def stack(polys):
+    """Ascending coefficient rows of ``polys``, zero-padded to the longest (at
+    least one column): the one layout that ``horner`` evaluates."""
+    rows = np.zeros((len(polys), max([len(p.coeffs) for p in polys] + [1])), dtype=complex)
+    for row, poly in enumerate(polys):
+        rows[row, :len(poly.coeffs)] = poly.coeffs
+    return rows
+
+
+def horner(coeffs, z):
+    """The rows of ``coeffs``, laid out as by ``stack``, by Horner steps in place
+    at the points z: shape (N,) for the same points on every row, or (rows, N)
+    for each row's own. Returns (rows, N) complex values."""
+    acc = np.empty(np.broadcast_shapes((len(coeffs), 1), np.shape(z)), dtype=complex)
+    acc[:] = coeffs[:, -1:]
+    for k in range(coeffs.shape[1] - 2, -1, -1):
+        acc *= z
+        acc += coeffs[:, k:k + 1]
+    return acc
+
+
 def refine_angles(coeffs, r, theta):
-    """Guarded Newton steps in theta on Re p(r e^{i theta}) = 0, where p has
-    the ascending coefficients ``coeffs`` along axis 0; further axes of
-    ``coeffs`` broadcast against ``r`` and ``theta``, so each angle may have
-    its own polynomial. A step of 1e-3 or more leaves the angle where it is."""
-    slope = npoly.polyder(coeffs)
+    """Guarded Newton steps in theta on Re p(r e^{i theta}) = 0 for each angle
+    of ``theta``, with p the matching row of ``coeffs`` (as ``stack`` lays them
+    out) and r the matching radius. A step of 1e-3 or more leaves the angle
+    where it is."""
+    slope = npoly.polyder(coeffs, axis=1)
     for _ in range(_NEWTON_STEPS):
-        z = r * np.exp(1j * theta)
-        h = npoly.polyval(z, coeffs, tensor=False).real
-        dh = -(z * npoly.polyval(z, slope, tensor=False)).imag
+        z = (r * np.exp(1j * theta))[:, None]
+        h = horner(coeffs, z)[:, 0].real
+        dh = -(z * horner(slope, z))[:, 0].imag
         with np.errstate(divide="ignore", invalid="ignore"):
             step = h / dh
         theta = np.where(np.abs(step) < _MAX_NEWTON_STEP, theta - step, theta)
@@ -165,12 +186,10 @@ def circle_sign_changes(polys, radii):
     either side of it, so tangent zeros and roots just off the circle drop out.
     """
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
-    stack = np.zeros((len(polys), max([len(p.coeffs) for p in polys] + [1])), dtype=complex)
-    for row, poly in enumerate(polys):
-        stack[row, :len(poly.coeffs)] = poly.coeffs
+    coeffs = stack(polys)
     first, second = np.triu_indices(len(polys), 1)
-    diffs = stack[first] - stack[second]
-    degree = np.max(np.where(diffs != 0, np.arange(stack.shape[1]), 0), axis=1, initial=0)
+    diffs = coeffs[first] - coeffs[second]
+    degree = np.max(np.where(diffs != 0, np.arange(coeffs.shape[1]), 0), axis=1, initial=0)
     group, theta = np.empty(0, dtype=int), np.empty(0)     # group = pair * len(radii) + circle
     for d in np.unique(degree[degree > 0]):
         rows = np.flatnonzero(degree == d)
@@ -179,7 +198,7 @@ def circle_sign_changes(polys, radii):
         group = np.append(group, rows[p] * len(radii) + k)
         theta = np.append(theta, np.angle(roots[p, k, m]))
     pair, circle = np.divmod(group, len(radii))
-    theta = np.mod(refine_angles(diffs[pair].T, radii[circle], theta), 2 * np.pi)
+    theta = np.mod(refine_angles(diffs[pair], radii[circle], theta), 2 * np.pi)
     # sorted by group, then angle, without repeats: complex numbers sort by real part first
     key = np.unique(group + 1j * theta)
     (pair, circle), theta = np.divmod(key.real.astype(int), len(radii)), key.imag
@@ -188,7 +207,7 @@ def circle_sign_changes(polys, radii):
     g = np.cumsum(start) - 1
     mids = 0.5 * (theta + np.where(end, theta[start][g] + 2 * np.pi, np.roll(theta, -1)))
     z = radii[circle] * np.exp(1j * mids)
-    positive = npoly.polyval(z, diffs[pair].T, tensor=False).real > 0
+    positive = horner(diffs[pair], z[:, None])[:, 0].real > 0
     change = positive != np.where(start, positive[end][g], np.roll(positive, 1))
     return pair[change], circle[change], theta[change]
 

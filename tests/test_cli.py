@@ -85,6 +85,15 @@ class TestCommands:
         report = json.loads((tmp_path / "bound_report.json").read_text())
         assert all(report["verdicts"].values())
 
+    def test_bound_report_is_strict_json(self, tmp_path, capsys):
+        # n = 1: the empty locus gives prop3 b = -inf, which is written as null
+        main(["verify-bound", "--input", str(FIXTURES / "line.json"), "--out", str(tmp_path)])
+
+        def reject(constant):
+            raise ValueError(f"{constant} in bound_report.json")
+        report = json.loads((tmp_path / "bound_report.json").read_text(), parse_constant=reject)
+        assert report["prop3"]["b"] is None
+
     def test_locus_outputs(self, tmp_path, capsys):
         status = main(["locus", "--input", str(FIXTURES / "product2.json"),
                        "--out", str(tmp_path), "--rmax", "30"])

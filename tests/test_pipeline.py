@@ -20,7 +20,7 @@ from curvelab import (
 )
 from curvelab.errors import LocusEmptyError
 from curvelab.locus import tied
-from curvelab.polynomials import circle_sign_changes
+from curvelab.polynomials import ComplexPoly, circle_sign_changes
 from test_characteristic import FIXTURE_NAMES, FIXTURES, _sign_changes
 
 
@@ -48,7 +48,7 @@ class TestProp1:
 
     def test_matches_per_point_loop(self):
         # reference: the per-point loop that the vectorised tie test and
-        # gradient gap replace; only the order of polynomial evaluation differs
+        # gradient gap replace, with the same arithmetic at every point
         rng = np.random.default_rng(5)
 
         def coeffs(d):
@@ -67,7 +67,7 @@ class TestProp1:
                       for a, m in enumerate(top) for k in top[a + 1:])
             worst = min(worst, 4 * float(curve.spherical_derivative(z)) - gap)
         assert len(points) > 10
-        assert prop1_check(curve, points) == pytest.approx(worst, rel=1e-12)
+        assert prop1_check(curve, points) == worst
 
 
 def _scan_sign_changes(diff, r, seeds):
@@ -189,6 +189,23 @@ class TestHarvest:
             assert got.tobytes() == expected.tobytes()
             found += got.size > 0
         assert found >= 6
+
+    def test_no_per_component_evaluation(self, monkeypatch):
+        # the harvest and prop1 read only the stacked rows of the compiled curve
+        calls = {}
+        for cls, name in ((ComplexPoly, "__call__"), (CurveComponent, "log_modulus"),
+                          (CurveComponent, "log_derivative")):
+            def counted(*args, _original=getattr(cls, name), _name=name):
+                calls[_name] += 1
+                return _original(*args)
+            calls[name] = 0
+            monkeypatch.setattr(cls, name, counted)
+        for curve in (load_curve(FIXTURES / "product2.json"),
+                      _random_curve(np.random.default_rng(3), 3, "polyexp")):
+            points = harvest_tie_points(curve, [1.0, 3.0, 8.0])
+            assert points
+            prop1_check(curve, points)
+        assert calls == {"__call__": 0, "log_modulus": 0, "log_derivative": 0}
 
 
 class TestProp2:

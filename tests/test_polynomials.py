@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from curvelab.polynomials import ComplexPoly, cauchy_fraction, circle_sign_changes
+from curvelab.polynomials import ComplexPoly, cauchy_fraction, circle_sign_changes, horner, stack
 
 
 def test_trimming_and_degree():
@@ -34,6 +34,31 @@ def test_zero_polynomial_evaluation():
     assert zero(3.0) == 0
     assert np.all(zero(np.array([1.0, 2.0])) == 0)
     assert zero.deriv().is_zero
+
+
+STACKS = {
+    "zero": [ComplexPoly()],
+    "constants": [ComplexPoly([2.5]), ComplexPoly([-1j]), ComplexPoly()],
+    "mixed_widths": [ComplexPoly([1, 2j, -3]), ComplexPoly([0.5]), ComplexPoly(),
+                     ComplexPoly([0, 0, 0, 0, 1 - 1j]), ComplexPoly([-2, 0.25 + 4j])],
+}
+
+
+@pytest.mark.parametrize("shape", ["shared", "per_row", "empty"])
+@pytest.mark.parametrize("name", list(STACKS))
+def test_horner_matches_each_polynomial(name, shape):
+    polys = STACKS[name]
+    rng = np.random.default_rng(len(polys))
+    # z of shape (N,), the same points on every row, or (rows, N), each row's own
+    size = {"shared": (7,), "per_row": (len(polys), 7), "empty": (0,)}[shape]
+    z = 3 * (rng.normal(size=size) + 1j * rng.normal(size=size))
+    got = horner(stack(polys), z)
+    rows = z if z.ndim == 2 else [z] * len(polys)
+    expected = np.stack([p(row) for p, row in zip(polys, rows)])
+    # equal values, and so equal bits up to the sign of a zero part: polyval
+    # adds z*0 to the top coefficient, where horner copies it
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected)
 
 
 def test_cauchy_fraction():
