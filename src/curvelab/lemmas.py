@@ -11,17 +11,23 @@ are affine-covariant, so gradients pick up a single 1/R factor.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
-from .polynomials import ComplexPoly, circle_roots, horner
+from .polynomials import ComplexPoly, horner
 
 GRID_SIZE = 4096
 # the boundary angle grid 2*pi*k/GRID_SIZE on the unit circle, shared by every instance
 _CIRCLE = np.exp(1j * (np.arange(GRID_SIZE) * (2 * np.pi / GRID_SIZE)))
 BOUNDARY_TOL = 1e-10   # relative |v(z1)| above which z1 is not a boundary zero
+_MAX_ATOMS = 4         # atoms of a superharmonic instance, at most
+_NONZERO_AT_Z1 = "precondition violated: v(z1) = {!r}, expected 0"
+_ATOM_ON_HALF_CIRCLE = "atom too close to the half-radius circle; mass ill-defined"
 
 
 def green_disc(z, zeta):
@@ -138,7 +144,7 @@ def verify_lemma1(v: DiscHarmonic, z1):
     the boundary point z1. Returns (lhs, rhs, margin)."""
     val, lhs = v.value(z1), v.value(v.center)
     if abs(val) > BOUNDARY_TOL * max(1.0, abs(lhs)):
-        raise ValueError(f"precondition violated: v(z1) = {val!r}, expected 0")
+        raise ValueError(_NONZERO_AT_Z1.format(val))
     rhs = 2.0 * v.radius * abs(v.grad(z1))
     return lhs, rhs, rhs - lhs
 
@@ -148,10 +154,10 @@ def verify_lemma2(v: DiscSuperharmonic, z1):
     val = v.value(z1)
     scale = 1.0 + sum(wt for _, wt in v.masses)
     if abs(val) > BOUNDARY_TOL * scale:
-        raise ValueError(f"precondition violated: v(z1) = {val!r}, expected 0")
+        raise ValueError(_NONZERO_AT_Z1.format(val))
     for zeta, _ in v.masses:
         if abs(abs(zeta - v.center) - v.radius / 2) < 1e-6 * v.radius:
-            raise ValueError("atom too close to the half-radius circle; mass ill-defined")
+            raise ValueError(_ATOM_ON_HALF_CIRCLE)
     mass = v.mass_inner_half()
     rhs = 3.0 * v.radius * abs(v.grad(z1))
     return mass, rhs, rhs - mass
@@ -171,7 +177,7 @@ def _draw(rng, superharmonic):
     if not superharmonic:
         return center, radius, w1, q, None
     masses = []
-    for _ in range(int(rng.integers(1, 5))):
+    for _ in range(int(rng.integers(1, _MAX_ATOMS + 1))):
         while True:
             rho = math.sqrt(rng.uniform(0.0, 0.9))
             if abs(rho - 0.5) > 1e-3:
@@ -182,6 +188,28 @@ def _draw(rng, superharmonic):
     return center, radius, w1, q, masses
 
 
+@functools.lru_cache
+def _half_angle_basis(d):
+    """Row k = 0..d: ascending coefficients in t of (1 + it)^(d+k) (1 - it)^(d-k)."""
+    return np.array([npoly.polymul(npoly.polypow([1, 1j], d + k), npoly.polypow([1, -1j], d - k))
+                     for k in range(d + 1)])
+
+
+def _critical_angles(p):
+    """Per row p (ascending, degree d >= 1), 2d angles among which are all zeros
+    of Re p(e^{i theta}), from one stacked real companion solve in
+    t = tan((theta - phi)/2) (see README)."""
+    d, k = p.shape[1] - 1, np.arange(p.shape[1])
+    phis = np.arange(2 * d + 1) * (2 * np.pi / (2 * d + 1))
+    # the t^(2d) coefficient is Re p(-e^{i phi}): phi makes it largest in size
+    phi = phis[np.argmax(np.abs((p @ np.exp(1j * np.outer(k, phis + np.pi))).real), axis=1)]
+    coeffs = ((p * np.exp(1j * np.outer(phi, k))) @ _half_angle_basis(d)).real
+    companion = np.zeros((len(p), 2 * d, 2 * d))
+    companion[:, 0, :] = -coeffs[:, -2::-1] / coeffs[:, -1:]
+    companion[:, np.arange(1, 2 * d), np.arange(2 * d - 1)] = 1.0
+    return phi[:, None] + 2.0 * np.arctan(np.linalg.eigvals(companion).real)
+
+
 def _grid_top(qs, autocorr):
     """max |q|^2 over _CIRCLE for each coefficient array q in qs, given its
     autocorrelation r_k = sum_j q_{j+k} conj(q_j), k >= 0.
@@ -189,8 +217,8 @@ def _grid_top(qs, autocorr):
     rho = |q(e^{i theta})|^2 has rho' = Re p(e^{i theta}), p = sum_k 2ik r_k z^k,
     and the grid argmax has a critical angle of rho within one grid step. So q
     is evaluated, by polynomials.horner, only at the grid indices
-    floor(theta/step) + (-1, 0, 1, 2) around the angle of every root from one
-    circle_roots solve per (length of q, last k with r_k != 0).
+    floor(theta/step) + (-1, 0, 1, 2) around every angle from one
+    _critical_angles solve per (length of q, last k with r_k != 0).
     """
     groups = {}
     for i, (q, r) in enumerate(zip(qs, autocorr)):
@@ -204,39 +232,122 @@ def _grid_top(qs, autocorr):
             idx = np.broadcast_to(np.arange(GRID_SIZE), (len(rows), GRID_SIZE))
         else:
             p = np.array([autocorr[i][:d + 1] for i in rows]) * (2j * np.arange(d + 1))
-            theta = np.angle(circle_roots(p, [1.0])[:, 0])
-            base = np.floor(theta * (GRID_SIZE / (2 * np.pi))).astype(int)
+            base = np.floor(_critical_angles(p) * (GRID_SIZE / (2 * np.pi))).astype(int)
             idx = (base[..., None] + np.arange(-1, 3)).reshape(len(rows), -1) % GRID_SIZE
         acc = horner(np.array([qs[i] for i in rows]), _CIRCLE[idx])
         tops[rows] = np.max(np.abs(acc) ** 2, axis=1)
     return tops
 
 
-def random_lemma_family(seed, count, kind="mixed"):
-    """Deterministic family of lemma instances paired with their boundary
-    zero z1. kind is one of "harmonic", "superharmonic", "mixed".
+_Family = namedtuple("_Family", "center radius z1 h zeta weight live")
 
-    A harmonic part has the boundary density |q(e^{i theta})|^2 scaled to a
-    grid maximum of 10, so v = Re h, h = c_0 + 2 sum_k c_k w^k, where c is
-    the autocorrelation of q's coefficients times 10 / top. Every instance is
-    drawn first, in rng order; then one _grid_top call gives every top.
-    """
+
+def _family_arrays(seed, count, kind):
+    """random_lemma_family(seed, count, kind) as a _Family, one row per
+    instance: centres, radii, boundary zeros, h zero-padded to at least 2
+    columns, and four atom slots, each with its location, weight and whether it
+    was drawn; an empty slot sits at the centre with weight 0."""
     if kind not in ("harmonic", "superharmonic", "mixed"):
         raise ValueError(f"kind must be 'harmonic', 'superharmonic' or 'mixed', got {kind!r}")
     rng = np.random.default_rng(seed)
     draws = [_draw(rng, kind == "superharmonic" or (kind == "mixed" and k % 2 == 1))
              for k in range(count)]
-    qs = [q for _, _, _, q, _ in draws]
-    autocorr = [np.correlate(q, q, "full")[len(q) - 1:] for q in qs]
-    out = []
-    for (center, radius, w1, _, masses), r, top in zip(draws, autocorr, _grid_top(qs, autocorr)):
-        c = r * (10.0 / top)
-        c[1:] *= 2.0
-        v = DiscHarmonic.from_real_part_poly(center, radius, c)
-        if masses is not None:
-            v = DiscSuperharmonic(center, radius, masses, v)
-        out.append((v, center + radius * w1))
-    return out
+    autocorr = [np.correlate(q, q, "full")[len(q) - 1:] for _, _, _, q, _ in draws]
+    center = np.array([d[0] for d in draws], dtype=complex)
+    h = np.zeros((count, max([len(r) for r in autocorr] + [2])), dtype=complex)
+    zeta, weight = np.repeat(center[:, None], _MAX_ATOMS, axis=1), np.zeros((count, _MAX_ATOMS))
+    for i, ((*_, masses), r) in enumerate(zip(draws, autocorr)):
+        h[i, :len(r)] = r
+        if masses:
+            zeta[i, :len(masses)], weight[i, :len(masses)] = zip(*masses)
+    h *= (10.0 / _grid_top([d[3] for d in draws], autocorr))[:, None]
+    h[:, 1:] *= 2.0
+    live = np.arange(_MAX_ATOMS) < np.array([len(d[4] or ()) for d in draws], dtype=int)[:, None]
+    z1 = np.array([a + r * w1 for a, r, w1, _, _ in draws], dtype=complex)
+    return _Family(center, np.array([d[1] for d in draws]), z1, h, zeta, weight, live)
+
+
+def _instance(family, i):
+    """Instance i of a _Family as the pair (v, z1) of random_lemma_family."""
+    v = DiscHarmonic.from_real_part_poly(family.center[i], family.radius[i], family.h[i])
+    live = family.live[i]
+    masses = list(zip(family.zeta[i, live], family.weight[i, live].tolist()))
+    return (DiscSuperharmonic(v.center, v.radius, masses, v) if masses else v), family.z1[i]
+
+
+def random_lemma_family(seed, count, kind="mixed"):
+    """Deterministic family of lemma instances paired with their boundary
+    zero z1. kind is one of "harmonic", "superharmonic", "mixed".
+
+    Every instance is drawn first, in rng order; then one _grid_top call gives
+    every top. A harmonic part has the boundary density |q(e^{i theta})|^2
+    scaled to a grid maximum of 10, so v = Re h, h = c_0 + 2 sum_k c_k w^k,
+    where c is the autocorrelation of q's coefficients times 10 / top.
+    """
+    family = _family_arrays(seed, count, kind)
+    return [_instance(family, i) for i in range(count)]
+
+
+# The array margins round every operation as the scalar verifiers do: numpy's
+# array complex add and divide round as its scalar ones, but its multiply may
+# fuse (FMA), its abs and log round otherwise, and CPython divides otherwise.
+_log = np.frompyfunc(math.log, 1, 1)
+
+
+def _times(a, b):
+    """a * b from real products, as the scalar complex multiply rounds it."""
+    return (a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag + a.imag * b.real)
+
+
+def _horner(c, x):
+    """Each row of c (ascending) at its own point x, by Horner steps in real products."""
+    acc = c[:, -1]
+    for k in range(c.shape[1] - 2, -1, -1):
+        acc = _times(acc, x) + c[:, k]
+    return acc
+
+
+def _py_divide(n, d):
+    """n / d as CPython's complex division rounds it: Smith's method, dividing
+    by the scaled denominator where numpy multiplies by its reciprocal."""
+    big = np.abs(d.real) >= np.abs(d.imag)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(big, d.imag / d.real, d.real / d.imag)
+        denom = np.where(big, d.real + d.imag * ratio, d.real * ratio + d.imag)
+        re = np.where(big, n.real + n.imag * ratio, n.real * ratio + n.imag)
+        im = np.where(big, n.imag - n.real * ratio, n.imag * ratio - n.real)
+    return re / denom + 1j * (im / denom)
+
+
+def _margins(family):
+    """verify_lemma1(v, z1)[2] for each instance of a _Family without atoms and
+    verify_lemma2(v, z1)[2] for each with, bit for bit; a failed precondition
+    raises the verifier's ValueError for the first instance that fails one."""
+    center, radius, z1, h, atoms, weight, live = family
+    w = _py_divide(z1 - center, radius)
+    val, lhs = _horner(h, w).real, h.real[:, 0]
+    grad = np.conj(_horner(h[:, 1:] * np.arange(1, h.shape[1]), w)) / radius    # conj(h'(w)) / R
+    offset = atoms - center[:, None]
+    zeta, w = _py_divide(offset, radius[:, None]), w[:, None]
+    den = 1 - _times(w, np.conj(zeta))
+    green = _log(np.hypot(den.real, den.imag)) - _log(np.hypot((w - zeta).real, (w - zeta).imag))
+    terms = weight * np.conj(-np.conj(zeta) / den - _py_divide(1.0, w - zeta))
+    dist = np.hypot(offset.real, offset.imag)
+    value = total = mass = s = 0.0
+    for g, wt, d, t in zip(green.T.astype(float), weight.T, dist.T, terms.T):    # in sum's order
+        value, total, s = value + wt * g, total + wt, s + t
+        mass = mass + np.where(d < radius / 2, wt, 0.0)
+    harmonic, value = ~live.any(axis=1), value + val
+    scale = np.where(harmonic, np.maximum(1.0, np.abs(lhs)), 1.0 + total)
+    bad_value = np.abs(value) > BOUNDARY_TOL * scale
+    bad_atom = live & (np.abs(dist - radius[:, None] / 2) < 1e-6 * radius[:, None])
+    bad = np.flatnonzero(bad_value | bad_atom.any(axis=1))
+    if bad.size:
+        raise ValueError(_NONZERO_AT_Z1.format(float(value[bad[0]])) if bad_value[bad[0]]
+                         else _ATOM_ON_HALF_CIRCLE)
+    g = s / radius + grad
+    rhs = np.where(harmonic, 2.0, 3.0) * radius * np.hypot(g.real, g.imag)
+    return rhs - np.where(harmonic, lhs, mass)
 
 
 def harness_report(seed, count):
@@ -245,9 +356,8 @@ def harness_report(seed, count):
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count!r}")
     report, failures = {"seed": seed, "count": count}, []
-    for kind, family_seed, verify in (("harmonic", seed, verify_lemma1),
-                                      ("superharmonic", seed + 1, verify_lemma2)):
-        margins = [verify(v, z1)[2] for v, z1 in random_lemma_family(family_seed, count, kind)]
+    for kind, family_seed in (("harmonic", seed), ("superharmonic", seed + 1)):
+        margins = _margins(_family_arrays(family_seed, count, kind)).tolist()
         failures += [{"kind": kind, "index": idx, "margin": margin}
                      for idx, margin in enumerate(margins) if margin < -1e-8]
         report[f"{kind}_min_margin"] = min(margins)

@@ -290,6 +290,28 @@ class TestHarnessAgainstReference:
         want = _report_two_loops(seed, 50)
         assert json.dumps(got) == json.dumps(want)
 
+    @pytest.mark.parametrize("seed", range(1, 21))
+    def test_array_margins_match_verifiers(self, seed):
+        for kind, verify in (("harmonic", verify_lemma1), ("superharmonic", verify_lemma2)):
+            got = lemmas._margins(lemmas._family_arrays(seed, 250, kind))
+            want = np.array([verify(v, z1)[2] for v, z1 in random_lemma_family(seed, 250, kind)])
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind, craft", [("harmonic", "value"), ("superharmonic", "value"),
+                                             ("superharmonic", "atom")])
+    def test_array_preconditions_raise_as_verifiers(self, kind, craft):
+        family = lemmas._family_arrays(3, 6, kind)
+        if craft == "value":
+            family.h[4, 0] += 1.0       # v(z1) is 1 plus rounding
+        else:                           # an atom 1e-7 R outside the half-radius circle
+            family.zeta[4, 0] = family.center[4] + family.radius[4] * (0.5 + 1e-7) * np.exp(0.3j)
+        verify = verify_lemma1 if kind == "harmonic" else verify_lemma2
+        with pytest.raises(ValueError) as want:
+            verify(*lemmas._instance(family, 4))
+        with pytest.raises(ValueError) as got:
+            lemmas._margins(family)
+        assert str(got.value) == str(want.value)
+
 
 def _scanned_top(q):
     """max |q|^2 over all 4096 points of the shared grid."""
@@ -350,6 +372,20 @@ class TestCriticalAngleMaximum:
                    for k in (-2, -1, 0, 1, 2)]
         assert rho[0] < rho[1] > rho[2] < rho[3] > rho[4] and 4 * s < step
         assert _critical_angle_tops([q])[0] == _scanned_top(q)
+
+    @pytest.mark.parametrize("k1", [0, 2048])
+    def test_real_coefficients(self, k1):
+        # a real q makes rho even, so rho'(0) = rho'(pi) = 0 and the half-angle
+        # polynomial with phi = 0 would lose its leading coefficient
+        rng = np.random.default_rng(k1)
+        w1 = lemmas._CIRCLE[k1].real        # exactly 1 or -1
+        qs = [np.convolve([-w1, 1.0], rng.normal(size=deg + 1)) for deg in rng.integers(0, 4, size=200)]
+        assert _critical_angle_tops(qs).tolist() == [_scanned_top(q) for q in qs]
+
+    def test_random_real_polynomials(self):
+        rng = np.random.default_rng(2025)
+        qs = [rng.normal(size=deg + 1) for deg in rng.integers(1, 5, size=20000)]
+        assert _critical_angle_tops(qs).tolist() == [_scanned_top(q) for q in qs]
 
     def test_vanishing_constant_coefficient(self):
         # q_0 = 0 zeroes the leading coefficient r_m of the critical-angle
