@@ -54,7 +54,7 @@ def _disk_integrals(curve: HolomorphicCurve, radii, tol):
     sd = curve.spherical_derivative
 
     def energy(s):
-        return periodic_trapezoid(lambda z: np.asarray(sd(z)) ** 2, s, min(tol, 1e-9))
+        return periodic_trapezoid(lambda z: sd(z, squared=True), s, min(tol, 1e-9))
 
     out = np.empty((radii.size, 2))
     for k, r in enumerate(radii.tolist()):

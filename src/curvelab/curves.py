@@ -3,9 +3,10 @@
 Every component is g(z) * e^{P(z)} with g, P polynomials; the three public
 variants are g alone ("poly"), e^P alone ("exppoly"), and the product
 ("polyexp"). One kernel, CompiledCurve, evaluates log|f_k / e^{P_n}| (which is
-log|f_k| on a HolomorphicCurve, where f_n = 1), u and ||f'|| in log domain, so
-components with Re P in the thousands never overflow: the shared exponential
-factors of the Wronskian terms cancel against the norm before exponentiation.
+log|f_k| on a HolomorphicCurve, where f_n = 1), u and ||f'|| with every
+exponential taken relative to the largest log|f_k|, so components with Re P in
+the thousands never overflow: the shared exponential factors of the Wronskian
+terms cancel against the norm before exponentiation.
 """
 
 from __future__ import annotations
@@ -13,11 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CurveValidationError
-from .polynomials import ComplexPoly, horner, stack
+from .polynomials import ComplexPoly, horner, running_rows, stack
 from .quadrature import CHUNK_POINTS
 
 THETA_NODES = 2048   # angles per circle before estimate_growth refines the sup
@@ -66,14 +68,114 @@ class CurveComponent:
         return self.poly_factor.deriv()(z) / self.poly_factor(z) + self.exponent.deriv()(z)
 
 
+def _rowsum(a):
+    """a.sum(axis=0) with the rows added in order: numpy sums a lone column pairwise."""
+    return a.sum(axis=0) if a.size > len(a) else sum(a)
+
+
 def _logsumexp(a):
     """log(sum(exp(a), axis=0)), shifted by the column max (unshifted where it is not
-    finite, so all -inf gives -inf). Rows add in order; numpy sums a lone column pairwise."""
+    finite, so all -inf gives -inf)."""
     top = a.max(axis=0)
     top = np.where(np.isfinite(top), top, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        e = np.exp(a - top)
-        return np.log(e.sum(axis=0) if e.size > len(e) else sum(e)) + top
+        return np.log(_rowsum(np.exp(a - top))) + top
+
+
+def _top_two(rows):
+    """The largest and the second largest entry of each column of rows (two or more)."""
+    top, second = np.maximum(rows[0], rows[1]), np.minimum(rows[0], rows[1])
+    for row in rows[2:]:
+        second = np.maximum(second, np.minimum(top, row))
+        top = np.maximum(top, row)
+    return top, second
+
+
+def _log_abs(a):
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(a))
+
+
+def _abs2(a):
+    return a.real * a.real + a.imag * a.imag
+
+
+def _index(rows):
+    """The list rows as a slice where it runs in steps of one, else as an array."""
+    first = rows[0] if rows else 0
+    return slice(first, first + len(rows)) if rows == list(range(first, first + len(rows))) else np.array(rows)
+
+
+class _Group(NamedTuple):
+    """Rows of a _Stack: those that vary (index), their rows of its coeffs, the
+    constant ones (index array) and their values, shaped (rows, 1)."""
+    size: int
+    var: object
+    rows: object
+    const: np.ndarray
+    values: np.ndarray
+
+
+class _Stack:
+    """Groups of polynomial rows of a curve for polynomials.horner, the first
+    two the g_k and the P_k. The nonconstant rows are stacked once, widest
+    first, so that each Horner step runs only the rows still running; a zero
+    row pads a lone one to two. A constant row never enters the loop: its
+    value is read once, here."""
+
+    def __init__(self, *groups):
+        polys = [p for group in groups for p in group]
+        var = sorted((k for k, p in enumerate(polys) if len(p.coeffs) > 1),
+                     key=lambda k: -len(polys[k].coeffs))
+        self.coeffs = stack([polys[k] for k in var] + [ComplexPoly()] * (len(var) == 1))
+        self.live = running_rows(self.coeffs)
+        at, lo, self.groups = {k: r for r, k in enumerate(var)}, 0, []
+        for group in groups:
+            var = [k for k in range(len(group)) if lo + k in at]
+            const = [k for k in range(len(group)) if lo + k not in at]
+            values = [group[k].coeffs[0] if group[k].coeffs else 0 for k in const]
+            self.groups.append(_Group(len(group), _index(var), _index([at[lo + k] for k in var]),
+                                      np.array(const, dtype=int), np.array(values, dtype=complex)[:, None]))
+            lo += len(group)
+        g, p = self.groups[:2]
+        # Re P_k and log|g_k| where they are constant, 0 where they vary
+        self.re_p, self.log_g = np.zeros((2, g.size, 1))
+        self.re_p[p.const], self.log_g[g.const] = p.values.real, _log_abs(g.values)
+
+    def moduli(self, acc):
+        """(Re P_k, log|f_k|) from the horner rows acc, (n+1, points) each.
+        log|f_k| adds 0 and then log|g_k| to Re P_k where g_k varies, which
+        rounds as Re P_k + log|g_k|."""
+        g, p = self.groups[:2]
+        re_p = np.repeat(self.re_p, acc.shape[1], axis=1)
+        re_p[p.var] = acc.real[p.rows]
+        log_f = re_p + self.log_g
+        log_f[g.var] += _log_abs(acc[g.rows])
+        return re_p, log_f
+
+    def take(self, acc, group, fn, of_constant=None):
+        """fn of the horner rows acc, for the rows of a group that vary, and
+        of_constant (fn by default) of the values of those that do not:
+        shaped (rows of the group, points)."""
+        group = self.groups[group]
+        if not group.const.size:
+            return fn(acc[group.rows])
+        out = np.empty((group.size,) + acc.shape[1:])
+        out[group.var] = fn(acc[group.rows])
+        out[group.const] = (of_constant or fn)(group.values)
+        return out
+
+
+# The product form of ||f'||^2 stands where the two largest log|f_k| are at
+# most _GAP_MAX apart, their E_k^2 are normal numbers (with the rescale
+# beyond _GAP_PLAIN), and the numerator is at least _NUM_MIN: there the
+# factors and terms that count are normal. Other points fall back to the log
+# form.
+_GAP_PLAIN = 300.0
+_GAP_MAX = 600.0
+_NORMAL = np.finfo(float).tiny
+_NUM_MIN = 2.0 ** -960
+_HALF_LOG2E = 0.5 / math.log(2.0)
 
 
 class CompiledCurve:
@@ -84,9 +186,9 @@ class CompiledCurve:
     of log_moduli are log|f_k / e^{P_n}|, exactly log|f_k| when f_n = 1.
     ||f'||^2 = ||f||^-4 * sum_{i<j} |f_i' f_j - f_i f_j'|^2 is unchanged by
     the common factor, and each Wronskian term is e^{P_i + P_j} times the
-    pair polynomial h_i g_j - g_i h_j, h_j = g_j' + g_j P_j'. The stack holds
-    g_0..g_n, the exponents and the pair polynomials for i < j, ascending and
-    zero-padded; log|f_k| and u read the first 2(n+1) rows at their width.
+    pair polynomial w_ij = h_i g_j - g_i h_j, h_j = g_j' + g_j P_j'. One
+    _Stack holds the g_k and P_k, for log|f_k| and u; a second holds these
+    and the w_ij, i < j, for ||f'||.
     """
 
     def __init__(self, components):
@@ -95,11 +197,13 @@ class CompiledCurve:
         p = [c.exponent - components[-1].exponent for c in components]
         h = [gj.deriv() + gj * pj.deriv() for gj, pj in zip(g, p)]
         pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-        self.coeffs = stack(g + p + [h[i] * g[j] - g[i] * h[j] for i, j in pairs])
         self.m = m
-        self._moduli = stack(g + p)
+        self._moduli = _Stack(g, p)
+        self._all = _Stack(g, p, [h[i] * g[j] - g[i] * h[j] for i, j in pairs])
         self._first = np.array([i for i, _ in pairs], dtype=int)
         self._second = np.array([j for _, j in pairs], dtype=int)
+        # the rows of the pairs (i, j > i) of each i
+        self._blocks = [slice(i * m - i * (i + 1) // 2, (i + 1) * m - (i + 1) * (i + 2) // 2) for i in range(m - 1)]
 
     def log_moduli(self, z):
         """(n+1, *z.shape) rows log|f_k(z)|, -inf at zeros of g_k."""
@@ -109,9 +213,10 @@ class CompiledCurve:
         """log ||f(z)|| at z, any shape; a float for a scalar z."""
         return self._chunked(lambda w: 0.5 * _logsumexp(2.0 * self._log_moduli(w)), z)
 
-    def spherical_derivative(self, z):
-        """||f'|| at z, any shape; a float for a scalar z."""
-        return self._chunked(self._spherical, z)
+    def spherical_derivative(self, z, squared=False):
+        """||f'|| at z, or ||f'||^2 when squared, any shape; a float for a
+        scalar z."""
+        return self._chunked(lambda w: self._spherical(w, squared), z)
 
     @staticmethod
     def _chunked(kernel, z, rows=()):
@@ -126,28 +231,70 @@ class CompiledCurve:
         return out if out.shape else float(out)
 
     def _log_moduli(self, z):
-        acc = horner(self._moduli, z)
-        with np.errstate(divide="ignore"):
-            return acc[self.m:].real + np.log(np.abs(acc[:self.m]))
+        rows = self._moduli
+        return rows.moduli(horner(rows.coeffs, z, rows.live))[1]
 
-    def _spherical(self, z):
-        m = self.m
-        acc = horner(self.coeffs, z)
-        with np.errstate(divide="ignore"):
-            log_g = np.log(np.abs(acc[:m]))
-            log_w = np.log(np.abs(acc[2 * m:]))
+    def _spherical(self, z, squared):
+        """With E_k = exp(Re P_k - top), top the largest log|f_k|,
+        ||f'||^2 = sum_{i<j} |w_ij|^2 E_i^2 E_j^2 / (sum_k |g_k|^2 E_k^2)^2:
+        one exp per component. Where the gap between the two largest log|f_k|
+        passes _GAP_PLAIN, the rescale multiplies each E_k by 2^t, t about
+        half the gap over log 2: each term keeps its bits while it stays
+        normal, and the largest and the second largest |g_k|^2 E_k^2 come to
+        about e^gap and e^-gap, so that their product stays normal too."""
+        rows = self._all
+        acc = horner(rows.coeffs, z, rows.live)
+        # points out of range overflow or meet inf * 0 here, and fall back
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            e, log_f = rows.moduli(acc)
+            # |.|^2 of every Horner row, in place: re^2 + im^2 in the real parts
+            parts = acc.view(float)
+            parts *= parts
+            acc.real += acc.imag
+            g2, w2 = (rows.take(acc.real, group, np.ascontiguousarray, _abs2) for group in (0, 2))
+            del acc, parts   # freed first: a lower peak per chunk avoids heap trim-and-regrow churn
+            top, second = _top_two(log_f)
+            gap = top - second
+            e -= top
+            np.exp(e, out=e)
+            far = gap > _GAP_PLAIN
+            if far.any():
+                e *= np.ldexp(1.0, np.where(far, np.rint(np.fmin(gap, _GAP_MAX) * _HALF_LOG2E), 0).astype(int))
+            e *= e
+            ok = (gap <= _GAP_MAX) & (np.min(e, axis=0, where=log_f >= second, initial=np.inf) >= _NORMAL)
+            del log_f, second
+            g2 *= e
+            den = _rowsum(g2)
+            for i, block in enumerate(self._blocks):
+                w2[block] *= e[i]
+                w2[block] *= e[i + 1:]
+            num = _rowsum(w2)
+            out = num / den / den if squared else np.sqrt(num) / den
+            ok &= (num >= _NUM_MIN) & (np.maximum(num, den) < np.inf)
+        if not ok.all():
+            bad = ~ok
+            out[bad] = self._log_form(z[bad], squared)
+        return out
+
+    def _log_form(self, z, squared):
+        """||f'|| (or its square) as exp(log num - log den), every term in log
+        domain, for the points out of the product form's range."""
+        rows = self._all
+        acc = horner(rows.coeffs, z, rows.live)
+        re_p, log_g = rows.take(acc, 1, np.real), rows.take(acc, 0, _log_abs)
+        log_w = rows.take(acc, 2, _log_abs)
+        del acc
         # exponents relative to the largest log|f_k|, which cancels between
         # numerator and denominator, so that no sum of exponents in the
         # thousands is rounded before they cancel
-        re_p = acc[m:2 * m].real.copy()
-        del acc   # freed first: a lower peak per chunk avoids heap trim-and-regrow churn
         top = (re_p + log_g).max(axis=0)
         with np.errstate(invalid="ignore"):
             q = re_p - top
             num = 0.5 * _logsumexp(2.0 * (q[self._first] + q[self._second]) + 2.0 * log_w)
             den = _logsumexp(2.0 * (q + log_g))
             out = np.exp(num - den)
-        return np.where(np.isnan(out), 0.0, out)
+        out = np.where(np.isnan(out), 0.0, out)
+        return out * out if squared else out
 
 
 @dataclass(frozen=True)
@@ -194,8 +341,9 @@ class HolomorphicCurve:
         """The CompiledCurve of the components, built on first use."""
         return CompiledCurve(self.components)
 
-    def spherical_derivative(self, z):
-        return self.compiled.spherical_derivative(z)
+    def spherical_derivative(self, z, squared=False):
+        """||f'|| at z, or ||f'||^2 when squared."""
+        return self.compiled.spherical_derivative(z, squared)
 
     def reduced_polys(self):
         """Exponents P_1, ..., P_n of the nonvanishing components."""

@@ -145,18 +145,36 @@ def stack(polys):
     return rows
 
 
-def horner(coeffs, z):
+def running_rows(coeffs):
+    """For each column k of a stack sorted widest first, how many leading rows
+    have a nonzero coefficient at k or above: the rows still running at
+    horner's step k. At least two (or all, if fewer), because numpy multiplies
+    a lone complex element without the fused products (FMA) of its SIMD
+    loops, so a one-row step at one point would round otherwise."""
+    reach = np.logical_or.accumulate(coeffs[:, ::-1] != 0, axis=1)   # columns reversed
+    counts = np.count_nonzero(reach, axis=0)[::-1]
+    return np.maximum(counts, min(2, len(coeffs))).tolist()
+
+
+def horner(coeffs, z, live=None):
     """The rows of ``coeffs``, laid out as by ``stack``, by Horner steps in place
     at the points z: shape (N,) for the same points on every row, or (rows, N)
     for each row's own. Returns (rows, N) complex values. They may differ from
     ``ComplexPoly.__call__`` at one point in the last bit: numpy's SIMD complex
     array multiply fuses its products (FMA) where the CPU has it (887 of 2,000
-    random products differed on an AVX-512 Xeon, numpy 2.4.6)."""
+    random products differed on an AVX-512 Xeon, numpy 2.4.6).
+
+    Every row starts from the stack's last column. With ``live`` (from
+    ``running_rows``, for a stack sorted widest first) the step for column k
+    updates only the first live[k] rows: the others hold the +0 that the full
+    step would give them again, so every value keeps its bits."""
     acc = np.empty(np.broadcast_shapes((len(coeffs), 1), np.shape(z)), dtype=complex)
     acc[:] = coeffs[:, -1:]
+    per_row = np.ndim(z) == 2 and len(z) > 1
     for k in range(coeffs.shape[1] - 2, -1, -1):
-        acc *= z
-        acc += coeffs[:, k:k + 1]
+        rows = acc if live is None else acc[:live[k]]
+        rows *= z[:len(rows)] if per_row else z
+        rows += coeffs[:len(rows), k:k + 1]
     return acc
 
 

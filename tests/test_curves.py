@@ -152,6 +152,25 @@ class TestEstimateGrowth:
         dense = np.max(curve.spherical_derivative(r * np.exp(1j * theta)))
         assert k_hat * r == pytest.approx(dense, rel=1e-10)
 
+    def test_K_as_recorded(self):
+        # (slope, K) on [1, 20] of product2 without its K and of three seeded
+        # K-omitted curves, as float.hex, recorded while ||f'|| was
+        # exp(log numerator - log denominator) at every point
+        curves = [load_curve(FIXTURES / "product2.json").with_K(None)]
+        curves += [_random_curve(np.random.default_rng(seed), n, sigma, kind)
+                   for seed, n, sigma, kind in [(31, 1, 1.0, "polyexp"), (32, 2, 0.5, "exppoly"),
+                                                (33, 3, 1.0, "poly")]]
+        for curve, recorded in zip(curves, RECORDED_GROWTH):
+            slope, k_hat = estimate_growth(curve, 1.0, 20.0, 8)
+            assert slope == pytest.approx(float.fromhex(recorded[0]), rel=1e-12, abs=0.0)
+            assert k_hat == pytest.approx(float.fromhex(recorded[1]), rel=1e-12, abs=0.0)
+
+
+RECORDED_GROWTH = [("-0x1.25bd9065d0686p-4", "0x1.5b3ccc334725bp-1"),
+                   ("0x1.678866d2e1394p+1", "0x1.efd207ee4cfe4p+9"),
+                   ("0x1.b2d1c7fe7e059p+0", "0x1.95d8c0a0a7d8cp+5"),
+                   ("-0x1.179ea8a47667fp-1", "0x1.e096401da7b64p+6")]
+
 
 def _random_curve(rng, n, sigma, kind0):
     """An in-spec curve with complex N(0, 0.5^2) coefficients; f_0 has a
@@ -235,6 +254,44 @@ class TestCompiledKernelOracle:
                 assert value < 1e-280
             else:
                 assert value == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0])
+    def test_underflow_band(self, sigma, monkeypatch):
+        # n = 2 with exponents of degree 3 or 4 whose terms are each about 300
+        # in size on |z| = 20: round that circle the two largest log|f_k| run
+        # from tied to more than 700 apart, so ||f'|| runs from 1e-310 to
+        # 1e-95. Twelve points spread over that range in log scale: those
+        # whose gap passes 300 take the rescale, and those past 600 (||f'||
+        # below about 1e-255) the log form.
+        rng = np.random.default_rng(0)
+        degree = math.floor(2 * sigma + 2)
+
+        def exponent():
+            return (rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)) * 300.0 / 20.0 ** np.arange(degree + 1)
+
+        q = rng.normal(size=3) + 1j * rng.normal(size=3)
+        curve = HolomorphicCurve(2, (CurveComponent.poly_exp(q, exponent()),
+                                     CurveComponent.exp_poly(exponent()), CurveComponent.one()), sigma)
+        z = 20.0 * np.exp(2j * np.pi * np.arange(1 << 14) / (1 << 14))
+        with np.errstate(divide="ignore"):
+            grid = np.log10(curve.spherical_derivative(z))
+        z = z[[int(np.argmin(np.abs(grid - target))) for target in np.linspace(-310, -95, 12)]]
+        logged = []
+        log_form = CompiledCurve._log_form
+        monkeypatch.setattr(CompiledCurve, "_log_form",
+                            lambda self, w, squared: logged.extend(w) or log_form(self, w, squared))
+        ours = curve.spherical_derivative(z)
+        oracles = [_mp_spherical(curve, point) for point in z]
+        assert min(oracles) < 1e-300 and max(oracles) > 1e-100
+        for value, oracle in zip(ours, oracles):
+            if oracle < 1e-290:
+                assert value < 1e-280
+            else:
+                assert value == pytest.approx(oracle, rel=1e-12, abs=0.0)
+        # the log form reads some of the points below 1e-250 and no other;
+        # those from there to 1e-135 are the rescale's
+        assert logged and all(oracle < 1e-250 for point, oracle in zip(z, oracles) if point in logged)
+        assert sum(1e-250 <= oracle < 1e-135 for oracle in oracles) >= 3
 
     def test_scalar_and_shapes(self, product_curve):
         assert isinstance(product_curve.spherical_derivative(0.5 + 1j), float)

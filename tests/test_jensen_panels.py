@@ -164,16 +164,29 @@ def test_panel_budget_raises_with_estimate_and_bound(monkeypatch, tmp_path, caps
 
 
 # build_table rows (T_area, T_jensen, n) of the fixtures at r = 0.5 and 2, as
-# float.hex, recorded before the Jensen route had its panel phase
+# float.hex. T_jensen was recorded before the Jensen route had its panel
+# phase; T_area and n since the area route reads ||f'||^2 in product form
 RECORDED_ROWS = {
     "exp": [["0x1.f0d577bbe3775p-6", "0x1.f0d577bbe1150p-6", "0x1.e27343f568c0ap-5"],
-            ["0x1.71b1e894bf8cep-2", "0x1.71b1e894bd2b1p-2", "0x1.1e316fae34c9ap-1"]],
-    "line": [["0x1.c8ff7c79ac03dp-4", "0x1.c8ff7c79a9a21p-4", "0x1.9999999999997p-3"],
-             ["0x1.9c041f7edd96bp-1", "0x1.9c041f7ed8d32p-1", "0x1.9999999999998p-1"]],
+            ["0x1.71b1e894bf8cfp-2", "0x1.71b1e894bd2b1p-2", "0x1.1e316fae34c9ap-1"]],
+    "line": [["0x1.c8ff7c79ac03ep-4", "0x1.c8ff7c79a9a21p-4", "0x1.9999999999998p-3"],
+             ["0x1.9c041f7edd96ap-1", "0x1.9c041f7ed8d32p-1", "0x1.9999999999998p-1"]],
     "product2": [["0x1.6c05e7ce4a27dp-4", "0x1.6c05e7ce485ecp-4", "0x1.586b6112c644bp-3"],
                  ["0x1.a4be75b011960p-1", "0x1.a4be75b00e038p-1", "0x1.0319731a29de6p+0"]],
-    "squareexp": [["0x1.fc0dfd8698414p-8", "0x1.fc0dfd8698400p-8", "0x1.f829be4664e51p-6"],
+    "squareexp": [["0x1.fc0dfd8698416p-8", "0x1.fc0dfd8698400p-8", "0x1.f829be4664e51p-6"],
                   ["0x1.eb935027eef02p-1", "0x1.eb935027eef00p-1", "0x1.3cf4eca685037p+1"]],
+}
+# (T_area, n) of the same rows while ||f'|| was exp(log numerator - log
+# denominator), squared by the area route
+LOG_FORM_ROWS = {
+    "exp": [["0x1.f0d577bbe3775p-6", "0x1.e27343f568c0ap-5"],
+            ["0x1.71b1e894bf8cep-2", "0x1.1e316fae34c9ap-1"]],
+    "line": [["0x1.c8ff7c79ac03dp-4", "0x1.9999999999997p-3"],
+             ["0x1.9c041f7edd96bp-1", "0x1.9999999999998p-1"]],
+    "product2": [["0x1.6c05e7ce4a27dp-4", "0x1.586b6112c644bp-3"],
+                 ["0x1.a4be75b011960p-1", "0x1.0319731a29de6p+0"]],
+    "squareexp": [["0x1.fc0dfd8698414p-8", "0x1.f829be4664e51p-6"],
+                  ["0x1.eb935027eef02p-1", "0x1.3cf4eca685037p+1"]],
 }
 
 
@@ -182,6 +195,9 @@ def test_settled_rows_keep_their_bits(name):
     table = build_table(load_curve(FIXTURES / f"{name}.json"), [0.5, 2.0])
     rows = [[v.hex() for v in row] for row in zip(table.T_area, table.T_jensen, table.n_counting)]
     assert rows == RECORDED_ROWS[name]
+    for (area, _, count), old in zip(RECORDED_ROWS[name], LOG_FORM_ROWS[name]):
+        assert float.fromhex(area) == pytest.approx(float.fromhex(old[0]), rel=1e-12, abs=0.0)
+        assert float.fromhex(count) == pytest.approx(float.fromhex(old[1]), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("name", sorted(RECORDED_ROWS))

@@ -402,7 +402,8 @@ class TestCriticalAngleMaximum:
 
 
 # harness_report JSON recorded before the scale moved from the 4096-point scan
-# to the critical angles
+# to the critical angles, with numpy's complex array multiply fusing its
+# products (FMA), as on an AVX-512 Xeon
 GOLDEN_REPORTS = {
     (0, 1000): '{"seed": 0, "count": 1000, "harmonic_min_margin": 0.4021572194168339, '
                '"superharmonic_min_margin": 4.860005289357551, '
@@ -417,8 +418,25 @@ GOLDEN_REPORTS = {
               '"superharmonic_min_margin": 5.889092804653731, '
               '"green_kernel_min": 0.3333333333333333, "failures": []}',
 }
+# the same reports where the multiply does not fuse, recorded under baseline
+# dispatch (NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR"):
+# the lemma scale's complex products round otherwise, and seed 7 moves
+BASELINE_GOLDEN_REPORTS = {**GOLDEN_REPORTS, (7, 1000): (
+    '{"seed": 7, "count": 1000, "harmonic_min_margin": 0.6306448679181229, '
+    '"superharmonic_min_margin": 4.840836570941615, '
+    '"green_kernel_min": 0.3333333333333333, "failures": []}')}
+
+
+def _complex_multiply_fuses():
+    """Whether numpy's complex array multiply rounds otherwise than Python's
+    complex product, which does not fuse: about half of random products differ
+    where it does."""
+    rng = np.random.default_rng(0)
+    a, b = rng.normal(size=(2, 64)) + 1j * rng.normal(size=(2, 64))
+    return any(complex(x) * complex(y) != p for x, y, p in zip(a, b, a * b))
 
 
 @pytest.mark.parametrize("seed, count", list(GOLDEN_REPORTS))
 def test_report_matches_recorded_json(seed, count):
-    assert json.dumps(harness_report(seed, count)) == GOLDEN_REPORTS[seed, count]
+    golden = GOLDEN_REPORTS if _complex_multiply_fuses() else BASELINE_GOLDEN_REPORTS
+    assert json.dumps(harness_report(seed, count)) == golden[seed, count]

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from curvelab.polynomials import ComplexPoly, cauchy_fraction, circle_sign_changes, horner, stack
+from curvelab.polynomials import (ComplexPoly, cauchy_fraction, circle_sign_changes, horner,
+                                  running_rows, stack)
 
 
 def test_trimming_and_degree():
@@ -59,6 +60,22 @@ def test_horner_matches_each_polynomial(name, shape):
     # adds z*0 to the top coefficient, where horner copies it
     assert got.shape == expected.shape
     assert np.array_equal(got, expected)
+
+
+def test_horner_running_rows_keep_the_bits():
+    # widest first, the step for column k runs the rows with a coefficient at
+    # k or above, and at least two: the rest hold the full loop's +0, and no
+    # step multiplies a lone element, which numpy does without FMA
+    coeffs = stack([ComplexPoly([0.3, -1j, 0.2, 1.7 - 0.4j, 0.9 + 1.1j]), ComplexPoly([1, 2j, -3]),
+                    ComplexPoly([-2, 0.25 + 4j]), ComplexPoly([0.5]), ComplexPoly()])
+    live = running_rows(coeffs)
+    assert live == [4, 3, 2, 2, 2]
+    rng = np.random.default_rng(3)
+    z = 3 * (rng.normal(size=(5, 40)) + 1j * rng.normal(size=(5, 40)))
+    assert horner(coeffs, z, live).tobytes() == horner(coeffs, z).tobytes()
+    full = horner(coeffs, z[0])
+    for k, point in enumerate(z[0]):
+        assert horner(coeffs, point[None], live).tobytes() == full[:, k:k + 1].tobytes()
 
 
 def test_cauchy_fraction():
