@@ -11,15 +11,13 @@ are affine-covariant, so gradients pick up a single 1/R factor.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
-from .polynomials import ComplexPoly, horner
+from .polynomials import ComplexPoly, circle_angles, horner
 
 GRID_SIZE = 4096
 # the boundary angle grid 2*pi*k/GRID_SIZE on the unit circle, shared by every instance
@@ -188,28 +186,6 @@ def _draw(rng, superharmonic):
     return center, radius, w1, q, masses
 
 
-@functools.lru_cache
-def _half_angle_basis(d):
-    """Row k = 0..d: ascending coefficients in t of (1 + it)^(d+k) (1 - it)^(d-k)."""
-    return np.array([npoly.polymul(npoly.polypow([1, 1j], d + k), npoly.polypow([1, -1j], d - k))
-                     for k in range(d + 1)])
-
-
-def _critical_angles(p):
-    """Per row p (ascending, degree d >= 1), 2d angles among which are all zeros
-    of Re p(e^{i theta}), from one stacked real companion solve in
-    t = tan((theta - phi)/2) (see README)."""
-    d, k = p.shape[1] - 1, np.arange(p.shape[1])
-    phis = np.arange(2 * d + 1) * (2 * np.pi / (2 * d + 1))
-    # the t^(2d) coefficient is Re p(-e^{i phi}): phi makes it largest in size
-    phi = phis[np.argmax(np.abs((p @ np.exp(1j * np.outer(k, phis + np.pi))).real), axis=1)]
-    coeffs = ((p * np.exp(1j * np.outer(phi, k))) @ _half_angle_basis(d)).real
-    companion = np.zeros((len(p), 2 * d, 2 * d))
-    companion[:, 0, :] = -coeffs[:, -2::-1] / coeffs[:, -1:]
-    companion[:, np.arange(1, 2 * d), np.arange(2 * d - 1)] = 1.0
-    return phi[:, None] + 2.0 * np.arctan(np.linalg.eigvals(companion).real)
-
-
 def _grid_top(qs, autocorr):
     """max |q|^2 over _CIRCLE for each coefficient array q in qs, given its
     autocorrelation r_k = sum_j q_{j+k} conj(q_j), k >= 0.
@@ -218,7 +194,7 @@ def _grid_top(qs, autocorr):
     and the grid argmax has a critical angle of rho within one grid step. So q
     is evaluated, by polynomials.horner, only at the grid indices
     floor(theta/step) + (-1, 0, 1, 2) around every angle from one
-    _critical_angles solve per (length of q, last k with r_k != 0).
+    circle_angles solve at r = 1 per (length of q, last k with r_k != 0).
     """
     groups = {}
     for i, (q, r) in enumerate(zip(qs, autocorr)):
@@ -232,7 +208,7 @@ def _grid_top(qs, autocorr):
             idx = np.broadcast_to(np.arange(GRID_SIZE), (len(rows), GRID_SIZE))
         else:
             p = np.array([autocorr[i][:d + 1] for i in rows]) * (2j * np.arange(d + 1))
-            base = np.floor(_critical_angles(p) * (GRID_SIZE / (2 * np.pi))).astype(int)
+            base = np.floor(circle_angles(p, (1.0,))[:, 0] * (GRID_SIZE / (2 * np.pi))).astype(int)
             idx = (base[..., None] + np.arange(-1, 3)).reshape(len(rows), -1) % GRID_SIZE
         acc = horner(np.array([qs[i] for i in rows]), _CIRCLE[idx])
         tops[rows] = np.max(np.abs(acc) ** 2, axis=1)

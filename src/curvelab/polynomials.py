@@ -7,6 +7,7 @@ coefficient. The zero polynomial has an empty coefficient tuple and degree -inf.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -108,32 +109,55 @@ def _coerce(value):
     raise TypeError(f"cannot interpret {value!r} as a polynomial")
 
 
-_ON_CIRCLE = 1e-4       # | |w| - 1 | below which a root is a candidate
 _NEWTON_STEPS = 3
 _MAX_NEWTON_STEP = 1e-3  # larger steps leave the candidate where it is
 
 
-def circle_roots(coeffs, radii) -> np.ndarray:
-    """Roots w of w^d Re p(r w) for each row p of ``coeffs`` (ascending
-    coefficients of degree d >= 1, one polynomial per row) and each r in
-    ``radii``, shape (rows, radii, 2d), from one eigenvalue solve over the
-    stacked companion matrices.
+@functools.lru_cache
+def _cayley_tables(d):
+    """phi_j = 2 pi j/(2d + 1), e^{ik phi_j} and e^{ik(phi_j + pi)}, (-1)^i and
+    the fixed part -2 Im(F K F^H) of the folded Cayley matrix (see README)."""
+    n, m = 2 * d, np.arange(d)
+    phis = np.arange(2 * d + 1) * (2 * np.pi / (2 * d + 1))
+    fold = np.zeros((n, n), dtype=complex)      # F
+    fold[m, m] = fold[m, n - 1 - m] = 2 ** -0.5
+    fold[d + m, m], fold[d + m, n - 1 - m] = 1j * 2 ** -0.5, -1j * 2 ** -0.5
+    inverse = np.tril((-1.0) ** np.subtract.outer(np.arange(n), np.arange(n)))  # K = (I + N)^-1
+    turns, sign = np.exp(1j * np.outer(phis, np.arange(d + 1))), (-1.0) ** np.arange(n)
+    return phis, turns, turns * sign[:d + 1], sign, -2.0 * (fold @ inverse @ fold.conj().T).imag
 
-    With p = sum_k a_k z^k, w^d Re p(r w) =
-    (1/2) (sum_k a_k r^k w^{d+k} + sum_k conj(a_k) r^k w^{d-k}),
-    whose roots on |w| = 1 are where Re p(r e^{i theta}) vanishes.
+
+def circle_angles(coeffs, radii) -> np.ndarray:
+    """2d angles for each row p of ``coeffs`` (ascending coefficients of degree
+    d >= 1) and each r in ``radii``, shape (rows, radii, 2d), among which are
+    all zeros of Re p(r e^{i theta}), from one real eigenvalue solve.
+
+    The zeros are phi plus the angles of the roots on |w| = 1 of
+    w^d Re(sum_k p_k r^k e^{ik phi} w^k), eigenvalues of its companion C,
+    whose Cayley transform has eigenvalues t = tan((theta - phi)/2) and,
+    folded, is real: a fixed part plus a rank-one part (README, "Sign changes
+    on a circle"). phi = phi_j makes |Re p(-r e^{i phi})|, and so det(I + C),
+    largest. Each root t gives the angle phi + 2 arctan(Re t): roots off the
+    circle add angles and lose none. Sums run per row and each matrix is
+    solved alone, so each row and radius gets the same bits alone as in a
+    stack (a matrix product may round a one-row product otherwise).
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     d = coeffs.shape[1] - 1
-    radii = np.asarray(radii, dtype=float)
-    a = coeffs[:, None] * radii[:, None] ** np.arange(d + 1)
-    w_poly = np.zeros(a.shape[:2] + (2 * d + 1,), dtype=complex)
-    w_poly[..., d:] += a / 2
-    w_poly[..., d::-1] += np.conj(a) / 2
-    companion = np.zeros(a.shape[:2] + (2 * d, 2 * d), dtype=complex)
-    companion[..., 0, :] = -w_poly[..., -2::-1] / w_poly[..., -1:]
-    companion[..., np.arange(1, 2 * d), np.arange(2 * d - 1)] = 1.0
-    return np.linalg.eigvals(companion)
+    phis, turns, flips, sign, base = _cayley_tables(d)
+    a = coeffs[:, None] * np.asarray(radii, dtype=float)[:, None] ** np.arange(d + 1)
+    j = np.argmax(np.abs(np.einsum("...k,jk->...j", a, flips).real), axis=-1)
+    a = a * turns[j]
+    # all but the top coefficient of 2 w^d Re(sum_k a_k w^k); C's first row is
+    # c_i = -w_poly[2d-1-i] / a_d, and c^T K / (1 + c^T K e_0) the rank-one row
+    w_poly = np.concatenate([np.conj(a[..., :0:-1]), 2.0 * a[..., :1].real, a[..., 1:-1]], axis=-1)
+    row = np.cumsum(w_poly * sign / a[..., -1:], axis=-1)[..., ::-1] * sign
+    row = row / (1.0 + row[..., :1])
+    low, high = row[..., :d], row[..., :d - 1:-1]
+    rank_one = np.concatenate([(low + high).real, (low - high).imag], axis=-1)
+    cayley = np.tile(base, row.shape[:2] + (1, 1))
+    cayley[..., d:, :] += 2.0 * sign[:d, None] * rank_one[..., None, :]
+    return phis[j][..., None] + 2.0 * np.arctan(np.linalg.eigvals(cayley).real)
 
 
 def stack(polys):
@@ -200,11 +224,11 @@ def circle_sign_changes(polys, radii):
     and each r in ``radii``: flat arrays (pair, circle, theta), sorted in that
     order, where circle indexes ``radii``.
 
-    The pair differences of each degree share one ``circle_roots`` solve, and
-    the roots near |w| = 1 give candidate angles, which one Newton polish
-    refines in theta. The candidates cut each circle into arcs free of zeros,
-    and a candidate is kept when the difference has opposite signs on the arcs
-    either side of it, so tangent zeros and roots just off the circle drop out.
+    The pair differences of each degree share one ``circle_angles`` solve, and
+    one Newton polish refines all its 2d candidate angles per pair and circle.
+    The candidates cut each circle into arcs free of zeros, and a candidate is
+    kept when the difference has opposite signs on the arcs either side of it,
+    so tangent zeros and candidates that are no zero drop out.
     """
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     coeffs = stack(polys)
@@ -214,10 +238,8 @@ def circle_sign_changes(polys, radii):
     group, theta = np.empty(0, dtype=int), np.empty(0)     # group = pair * len(radii) + circle
     for d in np.unique(degree[degree > 0]):
         rows = np.flatnonzero(degree == d)
-        roots = circle_roots(diffs[rows, :d + 1], radii)
-        p, k, m = np.nonzero(np.abs(np.abs(roots) - 1.0) < _ON_CIRCLE)
-        group = np.append(group, rows[p] * len(radii) + k)
-        theta = np.append(theta, np.angle(roots[p, k, m]))
+        theta = np.append(theta, circle_angles(diffs[rows, :d + 1], radii))
+        group = np.append(group, np.repeat(rows[:, None] * len(radii) + np.arange(len(radii)), 2 * d))
     pair, circle = np.divmod(group, len(radii))
     theta = np.mod(refine_angles(diffs[pair], radii[circle], theta), 2 * np.pi)
     # sorted by group, then angle, without repeats: complex numbers sort by real part first

@@ -1,10 +1,21 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from curvelab import CurveComponent, HolomorphicCurve
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+@pytest.fixture(scope="session")
+def complex_multiply_fuses():
+    """Whether numpy's complex array multiply rounds otherwise than Python's
+    complex product, which does not fuse: about half of random products differ
+    where it does. Recorded bits pick their golden by it."""
+    rng = np.random.default_rng(0)
+    a, b = rng.normal(size=(2, 64)) + 1j * rng.normal(size=(2, 64))
+    return any(complex(x) * complex(y) != p for x, y, p in zip(a, b, a * b))
 
 
 @pytest.fixture

@@ -150,6 +150,21 @@ def _root_finder_cases():
     return cases
 
 
+def _high_degree_cases():
+    """Pairs whose difference has degree 5 to 12 (100 cases) or 13 to 60 (15),
+    as specs allow at sigma up to 29, on circles of radius 0.2 to 60, and
+    1 + z^d at r = 2 for d = 40, 41, 64, whose terms there are 2^d apart."""
+    rng = np.random.default_rng(2026)
+    cases = [([ComplexPoly([1.0] + [0.0] * (d - 1) + [1.0]), ComplexPoly()], 2.0) for d in (40, 41, 64)]
+    for lowest, highest, count in ((5, 12, 100), (13, 60, 15)):
+        for _ in range(count):
+            deg = int(rng.integers(lowest, highest + 1))
+            low = int(rng.integers(0, deg))
+            polys = [ComplexPoly(rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)) for n in (deg, low)]
+            cases.append((polys, float(np.exp(rng.uniform(np.log(0.2), np.log(60.0))))))
+    return cases
+
+
 def _circle_mean_per_arc(polys, r):
     """circle_mean_max_re at one radius with a Python loop over the arcs and
     over each winner's coefficients."""
@@ -171,7 +186,7 @@ def _circle_mean_per_arc(polys, r):
 
 class TestCircleRootFinder:
     def test_roots_match_dense_scan(self):
-        for polys, r in _root_finder_cases():
+        for polys, r in _root_finder_cases() + _high_degree_cases():
             for i in range(len(polys)):
                 for j in range(i + 1, len(polys)):
                     diff = polys[i] - polys[j]

@@ -427,16 +427,7 @@ BASELINE_GOLDEN_REPORTS = {**GOLDEN_REPORTS, (7, 1000): (
     '"green_kernel_min": 0.3333333333333333, "failures": []}')}
 
 
-def _complex_multiply_fuses():
-    """Whether numpy's complex array multiply rounds otherwise than Python's
-    complex product, which does not fuse: about half of random products differ
-    where it does."""
-    rng = np.random.default_rng(0)
-    a, b = rng.normal(size=(2, 64)) + 1j * rng.normal(size=(2, 64))
-    return any(complex(x) * complex(y) != p for x, y, p in zip(a, b, a * b))
-
-
 @pytest.mark.parametrize("seed, count", list(GOLDEN_REPORTS))
-def test_report_matches_recorded_json(seed, count):
-    golden = GOLDEN_REPORTS if _complex_multiply_fuses() else BASELINE_GOLDEN_REPORTS
+def test_report_matches_recorded_json(seed, count, complex_multiply_fuses):
+    golden = GOLDEN_REPORTS if complex_multiply_fuses else BASELINE_GOLDEN_REPORTS
     assert json.dumps(harness_report(seed, count)) == golden[seed, count]

@@ -15,7 +15,7 @@ from curvelab import (
 from curvelab.characteristic import reduced_characteristic_polys
 from curvelab.errors import LocusEmptyError
 from curvelab.locus import _branch_angles
-from curvelab.polynomials import ComplexPoly, circle_roots
+from curvelab.polynomials import ComplexPoly, circle_angles, circle_sign_changes
 from test_characteristic import FIXTURES, _dense_sign_changes, _sign_changes
 
 Z = ComplexPoly([0, 1])
@@ -139,7 +139,7 @@ class TestRadiusGridTrace:
 
 
 class TestBranchAngles:
-    """The phase solve gives the crossings that the companion roots give."""
+    """The phase solve gives the crossings that circle_sign_changes gives."""
 
     @staticmethod
     def _pairs():
@@ -153,7 +153,7 @@ class TestBranchAngles:
             pairs += [[poly(deg), poly(0)], [poly(deg), poly(deg)]]
         return pairs
 
-    def test_matches_circle_roots(self):
+    def test_matches_circle_sign_changes(self):
         degrees = set()
         for polys in self._pairs():
             diff = polys[0] - polys[1]
@@ -164,16 +164,15 @@ class TestBranchAngles:
             assert theta.shape == (len(radii), 2 * deg)
             assert np.all((theta >= 0) & (theta < 2 * np.pi))
             assert np.all(np.diff(theta[0]) > 0)
-            roots = circle_roots([diff.coeffs], radii)
-            assert roots.shape == (1, len(radii), 2 * deg)
-            roots = np.sort(np.mod(np.angle(roots[0]), 2 * np.pi), axis=1)
-            for row, ref in zip(theta, roots):
+            _, circle, angles = circle_sign_changes([diff, ZERO], radii)
+            assert np.array_equal(circle, np.repeat(np.arange(len(radii)), 2 * deg))
+            for row, ref in zip(theta, angles.reshape(len(radii), 2 * deg)):
                 gap = np.abs(np.angle(np.exp(1j * (row[:, None] - ref[None, :]))))
                 assert gap.min(axis=1).max() <= 1e-12
                 assert np.array_equal(np.sort(gap.argmin(axis=1)), np.arange(2 * deg))
         assert degrees == set(range(1, 7))
 
-    def test_circle_roots_rows_match_one_row(self):
+    def test_circle_angles_rows_match_one_row(self):
         # the differences of one degree in one stacked solve, row by row
         radii = np.array([0.5, 1.0, 3.0, 40.0])
         by_degree = {}
@@ -181,10 +180,10 @@ class TestBranchAngles:
             diff = polys[0] - polys[1]
             by_degree.setdefault(int(diff.degree()), []).append(diff.coeffs)
         for deg, rows in by_degree.items():
-            roots = circle_roots(rows, radii)
-            assert roots.shape == (len(rows), len(radii), 2 * deg)
-            for row, got in zip(rows, roots):
-                assert np.array_equal(got, circle_roots([row], radii)[0])
+            angles = circle_angles(rows, radii)
+            assert angles.shape == (len(rows), len(radii), 2 * deg)
+            for row, got in zip(rows, angles):
+                assert np.array_equal(got, circle_angles([row], radii)[0])
 
     def test_r0_inside_a_root_rejected(self):
         # Re(z^2 - 4) = 0 has roots +-2, so the circle r0 = 1 is not past them
