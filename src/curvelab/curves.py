@@ -23,7 +23,7 @@ from .polynomials import ComplexPoly, horner, running_rows, stack
 from .quadrature import CHUNK_POINTS
 
 THETA_NODES = 2048   # angles per circle before estimate_growth refines the sup
-_GOLDEN = (math.sqrt(5) - 1) / 2
+ZOOM_POINTS = 32     # interior angles of each bracket read at each step of that refinement
 
 
 @dataclass(frozen=True)
@@ -198,6 +198,7 @@ class CompiledCurve:
         h = [gj.deriv() + gj * pj.deriv() for gj, pj in zip(g, p)]
         pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
         self.m = m
+        self._g, self._p = g, p
         self._moduli = _Stack(g, p)
         self._all = _Stack(g, p, [h[i] * g[j] - g[i] * h[j] for i, j in pairs])
         self._first = np.array([i for i, _ in pairs], dtype=int)
@@ -208,6 +209,17 @@ class CompiledCurve:
     def log_moduli(self, z):
         """(n+1, *z.shape) rows log|f_k(z)|, -inf at zeros of g_k."""
         return self._chunked(self._log_moduli, z, (self.m,))
+
+    @cached_property
+    def _slopes(self):    # the rows g_k, g_k' and P_k', stacked on first use
+        return stack(self._g + [q.deriv() for q in self._g] + [q.deriv() for q in self._p])
+
+    def log_derivatives(self, z):
+        """(n+1, N) rows f_k'/f_k = g_k'/g_k + P_k' at the N points of a flat
+        z (P_k taken as P_k - P_n, like log_moduli); not finite at zeros of g_k."""
+        acc, m = horner(self._slopes, np.asarray(z, dtype=complex)), self.m
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return acc[m:2 * m] / acc[:m] + acc[2 * m:]
 
     def u(self, z):
         """log ||f(z)|| at z, any shape; a float for a scalar z."""
@@ -358,10 +370,10 @@ def estimate_growth(curve: HolomorphicCurve, r_min, r_max, circles=8):
     and the matching finite-radius surrogate for the constant K at the
     curve's declared sigma.
 
-    Every circle is read on THETA_NODES angles in one call, and each sup is
-    refined by golden-section search over the two grid cells around the grid
-    argmax, all circles together, down to a 1e-12 bracket.
-    """
+    Every circle is read on THETA_NODES angles in one call. Each sup is then
+    refined from the two grid cells around the grid argmax, all circles
+    together, down to a 1e-12 bracket: each step reads ZOOM_POINTS interior
+    angles of every bracket and keeps the two cells around their argmax."""
     if not (0 < r_min < r_max):
         raise ValueError("need 0 < r_min < r_max")
     if circles < 4:
@@ -369,14 +381,13 @@ def estimate_growth(curve: HolomorphicCurve, r_min, r_max, circles=8):
     radii = np.geomspace(r_min, r_max, circles)
     step = 2 * np.pi / THETA_NODES
     vals = curve.spherical_derivative(radii[:, None] * np.exp(1j * step * np.arange(THETA_NODES)))
-    a = step * (np.argmax(vals, axis=1) - 1.0)
-    b = a + 2 * step
-    sups = vals.max(axis=1)
-    while np.max(b - a) > 1e-12:
-        c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-        fc, fd = curve.spherical_derivative(radii * np.exp(1j * np.stack([c, d])))
-        a, b = np.where(fc > fd, a, c), np.where(fc > fd, d, b)
-        sups = np.maximum.reduce([sups, fc, fd])
+    a, width, sups = step * (np.argmax(vals, axis=1) - 1.0), 2 * step, vals.max(axis=1)
+    cells = np.arange(1, ZOOM_POINTS + 1) / (ZOOM_POINTS + 1)
+    while width > 1e-12:
+        vals = curve.spherical_derivative(radii[:, None] * np.exp(1j * (a[:, None] + width * cells)))
+        a = a + width * np.argmax(vals, axis=1) / (ZOOM_POINTS + 1)
+        width *= 2 / (ZOOM_POINTS + 1)
+        sups = np.maximum(sups, vals.max(axis=1))
     # the slope is fitted over the circles whose sup did not underflow to 0
     fit = sups > 0.0
     slope = np.polyfit(np.log(radii[fit]), np.log(sups[fit]), 1)[0] if fit.sum() >= 2 else 0.0

@@ -141,13 +141,15 @@ def _transitions(polys, i, j, coeffs, r_lo, r_hi, th_lo, th_hi, flag):
     """Points where the dominance of the branch through (r_lo, th_lo) and
     (r_hi, th_hi) stops being ``flag``, for every bracket at once: bisection
     in r, each probe put on its branch by Newton's method in theta from the
-    mean angle of the bracket's ends. Row k of ``coeffs`` holds the
-    difference polynomial of bracket k."""
+    mean angle of the bracket's ends, until a step moves no end (every later
+    one would repeat it). Row k of ``coeffs`` holds the difference polynomial of bracket k."""
     th_hi = th_lo + np.angle(np.exp(1j * (th_hi - th_lo)))
     for _ in range(60):
         r = 0.5 * (r_lo + r_hi)
         th = refine_angles(coeffs, r, 0.5 * (th_lo + th_hi))
         same = _pair_active(polys, i, j, r * np.exp(1j * th)) == flag
+        if np.all(np.where(same, (r == r_lo) & (th == th_lo), (r == r_hi) & (th == th_hi))):
+            break
         r_lo, th_lo = np.where(same, r, r_lo), np.where(same, th, th_lo)
         r_hi, th_hi = np.where(same, r_hi, r), np.where(same, th_hi, th)
     r = 0.5 * (r_lo + r_hi)

@@ -17,7 +17,7 @@ from .characteristic import characteristic_jensen, reduced_characteristic
 from .curves import HolomorphicCurve, _logsumexp, estimate_growth
 from .errors import LocusEmptyError
 from .locus import regularity_radius, tail_exponents, tied
-from .polynomials import circle_sign_changes, horner, stack
+from .polynomials import circle_sign_changes
 
 HARVEST_SEEDS = 512        # scan angles per circle for the pairs with u_0
 HARVEST_CAP = 400          # most tie points harvest_tie_points returns
@@ -31,9 +31,9 @@ def harvest_tie_points(curve: HolomorphicCurve, radii):
     """Points where two of the u_j (over the full index range 0..n) agree and
     jointly attain the maximum, found on circles, in the order radius, pair,
     angle. For i, j >= 1, u_i - u_j = Re(P_i - P_j) changes sign at
-    polynomial roots; for the pairs with u_0, the sign changes on HARVEST_SEEDS
-    angles of every circle are bisected all at once, each step reading the
-    rows of log_moduli at the bracket midpoints, until no bracket moves."""
+    polynomial roots; for the pairs with u_0, the sign changes of u_0 - u_j
+    on HARVEST_SEEDS angles of every circle are refined all at once by
+    safeguarded Newton steps (README, "Sign changes on a circle")."""
     first, second = np.triu_indices(curve.n + 1, 1)
     radii = np.asarray(radii, dtype=float)
     theta = np.linspace(0.0, 2 * np.pi, HARVEST_SEEDS, endpoint=False)
@@ -42,21 +42,29 @@ def harvest_tie_points(curve: HolomorphicCurve, radii):
     d_next = np.roll(d, -1, axis=2)
     pair, k, s = np.nonzero(np.isfinite(d) & np.isfinite(d_next) & ((d > 0) != (d_next > 0)))
     a, b = theta[s], theta[s] + 2 * np.pi / HARVEST_SEEDS
-    positive = d[pair, k, s] > 0
-    cols = np.arange(pair.size)
+    gap_a, gap_b = d[pair, k, s], d_next[pair, k, s]
+    t, run = a + (b - a) * gap_a / (gap_a - gap_b), np.arange(pair.size)   # from the secant points
     for _ in range(60):
-        mid = 0.5 * (a + b)
-        rows = curve.compiled.log_moduli(radii[k] * np.exp(1j * mid))
-        same = (rows[0] - rows[pair + 1, cols] > 0) == positive
-        if not np.any(np.where(same, mid != a, mid != b)):
-            break       # no bracket moves any more
-        a, b = np.where(same, mid, a), np.where(same, b, mid)
+        if not run.size:
+            break
+        z = radii[k[run]] * np.exp(1j * t[run])
+        rows, slopes = curve.compiled.log_moduli(z), curve.compiled.log_derivatives(z)
+        j = (pair[run] + 1, np.arange(run.size))
+        gap = rows[0] - rows[j]
+        same = (gap > 0) == (gap_a[run] > 0)
+        a[run], b[run] = lo, hi = np.where(same, t[run], a[run]), np.where(same, b[run], t[run])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = gap / -(z * (slopes[0] - slopes[j])).imag
+        step[np.abs(gap) <= 4 * np.finfo(float).eps * (1 + np.abs(rows[0]))] = 0.0
+        end = np.clip(t[run] - step, lo, hi)    # a step out of the bracket bisects, unless out by rounding
+        t[run] = np.where(np.abs(end - (t[run] - step)) <= 1e-14, end, 0.5 * (lo + hi))
+        run = run[~(np.abs(step) <= 1e-14)]
     # the pairs i, j >= 1 follow the n pairs (0, j) in triu order
     p, kp, angles = circle_sign_changes(curve.reduced_polys(), radii)
     k, pair = np.append(k, kp), np.append(pair, p + curve.n)
     order = np.lexsort((pair, k))
     pair = pair[order]
-    z = radii[k[order]] * np.exp(1j * np.append(0.5 * (a + b), angles)[order])
+    z = radii[k[order]] * np.exp(1j * np.append(t, angles)[order])
     top = tied(curve.compiled.log_moduli(z), 1e-7)
     cols = np.arange(z.size)
     return list(z[top[first[pair], cols] & top[second[pair], cols]][:HARVEST_CAP])
@@ -66,17 +74,13 @@ def prop1_check(curve: HolomorphicCurve, points):
     """Worst margin of (n+1)*||f'||(z) - |grad u_m - grad u_k| over the
     supplied tie points (inf for none); the gradient difference is
     |f_m'/f_m - f_k'/f_k|, maximised over the pairs tied for the max at z."""
-    comps = curve.components
     z = np.asarray(points, dtype=complex)
     top = tied(curve.compiled.log_moduli(z), TIE_TOL_FACTOR)
     lone = np.flatnonzero(top.sum(axis=0) < 2)
     if lone.size:
         raise ValueError(f"point {z[lone[0]]!r} has no tied dominant pair")
-    g = [c.poly_factor for c in comps]
-    # f_k'/f_k = g_k'/g_k + P_k', from one pass over the rows g, g' and P'
-    acc = horner(stack(g + [q.deriv() for q in g] + [c.exponent.deriv() for c in comps]), z)
-    slopes = acc[len(g):2 * len(g)] / acc[:len(g)] + acc[2 * len(g):]
-    m, k = np.triu_indices(len(comps), 1)
+    slopes = curve.compiled.log_derivatives(z)
+    m, k = np.triu_indices(curve.n + 1, 1)
     grad_gap = np.where(top[m] & top[k], np.abs(slopes[m] - slopes[k]), -np.inf).max(axis=0)
     lhs = (curve.n + 1) * np.asarray(curve.spherical_derivative(z))
     return float(np.min(lhs - grad_gap, initial=math.inf))

@@ -235,6 +235,8 @@ def circle_sign_changes(polys, radii):
     first, second = np.triu_indices(len(polys), 1)
     diffs = coeffs[first] - coeffs[second]
     degree = np.max(np.where(diffs != 0, np.arange(coeffs.shape[1]), 0), axis=1, initial=0)
+    if not degree.any():    # no pair difference varies: no sign change, and no solve
+        return np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0)
     group, theta = np.empty(0, dtype=int), np.empty(0)     # group = pair * len(radii) + circle
     for d in np.unique(degree[degree > 0]):
         rows = np.flatnonzero(degree == d)

@@ -165,6 +165,40 @@ class TestEstimateGrowth:
             assert slope == pytest.approx(float.fromhex(recorded[0]), rel=1e-12, abs=0.0)
             assert k_hat == pytest.approx(float.fromhex(recorded[1]), rel=1e-12, abs=0.0)
 
+    def test_zoom_work_and_K(self, monkeypatch):
+        # at most 12 calls of ||f'|| (the grid and 9 zoom steps), and K no
+        # lower than that of the golden-section search the zoom replaces
+        curves = [_random_curve(np.random.default_rng(seed), n, sigma, kind)
+                  for seed, n, sigma, kind in [(41, 2, 1.0, "polyexp"), (42, 4, 0.5, "poly"),
+                                               (43, 6, 0.0, "exppoly")]]
+        calls = []
+        original = HolomorphicCurve.spherical_derivative
+        monkeypatch.setattr(HolomorphicCurve, "spherical_derivative",
+                            lambda self, z, squared=False: calls.append(1) or original(self, z, squared))
+        for curve in curves:
+            calls.clear()
+            _, k_hat = estimate_growth(curve, 1.0, 20.0, 8)
+            assert len(calls) <= 12
+            assert k_hat >= (1 - 1e-13) * _golden_K(curve, 1.0, 20.0, 8)
+
+
+def _golden_K(curve, r_min, r_max, circles):
+    """estimate_growth's K with the sup of each circle refined by
+    golden-section search over the two grid cells around the grid argmax."""
+    golden = (math.sqrt(5) - 1) / 2
+    radii = np.geomspace(r_min, r_max, circles)
+    step = 2 * np.pi / THETA_NODES
+    vals = curve.spherical_derivative(radii[:, None] * np.exp(1j * step * np.arange(THETA_NODES)))
+    a = step * (np.argmax(vals, axis=1) - 1.0)
+    b = a + 2 * step
+    sups = vals.max(axis=1)
+    while np.max(b - a) > 1e-12:
+        c, d = b - golden * (b - a), a + golden * (b - a)
+        fc, fd = curve.spherical_derivative(radii * np.exp(1j * np.stack([c, d])))
+        a, b = np.where(fc > fd, a, c), np.where(fc > fd, d, b)
+        sups = np.maximum.reduce([sups, fc, fd])
+    return float(np.max(sups * radii ** (-curve.sigma)))
+
 
 RECORDED_GROWTH = [("-0x1.25bd9065d0686p-4", "0x1.5b3ccc334725bp-1"),
                    ("0x1.678866d2e1394p+1", "0x1.efd207ee4cfe4p+9"),

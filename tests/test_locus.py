@@ -14,8 +14,9 @@ from curvelab import (
 )
 from curvelab.characteristic import reduced_characteristic_polys
 from curvelab.errors import LocusEmptyError
+from curvelab import locus
 from curvelab.locus import _branch_angles
-from curvelab.polynomials import ComplexPoly, circle_angles, circle_sign_changes
+from curvelab.polynomials import ComplexPoly, circle_angles, circle_sign_changes, refine_angles
 from test_characteristic import FIXTURES, _dense_sign_changes, _sign_changes
 
 Z = ComplexPoly([0, 1])
@@ -246,6 +247,46 @@ class TestTailExponents:
     def test_radius_order_checked(self):
         with pytest.raises(ValueError, match="r_max"):
             tail_exponents([Z, ZERO], 4.0, 4.0)
+
+
+def _transitions_60(polys, i, j, coeffs, r_lo, r_hi, th_lo, th_hi, flag):
+    """locus._transitions with all of its 60 bisection steps, none skipped."""
+    th_hi = th_lo + np.angle(np.exp(1j * (th_hi - th_lo)))
+    for _ in range(60):
+        r = 0.5 * (r_lo + r_hi)
+        th = refine_angles(coeffs, r, 0.5 * (th_lo + th_hi))
+        same = locus._pair_active(polys, i, j, r * np.exp(1j * th)) == flag
+        r_lo, th_lo = np.where(same, r, r_lo), np.where(same, th, th_lo)
+        r_hi, th_hi = np.where(same, r_hi, r), np.where(same, th_hi, th)
+    r = 0.5 * (r_lo + r_hi)
+    return r * np.exp(1j * refine_angles(coeffs, r, 0.5 * (th_lo + th_hi)))
+
+
+class TestTransitions:
+    def test_early_stop_bit_identical(self, monkeypatch):
+        # the bisection stops at the first step that moves no bracket end,
+        # with the points of all 60 steps, bit for bit, and fewer probes
+        probes = []
+        original = locus._pair_active
+        monkeypatch.setattr(locus, "_pair_active", lambda *args: probes.append(1) or original(*args))
+        with_transitions = 0
+        for polys in _random_stacks(seed=9, count=12):
+            r0 = regularity_radius(polys)
+            probes.clear()
+            fast = trace_branches(polys, r0, max(4 * r0, 20.0))
+            fast_probes = len(probes)
+            with monkeypatch.context() as patch:
+                patch.setattr(locus, "_transitions", _transitions_60)
+                probes.clear()
+                full = trace_branches(polys, r0, max(4 * r0, 20.0))
+            assert len(fast.branches) == len(full.branches)
+            for a, b in zip(fast.branches, full.branches):
+                assert a.points.tobytes() == b.points.tobytes()
+                assert np.array_equal(a.active_mask, b.active_mask)
+            if len(probes) > 1:     # one probe classifies the samples, the rest bisect
+                with_transitions += 1
+                assert fast_probes < len(probes)
+        assert with_transitions >= 3
 
 
 class TestAsymptotics:

@@ -145,3 +145,14 @@ def test_circle_sign_changes_over_radii_matches_one_radius():
                 assert np.array_equal(theta[(pair == p) & (circle == k)], expected)
                 assert expected.size == 0 or polys[i] != polys[j]
     assert zero_pairs >= 40
+
+
+@pytest.mark.parametrize("polys", [[], [ComplexPoly([1, 2])], [ComplexPoly([1, 2]), ComplexPoly([3, 2])],
+                                   [ComplexPoly(), ComplexPoly([2j]), ComplexPoly([1])]])
+def test_circle_sign_changes_without_varying_pair(polys):
+    # no pair difference varies (every n = 1 curve): three empty arrays of
+    # the dtypes a nonempty result has
+    nonempty = circle_sign_changes([ComplexPoly([0, 1]), ComplexPoly()], [1.0, 2.0])
+    empty = circle_sign_changes(polys, [1.0, 2.0])
+    assert [a.size for a in empty] == [0, 0, 0]
+    assert [a.dtype for a in empty] == [a.dtype for a in nonempty] == [np.int64, np.int64, np.float64]
