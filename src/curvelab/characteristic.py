@@ -153,7 +153,7 @@ def reduced_characteristic(curve: HolomorphicCurve, r):
 
 
 def reduced_characteristic_polys(polys, r):
-    return circle_mean_max_re(polys, r) - max(float(p(0.0).real) for p in polys)
+    return circle_mean_max_re(polys, r) - float(stack(polys)[:, 0].real.max())
 
 
 # -- tables -------------------------------------------------------------------

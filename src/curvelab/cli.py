@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .characteristic import build_table
-from .errors import CurvelabError, LocusEmptyError
+from .errors import CurvelabError
 from .lemmas import harness_report
 from .locus import branch_asymptotics, regularity_radius, trace_branches
 from .pipeline import verify_theorem
@@ -59,13 +59,12 @@ def _cmd_locus(args, out: Path):
     """Trace the locus to max(--rmax, 4*r0) and write it."""
     curve = load_curve(args.input)
     polys = curve.reduced_polys()
-    try:
-        r0 = regularity_radius(polys)
-    except LocusEmptyError as exc:
-        _write_json(out / "locus.json", {"r0": None, "b": None, "c0": None, "branches": []})
-        print(f"empty locus: {exc}")
-        return EXIT_OK
+    r0 = regularity_radius(polys)
     summary = trace_branches(polys, r0, max(args.rmax, 4 * r0))
+    if not summary.branches:
+        _write_json(out / "locus.json", {"r0": None, "b": None, "c0": None, "branches": []})
+        print("empty locus: no two exponents differ in real part by more than a constant")
+        return EXIT_OK
     # fit every branch before writing anything, so a failed fit leaves no files
     fits = [branch_asymptotics(br) for br in summary.branches]
     branch_info = []

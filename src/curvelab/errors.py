@@ -29,10 +29,5 @@ class QuadratureBudgetError(CurvelabError, RuntimeError):
         self.error_bound = error_bound
 
 
-class LocusEmptyError(CurvelabError, ValueError):
-    """All exponent polynomials agree in real part; the equal-value locus is empty."""
-    exit_code = 2
-
-
 class AsymptoticsError(CurvelabError, RuntimeError):
     """Fitted branch asymptotics disagree with the symbolic prediction."""

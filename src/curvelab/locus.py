@@ -14,9 +14,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
-from .errors import AsymptoticsError, LocusEmptyError
-from .polynomials import ComplexPoly, cauchy_fraction, horner, refine_angles, stack
+from .errors import AsymptoticsError
+from .polynomials import cauchy_fraction, horner, pair_differences, refine_angles, stack
 
 TWO_PI = 2 * math.pi
 _RATIO = 1.01   # radius ratio of consecutive trace circles
@@ -24,46 +25,32 @@ B_GATE = 0.05   # absolute gap allowed between fitted and symbolic b_k
 C_GATE = 0.05   # relative gap allowed between fitted and symbolic c_k
 
 
-def _re_equivalent(diff: ComplexPoly) -> bool:
-    """True when Re(P_i - P_j) vanishes identically."""
-    return diff.is_constant() and (diff.is_zero or diff.coeffs[0].real == 0.0)
-
-
-def _distinct_indices(polys):
-    """Drop polynomials whose real part duplicates an earlier one; duplicate
-    pairs would otherwise double-count the Riesz measure."""
-    keep = []
-    for i, p in enumerate(polys):
-        if all(not _re_equivalent(p - polys[k]) for k in keep):
-            keep.append(i)
-    return keep
-
-
 def _pairs(polys):
-    """(i, j, P_i - P_j) for the distinct i < j whose difference is not constant."""
-    keep = _distinct_indices(polys)
-    diffs = [(i, j, polys[i] - polys[j]) for a, i in enumerate(keep) for j in keep[a + 1:]]
-    return [pair for pair in diffs if not pair[2].is_constant()]
+    """The (i, j, D, degree) of pair_differences that trace_branches follows,
+    D trimmed to the widest: those that vary, with neither member repeating
+    the real part of an earlier polynomial (which would double-count the Riesz
+    measure). Equal real parts are an equivalence, so one mask finds repeats."""
+    i, j, diffs, degree = pair_differences(polys)
+    repeat = np.zeros(len(polys), dtype=bool)
+    repeat[j[(degree == 0) & (diffs[:, 0].real == 0)]] = True
+    keep = (degree > 0) & ~repeat[i] & ~repeat[j]
+    return i[keep], j[keep], diffs[keep, :degree[keep].max(initial=0) + 1], degree[keep]
 
 
 def regularity_radius(polys):
-    """r0 = 2 * (1 + max over pairs of the Cauchy root-bound fraction of
-    (P_i - P_j) * (P_i - P_j)'); beyond r0 every pair locus is a union of
-    smooth disjoint arcs heading to its asymptotic rays."""
-    polys = list(polys)
-    if len(polys) < 2:
-        raise LocusEmptyError("need at least two exponent polynomials")
-    pairs = _pairs(polys)
-    if not pairs:
-        raise LocusEmptyError("locus empty: all exponents share the same real part")
-    bound = max(cauchy_fraction(diff * diff.deriv()) for _, _, diff in pairs)
+    """r0 = 2 * (1 + max over pairs of the Cauchy root-bound fraction of D D'
+    for D = P_i - P_j), 2 for an empty locus; beyond r0 every pair locus is a
+    union of smooth disjoint arcs heading to its asymptotic rays."""
+    _, _, diffs, degree = _pairs(list(polys))
+    slopes = diffs[:, 1:] * np.arange(1, diffs.shape[1])     # the rows D'
+    bound = max((cauchy_fraction(npoly.polymul(row[:d + 1], slope[:d]))
+                 for row, slope, d in zip(diffs, slopes, degree.tolist())), default=0.0)
     return 2.0 * (1.0 + bound)
 
 
 @dataclass
 class LocusBranch:
     pair: tuple
-    diff: ComplexPoly
     points: np.ndarray          # complex trace points
     arclens: np.ndarray         # chord lengths between consecutive points
     densities: np.ndarray       # J/2pi at each point
@@ -88,14 +75,14 @@ def tied(values, rel):
     return values >= vmax - rel * (1.0 + np.abs(vmax))
 
 
-def _pair_active(polys, i, j, z):
-    """Whether the larger of Re P_i, Re P_j attains max_k Re P_k at z; the
-    pair indices i, j broadcast against the points z, so each point may
-    belong to its own pair. A point off its locus by rounding is still active
-    when either member holds the max."""
-    values = horner(stack(polys), np.ravel(z)).real
-    top = tied(values.reshape((len(polys),) + np.shape(z)), 1e-8)
-    k = np.arange(len(polys)).reshape((-1,) + (1,) * np.ndim(z))
+def _pair_active(exponents, i, j, z):
+    """Whether the larger of Re P_i, Re P_j attains max_k Re P_k at z, the P_k
+    the rows of ``exponents``; the pair indices i, j broadcast against the
+    points z, so each point may belong to its own pair. A point off its locus
+    by rounding is still active when either member holds the max."""
+    values = horner(exponents, np.ravel(z)).real
+    top = tied(values.reshape((len(exponents),) + np.shape(z)), 1e-8)
+    k = np.arange(len(exponents)).reshape((-1,) + (1,) * np.ndim(z))
     return np.any(top & ((k == i) | (k == j)), axis=0)
 
 
@@ -107,37 +94,54 @@ def _radius_grid(r0, r_max):
     return np.append(r0 * _RATIO ** np.arange(steps), r_max)
 
 
-def _branch_angles(diff, radii):
-    """Angle of each branch of Re diff = 0 at each radius: one row per radius,
-    one column per branch, the columns in ascending angle at radii[0], values
-    in [0, 2pi). radii[0] must exceed the modulus of every root of diff.
+def _roots(diffs):
+    """The roots of each row of ``diffs`` (ascending, one degree d) as np.roots
+    finds them: the eigenvalues of the companion matrix of the row without its
+    s zero lowest coefficients, then s zeros; one stacked eigvals for each s."""
+    d, low = diffs.shape[1] - 1, np.argmax(diffs != 0, axis=1)
+    roots = np.zeros((len(diffs), d), dtype=complex)
+    for s in np.unique(low[low < d]).tolist():
+        rows, m = np.flatnonzero(low == s), d - s
+        companion = np.zeros((len(rows), m, m), dtype=complex)
+        companion[:, 1:, :-1] = np.eye(m - 1)
+        companion[:, 0] = -diffs[rows, s:-1][:, ::-1] / diffs[rows, -1:]
+        roots[rows, :m] = np.linalg.eigvals(companion)
+    return roots
 
-    Column m solves phi = pi/2 + m pi for the unwrapped phase phi of
-    diff(r e^{i theta}), the same target at every radius, by safeguarded
-    Newton steps on all radii at once (README, "Tracing the locus")."""
-    roots = np.roots(diff.coeffs[::-1])
+
+def _branch_angles(diffs, radii):
+    """Angle of each branch of Re D = 0 at each radius for each row D of
+    ``diffs`` (ascending, all of one degree d), shape (rows, radii, 2d): the
+    branches in ascending angle at radii[0], which must exceed every root, and
+    values in [0, 2pi). Branch m solves phi = pi/2 + m pi for the unwrapped
+    phase phi of D(r e^{i theta}) by safeguarded Newton steps on all rows and
+    radii at once; a row stops at the step where it would stop if solved alone
+    (README, "Tracing the locus")."""
+    diffs = np.asarray(diffs, dtype=complex)
+    roots = _roots(diffs)[:, None, None, :]
     radii = np.asarray(radii, dtype=float)[:, None]
-    if radii[0, 0] <= np.abs(roots).max():
-        raise ValueError(f"r0 = {radii[0, 0]:g} does not exceed every root of {diff!r}")
-    d, c = len(roots), np.angle(diff.leading)
-    phase0 = c + np.angle(1 - roots / radii[0, 0]).sum()
+    if np.any(radii[0, 0] <= np.abs(roots)):
+        raise ValueError(f"r0 = {radii[0, 0]:g} does not exceed every root, up to {np.abs(roots).max():g}")
+    d, c = diffs.shape[1] - 1, np.angle(diffs[:, -1])[:, None, None]
+    phase0 = c + np.angle(1 - roots / radii[0, 0]).sum(axis=3)
     tau = np.pi * (np.ceil(phase0 / np.pi - 0.5) + 0.5 + np.arange(2 * d))
-    spread = np.arcsin(np.abs(roots) / radii).sum(axis=1, keepdims=True)
+    spread = np.arcsin(np.abs(roots) / radii[..., None]).sum(axis=3)
     lo, hi = (tau - c - spread) / d, (tau - c + spread) / d
-    theta = 0.5 * (lo + hi)
+    theta, done = 0.5 * (lo + hi), np.zeros((len(diffs), 1, 1), dtype=bool)
     for _ in range(60):
         v = roots / (radii * np.exp(1j * theta))[..., None]
-        f = c + d * theta + np.angle(1 - v).sum(axis=2) - tau
+        f = c + d * theta + np.angle(1 - v).sum(axis=3) - tau
         lo, hi = np.where(f < 0, theta, lo), np.where(f < 0, hi, theta)
-        step = f / (d + (v / (1 - v)).real.sum(axis=2))
+        step = f / (d + (v / (1 - v)).real.sum(axis=3))
         inside = (lo <= theta - step) & (theta - step <= hi)
-        theta = np.where(inside, theta - step, 0.5 * (lo + hi))
-        if np.abs(step).max() <= 1e-14:
+        theta = np.where(done, theta, np.where(inside, theta - step, 0.5 * (lo + hi)))
+        done = done | (np.abs(step).max(axis=(1, 2), keepdims=True) <= 1e-14)
+        if done.all():
             break
     return np.mod(theta, TWO_PI)
 
 
-def _transitions(polys, i, j, coeffs, r_lo, r_hi, th_lo, th_hi, flag):
+def _transitions(exponents, i, j, coeffs, r_lo, r_hi, th_lo, th_hi, flag):
     """Points where the dominance of the branch through (r_lo, th_lo) and
     (r_hi, th_hi) stops being ``flag``, for every bracket at once: bisection
     in r, each probe put on its branch by Newton's method in theta from the
@@ -147,7 +151,7 @@ def _transitions(polys, i, j, coeffs, r_lo, r_hi, th_lo, th_hi, flag):
     for _ in range(60):
         r = 0.5 * (r_lo + r_hi)
         th = refine_angles(coeffs, r, 0.5 * (th_lo + th_hi))
-        same = _pair_active(polys, i, j, r * np.exp(1j * th)) == flag
+        same = _pair_active(exponents, i, j, r * np.exp(1j * th)) == flag
         if np.all(np.where(same, (r == r_lo) & (th == th_lo), (r == r_hi) & (th == th_hi))):
             break
         r_lo, th_lo = np.where(same, r, r_lo), np.where(same, th, th_lo)
@@ -158,11 +162,17 @@ def _transitions(polys, i, j, coeffs, r_lo, r_hi, th_lo, th_hi, flag):
 
 def _columns(pairs, radii):
     """The angles of every branch of every pair at the radii, one column per
-    branch (see _branch_angles), and the pair indices i, j of each column."""
-    theta = np.hstack([_branch_angles(diff, radii) for _, _, diff in pairs])
-    col = np.repeat(np.arange(len(pairs)), [2 * int(diff.degree()) for _, _, diff in pairs])
-    i, j = np.array([pair[:2] for pair in pairs])[col].T
-    return theta, col, i, j
+    branch in pair order (see _branch_angles), from one solve per degree; the
+    pair of each column; and each column's (b_k, c_k) = (d - 1, d |a_d| / 2pi)
+    for its pair's degree d and leading coefficient a_d (the jump density is
+    ~ c_k r^b_k far out; Python's complex abs, as numpy's may round otherwise)."""
+    _, _, diffs, degree = pairs
+    col = np.repeat(np.arange(degree.size), 2 * degree)
+    theta = np.empty((len(radii), col.size))
+    for d in np.unique(degree).tolist():
+        theta[:, degree[col] == d] = np.hstack(_branch_angles(diffs[degree == d, :d + 1], radii))
+    lead = np.array([abs(a) for a in diffs[np.arange(degree.size), degree].tolist()])
+    return theta, col, (degree - 1.0)[col], (degree * lead / TWO_PI)[col]
 
 
 def _tail(rows):
@@ -170,18 +180,11 @@ def _tail(rows):
     return rows[-max(4, len(rows) // 10):]
 
 
-def _branch_exponents(diff):
-    """(b_k, c_k) of a branch of Re diff = 0."""
-    deg = int(diff.degree())
-    return float(deg - 1), deg * abs(diff.leading) / TWO_PI
-
-
-def _far_field(pairs, col, active):
+def _far_field(b_k, c_k, active):
     """(b, c0) of the locus: b is the largest b_k of the ``active`` columns
     and c0 the largest c_k among those with b_k = b; (-inf, 0) for none."""
-    exps = [_branch_exponents(pairs[p][2]) for p in col[active]]
-    b = max((b_k for b_k, _ in exps), default=-math.inf)
-    return b, max((c_k for b_k, c_k in exps if b_k == b), default=0.0)
+    b = b_k[active].max(initial=-math.inf)
+    return float(b), float(c_k[active & (b_k == b)].max(initial=0.0))
 
 
 def tail_exponents(polys, r0, r_max):
@@ -190,16 +193,18 @@ def tail_exponents(polys, r0, r_max):
     only those are classified; r0 leads the solved radii, to be checked."""
     radii = np.append(r0, _tail(_radius_grid(r0, r_max)))
     pairs = _pairs(polys)
-    if not pairs:
+    if not pairs[3].size:
         return -math.inf, 0.0
-    theta, col, i, j = _columns(pairs, radii)
-    flags = _pair_active(polys, i, j, radii[1:, None] * np.exp(1j * theta[1:]))
-    return _far_field(pairs, col, flags.all(axis=0))
+    theta, col, b_k, c_k = _columns(pairs, radii)
+    points = radii[1:, None] * np.exp(1j * theta[1:])
+    flags = _pair_active(stack(polys), pairs[0][col], pairs[1][col], points)
+    return _far_field(b_k, c_k, flags.all(axis=0))
 
 
 def trace_branches(polys, r0, r_max):
     """Trace every branch of the equal-value locus from |z| = r0 out to
-    |z| = r_max and assemble the summary (asymptotic exponents b, c0).
+    |z| = r_max and assemble the summary (asymptotic exponents b, c0); an
+    empty locus gives no branches, b = -inf and c0 = 0.
 
     r0 must exceed every root of every P_i - P_j, as ``regularity_radius``
     does, else ValueError. Each branch is sampled where it crosses the circles
@@ -210,30 +215,29 @@ def trace_branches(polys, r0, r_max):
     polys = list(polys)
     radii = _radius_grid(r0, r_max)
     pairs = _pairs(polys)
-    if not pairs:
+    if not pairs[3].size:
         return LocusSummary(r0=r0, branches=[], b=-math.inf, c0=0.0)
-    theta, col, i, j = _columns(pairs, radii)
-    coeffs = stack([diff for _, _, diff in pairs])[col]
+    theta, col, b_k, c_k = _columns(pairs, radii)
+    exponents, (i, j, diffs, degree) = stack(polys), pairs
+    i, j = i[col], j[col]
     points = radii[:, None] * np.exp(1j * theta)
-    flags = _pair_active(polys, i, j, points)
+    flags = _pair_active(exponents, i, j, points)
     active = _tail(flags).all(axis=0)
     k, c = np.nonzero(flags[1:] != flags[:-1])
     ends = np.empty(0, complex)
     if k.size:
-        ends = _transitions(polys, i[c], j[c], coeffs[c], radii[k], radii[k + 1],
+        ends = _transitions(exponents, i[c], j[c], diffs[col[c]], radii[k], radii[k + 1],
                             theta[k, c], theta[k + 1, c], flags[k, c])
-    branches = []
-    for idx, p in enumerate(col):
-        pi, pj, diff = pairs[p]
+    slopes, branches = diffs[:, 1:] * np.arange(1, diffs.shape[1]), []
+    for idx, (p, pi, pj) in enumerate(zip(col.tolist(), i.tolist(), j.tolist())):
         cuts = k[c == idx] + 1
         pts = np.insert(points[:, idx], cuts, ends[c == idx])
-        b_k, c_k = _branch_exponents(diff)
         branches.append(LocusBranch(
-            pair=(pi, pj), diff=diff, points=pts, arclens=np.abs(np.diff(pts)),
-            densities=np.abs(diff.deriv()(pts)) / TWO_PI,
+            pair=(pi, pj), points=pts, arclens=np.abs(np.diff(pts)),
+            densities=np.abs(horner(slopes[p:p + 1, :degree[p]], pts)[0]) / TWO_PI,
             active_mask=np.insert(flags[:, idx], cuts, flags[cuts, idx]),
-            b_k=b_k, c_k=c_k, active=bool(active[idx])))
-    return LocusSummary(r0, branches, *_far_field(pairs, col, active))
+            b_k=float(b_k[idx]), c_k=float(c_k[idx]), active=bool(active[idx])))
+    return LocusSummary(r0, branches, *_far_field(b_k, c_k, active))
 
 
 def branch_asymptotics(branch: LocusBranch):
@@ -282,6 +286,6 @@ def count_branch_bound(polys, sigma):
     repeats an earlier one adds no rays."""
     polys = list(polys)
     n = len(polys)
-    count = sum(2 * int(diff.degree()) for _, _, diff in _pairs(polys))
+    count = 2 * int(_pairs(polys)[3].sum())
     bound = math.ceil(2 * n * (n - 1) * (sigma + 1))
     return count, bound, count <= bound

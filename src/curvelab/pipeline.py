@@ -15,7 +15,6 @@ import numpy as np
 
 from .characteristic import characteristic_jensen, reduced_characteristic
 from .curves import HolomorphicCurve, _logsumexp, estimate_growth
-from .errors import LocusEmptyError
 from .locus import regularity_radius, tail_exponents, tied
 from .polynomials import circle_sign_changes
 
@@ -104,10 +103,10 @@ def prop2_margin(curve: HolomorphicCurve, epsilon, radii):
 
 def prop3_check(far, curve: HolomorphicCurve):
     """Asymptotic ceilings b <= sigma and c0 <= 3*4^sigma*K*(n+1) on the
-    locus's far-field exponents ``far = (b, c0)``, None for an empty locus."""
+    locus's far-field exponents ``far = (b, c0)``, (-inf, 0) for an empty locus."""
     if curve.K is None:
         raise ValueError("curve needs K declared or estimated")
-    b, c0 = (-math.inf, 0.0) if far is None else far
+    b, c0 = far
     c0_ceiling = 3.0 * 4 ** curve.sigma * curve.K * (curve.n + 1)
     verdict_b = b <= curve.sigma + 1e-6
     verdict_c0 = c0 <= c0_ceiling * (1 + 1e-6)
@@ -184,11 +183,8 @@ def verify_theorem(curve: HolomorphicCurve, r_grid, epsilon=0.01, tol=1e-8):
     sigma, K, n = work.sigma, work.K, work.n
 
     polys = work.reduced_polys()
-    try:
-        r0 = regularity_radius(polys)
-        far = tail_exponents(polys, r0, max(4 * r0, r_grid[-1]))
-    except LocusEmptyError:
-        far = None
+    r0 = regularity_radius(polys)
+    far = tail_exponents(polys, r0, max(4 * r0, r_grid[-1]))
 
     prop1_worst = prop1_check(work, harvest_tie_points(work, r_grid[:: max(1, len(r_grid) // 6)]))
 

@@ -169,6 +169,17 @@ def stack(polys):
     return rows
 
 
+def pair_differences(polys):
+    """(i, j, D, degree) for every pair i < j of ``polys`` in np.triu_indices
+    order: D holds the rows P_i - P_j, laid out as by ``stack``, and degree
+    the index of each row's last nonzero coefficient (0 for a constant)."""
+    coeffs, index = stack(polys), np.arange(len(polys))
+    first, second = np.nonzero(index[:, None] < index)     # np.triu_indices(len(polys), 1), faster
+    diffs = coeffs[first] - coeffs[second]
+    degree = np.max(np.where(diffs != 0, np.arange(coeffs.shape[1]), 0), axis=1, initial=0)
+    return first, second, diffs, degree
+
+
 def running_rows(coeffs):
     """For each column k of a stack sorted widest first, how many leading rows
     have a nonzero coefficient at k or above: the rows still running at
@@ -231,10 +242,7 @@ def circle_sign_changes(polys, radii):
     so tangent zeros and candidates that are no zero drop out.
     """
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
-    coeffs = stack(polys)
-    first, second = np.triu_indices(len(polys), 1)
-    diffs = coeffs[first] - coeffs[second]
-    degree = np.max(np.where(diffs != 0, np.arange(coeffs.shape[1]), 0), axis=1, initial=0)
+    _, _, diffs, degree = pair_differences(polys)
     if not degree.any():    # no pair difference varies: no sign change, and no solve
         return np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0)
     group, theta = np.empty(0, dtype=int), np.empty(0)     # group = pair * len(radii) + circle
@@ -257,12 +265,9 @@ def circle_sign_changes(polys, radii):
     return pair[change], circle[change], theta[change]
 
 
-def cauchy_fraction(poly: ComplexPoly) -> float:
-    """max_k |a_k / a_d| over k < d; 0 for constants.
-
-    Every root of ``poly`` has modulus at most 1 + this value.
-    """
-    if poly.is_zero or poly.is_constant():
-        return 0.0
-    lead = abs(poly.leading)
-    return max(abs(c) / lead for c in poly.coeffs[:-1])
+def cauchy_fraction(coeffs) -> float:
+    """max_k |a_k / a_d| over k < d for the ascending coefficients a_0..a_d
+    (a_d != 0), by Python's complex abs; 0 for a constant. Every root of the
+    polynomial has modulus at most 1 + this value."""
+    cs = [complex(c) for c in coeffs]
+    return max((abs(c) / abs(cs[-1]) for c in cs[:-1]), default=0.0)

@@ -13,7 +13,6 @@ from curvelab import (
     trace_branches,
 )
 from curvelab.characteristic import reduced_characteristic_polys
-from curvelab.errors import LocusEmptyError
 from curvelab import locus
 from curvelab.locus import _branch_angles
 from curvelab.polynomials import ComplexPoly, circle_angles, circle_sign_changes, refine_angles
@@ -48,9 +47,12 @@ class TestRegularityRadius:
     def test_quadratic_pair(self):
         assert regularity_radius([Z2, -1 * Z2]) == pytest.approx(2.0)
 
-    def test_identical_polys_error(self):
-        with pytest.raises(LocusEmptyError):
-            regularity_radius([Z, Z])
+    def test_identical_polys_empty_locus(self):
+        # no pair difference varies: an empty locus is a result, r0 = 2
+        for polys in ([Z, Z], [Z], [Z, ComplexPoly([1, 1])], [Z, ComplexPoly([1j, 1]), Z]):
+            assert regularity_radius(polys) == 2.0
+            summary = trace_branches(polys, regularity_radius(polys), 10.0)
+            assert (summary.branches, summary.b, summary.c0) == ([], -math.inf, 0.0)
 
 
 class TestTraceBranches:
@@ -69,6 +71,26 @@ class TestTraceBranches:
             # J(z) = |4z| along the diagonals
             assert np.allclose(br.densities,
                                4 * np.abs(br.points) / (2 * math.pi), rtol=1e-9)
+
+    def test_pairs_match_greedy_distinct(self):
+        # one mask over the pair differences keeps the pairs that a greedy
+        # scan for distinct real parts, then for varying differences, keeps
+        rng = np.random.default_rng(5)
+        base = [ComplexPoly(rng.normal(size=3) + 1j * rng.normal(size=3)) for _ in range(3)]
+        shifts = [ComplexPoly([0]), ComplexPoly([1j]), ComplexPoly([0.5])]
+        for _ in range(60):
+            polys = [base[rng.integers(3)] + shifts[rng.integers(3)] for _ in range(rng.integers(1, 7))]
+            keep = []
+            for a, p in enumerate(polys):
+                gaps = [p - polys[k] for k in keep]
+                if not any(g.is_constant() and (g.is_zero or g.coeffs[0].real == 0.0) for g in gaps):
+                    keep.append(a)
+            expected = [(a, b) for m, a in enumerate(keep) for b in keep[m + 1:]
+                        if not (polys[a] - polys[b]).is_constant()]
+            i, j, diffs, degree = locus._pairs(polys)
+            assert list(zip(i.tolist(), j.tolist())) == expected
+            for a, b, row, d in zip(i, j, diffs, degree):
+                assert np.array_equal(row[:d + 1], (polys[a] - polys[b]).coeffs)
 
     def test_duplicate_pair_no_branches(self):
         assert trace_branches([Z, Z], 2.0, 10.0).branches == []
@@ -139,6 +161,30 @@ class TestRadiusGridTrace:
                     assert np.abs(np.angle(np.exp(1j * (dense - t)))).min() <= 1e-10
 
 
+def _per_pair_angles(coeffs, radii):
+    """locus._branch_angles as it solved one pair: np.roots of the difference
+    with ascending coefficients ``coeffs``, and Newton steps on all radii
+    until every step is at most 1e-14."""
+    roots = np.roots(np.asarray(coeffs)[::-1])
+    radii = np.asarray(radii, dtype=float)[:, None]
+    d, c = len(roots), np.angle(coeffs[-1])
+    phase0 = c + np.angle(1 - roots / radii[0, 0]).sum()
+    tau = np.pi * (np.ceil(phase0 / np.pi - 0.5) + 0.5 + np.arange(2 * d))
+    spread = np.arcsin(np.abs(roots) / radii).sum(axis=1, keepdims=True)
+    lo, hi = (tau - c - spread) / d, (tau - c + spread) / d
+    theta = 0.5 * (lo + hi)
+    for _ in range(60):
+        v = roots / (radii * np.exp(1j * theta))[..., None]
+        f = c + d * theta + np.angle(1 - v).sum(axis=2) - tau
+        lo, hi = np.where(f < 0, theta, lo), np.where(f < 0, hi, theta)
+        step = f / (d + (v / (1 - v)).real.sum(axis=2))
+        inside = (lo <= theta - step) & (theta - step <= hi)
+        theta = np.where(inside, theta - step, 0.5 * (lo + hi))
+        if np.abs(step).max() <= 1e-14:
+            break
+    return np.mod(theta, 2 * np.pi)
+
+
 class TestBranchAngles:
     """The phase solve gives the crossings that circle_sign_changes gives."""
 
@@ -149,9 +195,12 @@ class TestBranchAngles:
         def poly(deg):
             return ComplexPoly(rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1))
         pairs = [[ComplexPoly([0, 0, 0, 0, 1]), ZERO],              # z^4: one root, four times
-                 [ComplexPoly([-1, 3, -3, 1]), ComplexPoly([0.5j])]]  # (z - 1)^3 + const
+                 [ComplexPoly([-1, 3, -3, 1]), ComplexPoly([0.5j])],  # (z - 1)^3 + const
+                 [ComplexPoly([0, 1 + 1j, 0, 2]), ZERO]]            # D(0) = 0, a root at 0
         for deg in range(1, 7):
             pairs += [[poly(deg), poly(0)], [poly(deg), poly(deg)]]
+        for low, deg in ((1, 4), (2, 5), (3, 6)):    # D(0) = 0: z^low times a random polynomial
+            pairs.append([ComplexPoly(np.append(np.zeros(low), poly(deg - low).coeffs)), ZERO])
         return pairs
 
     def test_matches_circle_sign_changes(self):
@@ -161,7 +210,7 @@ class TestBranchAngles:
             deg = int(diff.degree())
             degrees.add(deg)
             radii = regularity_radius(polys) * np.array([1.0, 1.01, 2.0, 10.0, 100.0, 1e4])
-            theta = _branch_angles(diff, radii)
+            theta = _branch_angles([diff.coeffs], radii)[0]
             assert theta.shape == (len(radii), 2 * deg)
             assert np.all((theta >= 0) & (theta < 2 * np.pi))
             assert np.all(np.diff(theta[0]) > 0)
@@ -172,6 +221,32 @@ class TestBranchAngles:
                 assert gap.min(axis=1).max() <= 1e-12
                 assert np.array_equal(np.sort(gap.argmin(axis=1)), np.arange(2 * deg))
         assert degrees == set(range(1, 7))
+
+    def _by_degree(self):
+        """The differences of _pairs() grouped by degree, with radii past
+        every root of the group."""
+        groups = {}
+        for polys in self._pairs():
+            diff = polys[0] - polys[1]
+            rows, r0 = groups.get(int(diff.degree()), ([], 0.0))
+            groups[int(diff.degree())] = rows + [diff.coeffs], max(r0, regularity_radius(polys))
+        return [(rows, r0 * np.array([1.0, 1.01, 2.0, 10.0, 100.0, 1e4]))
+                for rows, r0 in groups.values()]
+
+    def test_rows_match_one_row(self):
+        # every row keeps the bits it has when solved alone, though the rows
+        # of one stack stop their Newton steps at different iterations
+        for rows, radii in self._by_degree():
+            stacked = _branch_angles(rows, radii)
+            for row, got in zip(rows, stacked):
+                assert got.tobytes() == _branch_angles([row], radii)[0].tobytes()
+
+    def test_matches_per_pair_roots(self):
+        # the same bits as one np.roots call and one Newton solve per pair,
+        # rows with zero low coefficients included
+        for rows, radii in self._by_degree():
+            for row, got in zip(rows, _branch_angles(rows, radii)):
+                assert got.tobytes() == _per_pair_angles(row, radii).tobytes()
 
     def test_circle_angles_rows_match_one_row(self):
         # the differences of one degree in one stacked solve, row by row
@@ -231,6 +306,17 @@ class TestTailExponents:
             finite += math.isfinite(tail[0])
         assert finite == 12
 
+    def test_branch_exponents_from_the_leading_coefficient(self):
+        # b_k = d - 1 and c_k = d |a_d| / 2pi for the difference of each
+        # branch's pair, with Python's complex abs, bit for bit
+        for polys in _random_stacks(seed=21, count=30):
+            r0 = regularity_radius(polys)
+            summary = trace_branches(polys, r0, 2 * r0)
+            for br in summary.branches:
+                diff = polys[br.pair[0]] - polys[br.pair[1]]
+                d = int(diff.degree())
+                assert (br.b_k, br.c_k) == (float(d - 1), d * abs(diff.leading) / (2 * math.pi))
+
     def test_dominated_pair_left_out(self):
         # on the diagonals Re z^2 = 0 the constant 1 beats both z^2 and -z^2,
         # so only the hyperbolas Re z^2 = +-1 count: c0 = 2*1/2pi, not 2*2/2pi
@@ -249,13 +335,13 @@ class TestTailExponents:
             tail_exponents([Z, ZERO], 4.0, 4.0)
 
 
-def _transitions_60(polys, i, j, coeffs, r_lo, r_hi, th_lo, th_hi, flag):
+def _transitions_60(exponents, i, j, coeffs, r_lo, r_hi, th_lo, th_hi, flag):
     """locus._transitions with all of its 60 bisection steps, none skipped."""
     th_hi = th_lo + np.angle(np.exp(1j * (th_hi - th_lo)))
     for _ in range(60):
         r = 0.5 * (r_lo + r_hi)
         th = refine_angles(coeffs, r, 0.5 * (th_lo + th_hi))
-        same = locus._pair_active(polys, i, j, r * np.exp(1j * th)) == flag
+        same = locus._pair_active(exponents, i, j, r * np.exp(1j * th)) == flag
         r_lo, th_lo = np.where(same, r, r_lo), np.where(same, th, th_lo)
         r_hi, th_hi = np.where(same, r_hi, r), np.where(same, th_hi, th)
     r = 0.5 * (r_lo + r_hi)

@@ -13,13 +13,14 @@ from curvelab import (
     prop2_margin,
     prop3_check,
     prop4_bound,
+    reduced_characteristic,
     regularity_radius,
+    tail_exponents,
     theorem_constant,
     trace_branches,
     verify_theorem,
 )
 from curvelab.curves import CompiledCurve
-from curvelab.errors import LocusEmptyError
 from curvelab.locus import tied
 from curvelab.polynomials import ComplexPoly, circle_sign_changes
 from test_characteristic import FIXTURE_NAMES, FIXTURES, _sign_changes
@@ -160,10 +161,7 @@ class TestHarvest:
         for kind0 in ("poly", "exppoly", "polyexp"):
             for n in range(1, 5):
                 curve = _random_curve(rng, n, kind0)
-                try:
-                    r0 = regularity_radius(curve.reduced_polys())
-                except LocusEmptyError:
-                    r0 = 2.0
+                r0 = regularity_radius(curve.reduced_polys())
                 radii = list(r0 * np.array([0.1, 0.4, 1.0, 2.5, 6.0]))
                 expected = _harvest_per_radius(curve, radii)
                 got = harvest_tie_points(curve, radii)
@@ -208,7 +206,8 @@ class TestHarvest:
         assert found >= 6
 
     def test_no_per_component_evaluation(self, monkeypatch):
-        # the harvest and prop1 read only the stacked rows of the compiled curve
+        # the harvest and prop1 read only the stacked rows of the compiled
+        # curve, and the locus stage and T* only stacked coefficient rows
         calls = {}
         for cls, name in ((ComplexPoly, "__call__"), (CurveComponent, "log_modulus"),
                           (CurveComponent, "log_derivative")):
@@ -222,6 +221,11 @@ class TestHarvest:
             points = harvest_tie_points(curve, [1.0, 3.0, 8.0])
             assert points
             prop1_check(curve, points)
+            polys = curve.reduced_polys()
+            r0 = regularity_radius(polys)
+            assert trace_branches(polys, r0, 4 * r0).branches
+            tail_exponents(polys, r0, 4 * r0)
+            reduced_characteristic(curve, [1.0, 3.0, 8.0])
         assert calls == {"__call__": 0, "log_modulus": 0, "log_derivative": 0}
 
 
@@ -256,7 +260,7 @@ class TestProp3Prop4:
         assert out["verdict_b"] and out["verdict_c0"]
 
     def test_empty_locus_vacuous(self, exp_curve):
-        out = prop3_check(None, exp_curve)
+        out = prop3_check((-math.inf, 0.0), exp_curve)
         assert out["b"] == -math.inf
         assert out["verdict_b"] and out["verdict_c0"]
 
