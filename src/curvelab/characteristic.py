@@ -24,13 +24,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import HolomorphicCurve
+from .locus import tied
 from .polynomials import circle_sign_changes, horner, stack
-from .quadrature import _trapezoid_levels, adaptive_gauss, periodic_trapezoid
+from .quadrature import _trapezoid_levels, adaptive_gauss, kronrod_panels, periodic_trapezoid
 
 DEFAULT_TOL = 1e-8
 CROSS_CHECK_TOL = 1e-6   # largest gap build_table allows between the two routes
 JENSEN_HANDOVER = 1024              # angles by which a Jensen circle settles or goes to panels
 JENSEN_MAX_PANELS = (1 << 20) // 15  # as many nodes as the trapezoid's 2^20 angles
+SWITCH_GRADING = 4   # ratio of successive panel breakpoint offsets from a switch angle
+SWITCH_LAYER = 0.5   # the first offset, over the slope of the pair's gap there
+HARVEST_SEEDS = 512  # scan angles per circle for the switches of the pairs with u_0
 
 
 def _checked_radii(r):
@@ -70,19 +74,93 @@ def characteristic_jensen(curve: HolomorphicCurve, r, tol=DEFAULT_TOL):
     array of radii.
 
     The periodic trapezoid runs up to JENSEN_HANDOVER angles. Circles it has
-    not settled by then, with ties sharper than the grid, finish on tie-guarded
-    Gauss-Legendre panels in theta (_tie_guarded_u), one tree per circle, to
-    the trapezoid's tolerance relative to its last estimate.
+    not settled by then, with ties sharper than the grid, finish on
+    Gauss-Kronrod panels in theta graded from their switch angles
+    (_graded_panels), with the tie guard of _tie_guarded_u, to the
+    trapezoid's tolerance relative to its last estimate.
     """
     radii = _checked_radii(r)
     integrals, _, running = _trapezoid_levels(curve.u, radii, tol, JENSEN_HANDOVER)
     if running.size:
+        circle, lo, hi = _graded_panels(curve, radii[running])
         # |z| = r is the image of the segment from -i log r to 2pi - i log r under z = e^{ix}
         a = -1j * np.log(radii[running])
-        integrals[running] = adaptive_gauss(
-            _tie_guarded_u(curve), a, a + 2 * np.pi,
+        integrals[running] = kronrod_panels(
+            _tie_guarded_u(curve), a, circle, lo + a[circle], hi + a[circle],
             tol * np.maximum(1.0, np.abs(integrals[running])), JENSEN_MAX_PANELS)
     return _per_radius(r, integrals / (2 * np.pi) - curve.u(0.0))
+
+
+def switch_points(curve: HolomorphicCurve, radii):
+    """(circle, z, pair) for every point z on the circles |z| = radii[circle]
+    where two of the u_j (over the full index range 0..n, pair indexing
+    np.triu_indices) agree and jointly attain the maximum, in the order
+    radius, pair, angle. For i, j >= 1, u_i - u_j = Re(P_i - P_j) changes
+    sign at polynomial roots; for the pairs with u_0, the sign changes of
+    u_0 - u_j on HARVEST_SEEDS angles of every circle are refined all at once
+    by safeguarded Newton steps (README, "Sign changes on a circle")."""
+    first, second = np.triu_indices(curve.n + 1, 1)
+    radii = np.asarray(radii, dtype=float)
+    theta = np.linspace(0.0, 2 * np.pi, HARVEST_SEEDS, endpoint=False)
+    u = curve.compiled.log_moduli(radii[:, None] * np.exp(1j * theta))
+    d = u[0] - u[1:]     # u_0 - u_j by j - 1, radius, angle
+    d_next = np.roll(d, -1, axis=2)
+    pair, k, s = np.nonzero(np.isfinite(d) & np.isfinite(d_next) & ((d > 0) != (d_next > 0)))
+    a, b = theta[s], theta[s] + 2 * np.pi / HARVEST_SEEDS
+    gap_a, gap_b = d[pair, k, s], d_next[pair, k, s]
+    t, run = a + (b - a) * gap_a / (gap_a - gap_b), np.arange(pair.size)   # from the secant points
+    for _ in range(60):
+        if not run.size:
+            break
+        z = radii[k[run]] * np.exp(1j * t[run])
+        rows, slopes = curve.compiled.log_moduli(z), curve.compiled.log_derivatives(z)
+        j = (pair[run] + 1, np.arange(run.size))
+        gap = rows[0] - rows[j]
+        same = (gap > 0) == (gap_a[run] > 0)
+        a[run], b[run] = lo, hi = np.where(same, t[run], a[run]), np.where(same, b[run], t[run])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = gap / -(z * (slopes[0] - slopes[j])).imag
+        step[np.abs(gap) <= 4 * np.finfo(float).eps * (1 + np.abs(rows[0]))] = 0.0
+        end = np.clip(t[run] - step, lo, hi)    # a step out of the bracket bisects, unless out by rounding
+        t[run] = np.where(np.abs(end - (t[run] - step)) <= 1e-14, end, 0.5 * (lo + hi))
+        run = run[~(np.abs(step) <= 1e-14)]
+    # the pairs i, j >= 1 follow the n pairs (0, j) in triu order
+    p, kp, angles = circle_sign_changes(curve.reduced_polys(), radii)
+    k, pair = np.append(k, kp), np.append(pair, p + curve.n)
+    order = np.lexsort((pair, k))
+    circle, pair = k[order], pair[order]
+    z = radii[circle] * np.exp(1j * np.append(t, angles)[order])
+    top, cols = tied(curve.compiled.log_moduli(z), 1e-7), np.arange(z.size)
+    switch = top[first[pair], cols] & top[second[pair], cols]
+    return circle[switch], z[switch], pair[switch]
+
+
+def _graded_panels(curve: HolomorphicCurve, radii):
+    """(circle, lo, hi): panels [lo, hi] in theta that cut each circle at 0,
+    pi/2, pi and 3pi/2, at its switch angles theta* and at theta* +- h 4^m
+    below pi, with h = SWITCH_LAYER / s for the slope s = |d(u_i - u_j)/dtheta|
+    of the tied pair there. u is smooth off the switches, with its
+    singularities about pi/(2s) off the circle, so graded panels reach
+    rounding without a search (Trefethen, ATAP ch. 19). A slope of 0 or one
+    that is not finite grades nothing."""
+    circle, z, pair = switch_points(curve, radii)
+    first, second = np.triu_indices(curve.n + 1, 1)
+    slopes, cols = curve.compiled.log_derivatives(z), np.arange(z.size)
+    s = np.abs((z * (slopes[first[pair], cols] - slopes[second[pair], cols])).imag)
+    theta, graded = np.mod(np.angle(z), 2 * np.pi), np.isfinite(s) & (s > 0)
+    h = SWITCH_LAYER / s[graded]
+    levels = np.ceil(np.log(np.pi / h.min(initial=np.pi)) / np.log(SWITCH_GRADING))   # to reach pi
+    offsets = h[:, None] * float(SWITCH_GRADING) ** np.arange(levels)
+    row, m = np.nonzero(offsets < np.pi)
+    near, offsets = theta[graded][row], offsets[row, m]
+    at = np.concatenate([np.repeat(np.arange(radii.size), 4), circle, np.tile(circle[graded][row], 2)])
+    cuts = np.concatenate([np.tile(np.arange(4) * (0.5 * np.pi), radii.size), theta,
+                           np.mod(np.concatenate([near - offsets, near + offsets]), 2 * np.pi)])
+    # sorted by circle, then angle, without repeats: complex numbers sort by real part first
+    key = np.unique(at + 1j * cuts)
+    circle, lo = key.real.astype(int), key.imag
+    hi = np.where(np.append(circle[1:] != circle[:-1], True), 2 * np.pi, np.roll(lo, -1))
+    return circle, lo, hi
 
 
 def _tie_guarded_u(curve: HolomorphicCurve):
@@ -90,8 +168,8 @@ def _tie_guarded_u(curve: HolomorphicCurve):
     its 17 points share one winning row of log_moduli, or exactly two whose gap
     changes by at most 1 across it, so the panel is narrower than the layer
     where u turns from one winner to the other. Without it, a switch past the
-    outermost node, or halves agreeing by chance around an interior switch,
-    passes the whole-vs-halves test."""
+    outermost node, or two rules agreeing by chance around an interior switch,
+    passes the error test."""
     def integrand(x):
         rows = curve.compiled.log_moduli(np.exp(1j * x))     # (n + 1, panels, 17)
         top = rows.max(axis=0)

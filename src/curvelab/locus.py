@@ -148,16 +148,17 @@ def _transitions(exponents, i, j, coeffs, r_lo, r_hi, th_lo, th_hi, flag):
     mean angle of the bracket's ends, until a step moves no end (every later
     one would repeat it). Row k of ``coeffs`` holds the difference polynomial of bracket k."""
     th_hi = th_lo + np.angle(np.exp(1j * (th_hi - th_lo)))
+    slope = npoly.polyder(coeffs, axis=1)
     for _ in range(60):
         r = 0.5 * (r_lo + r_hi)
-        th = refine_angles(coeffs, r, 0.5 * (th_lo + th_hi))
+        th = refine_angles(coeffs, r, 0.5 * (th_lo + th_hi), slope)
         same = _pair_active(exponents, i, j, r * np.exp(1j * th)) == flag
         if np.all(np.where(same, (r == r_lo) & (th == th_lo), (r == r_hi) & (th == th_hi))):
             break
         r_lo, th_lo = np.where(same, r, r_lo), np.where(same, th, th_lo)
         r_hi, th_hi = np.where(same, r_hi, r), np.where(same, th_hi, th)
     r = 0.5 * (r_lo + r_hi)
-    return r * np.exp(1j * refine_angles(coeffs, r, 0.5 * (th_lo + th_hi)))
+    return r * np.exp(1j * refine_angles(coeffs, r, 0.5 * (th_lo + th_hi), slope))
 
 
 def _columns(pairs, radii):

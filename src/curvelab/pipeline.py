@@ -13,12 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characteristic import characteristic_jensen, reduced_characteristic
+from .characteristic import characteristic_jensen, reduced_characteristic, switch_points
 from .curves import HolomorphicCurve, _logsumexp, estimate_growth
 from .locus import regularity_radius, tail_exponents, tied
-from .polynomials import circle_sign_changes
 
-HARVEST_SEEDS = 512        # scan angles per circle for the pairs with u_0
 HARVEST_CAP = 400          # most tie points harvest_tie_points returns
 TIE_TOL_FACTOR = 1e-6      # relative tolerance of a tie at the max for prop1
 PROP2_SEEDS = 1024         # angles per circle for the sup of u - u*
@@ -27,46 +25,10 @@ SLACK = 0.1                # relative slack on the theorem's ceiling
 
 
 def harvest_tie_points(curve: HolomorphicCurve, radii):
-    """Points where two of the u_j (over the full index range 0..n) agree and
-    jointly attain the maximum, found on circles, in the order radius, pair,
-    angle. For i, j >= 1, u_i - u_j = Re(P_i - P_j) changes sign at
-    polynomial roots; for the pairs with u_0, the sign changes of u_0 - u_j
-    on HARVEST_SEEDS angles of every circle are refined all at once by
-    safeguarded Newton steps (README, "Sign changes on a circle")."""
-    first, second = np.triu_indices(curve.n + 1, 1)
-    radii = np.asarray(radii, dtype=float)
-    theta = np.linspace(0.0, 2 * np.pi, HARVEST_SEEDS, endpoint=False)
-    u = curve.compiled.log_moduli(radii[:, None] * np.exp(1j * theta))
-    d = u[0] - u[1:]     # u_0 - u_j by j - 1, radius, angle
-    d_next = np.roll(d, -1, axis=2)
-    pair, k, s = np.nonzero(np.isfinite(d) & np.isfinite(d_next) & ((d > 0) != (d_next > 0)))
-    a, b = theta[s], theta[s] + 2 * np.pi / HARVEST_SEEDS
-    gap_a, gap_b = d[pair, k, s], d_next[pair, k, s]
-    t, run = a + (b - a) * gap_a / (gap_a - gap_b), np.arange(pair.size)   # from the secant points
-    for _ in range(60):
-        if not run.size:
-            break
-        z = radii[k[run]] * np.exp(1j * t[run])
-        rows, slopes = curve.compiled.log_moduli(z), curve.compiled.log_derivatives(z)
-        j = (pair[run] + 1, np.arange(run.size))
-        gap = rows[0] - rows[j]
-        same = (gap > 0) == (gap_a[run] > 0)
-        a[run], b[run] = lo, hi = np.where(same, t[run], a[run]), np.where(same, b[run], t[run])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = gap / -(z * (slopes[0] - slopes[j])).imag
-        step[np.abs(gap) <= 4 * np.finfo(float).eps * (1 + np.abs(rows[0]))] = 0.0
-        end = np.clip(t[run] - step, lo, hi)    # a step out of the bracket bisects, unless out by rounding
-        t[run] = np.where(np.abs(end - (t[run] - step)) <= 1e-14, end, 0.5 * (lo + hi))
-        run = run[~(np.abs(step) <= 1e-14)]
-    # the pairs i, j >= 1 follow the n pairs (0, j) in triu order
-    p, kp, angles = circle_sign_changes(curve.reduced_polys(), radii)
-    k, pair = np.append(k, kp), np.append(pair, p + curve.n)
-    order = np.lexsort((pair, k))
-    pair = pair[order]
-    z = radii[k[order]] * np.exp(1j * np.append(t, angles)[order])
-    top = tied(curve.compiled.log_moduli(z), 1e-7)
-    cols = np.arange(z.size)
-    return list(z[top[first[pair], cols] & top[second[pair], cols]][:HARVEST_CAP])
+    """The first HARVEST_CAP of the switch_points on the circles |z| = radii:
+    points where two of the u_j (over the full index range 0..n) agree and
+    jointly attain the maximum, in the order radius, pair, angle."""
+    return list(switch_points(curve, radii)[1][:HARVEST_CAP])
 
 
 def prop1_check(curve: HolomorphicCurve, points):

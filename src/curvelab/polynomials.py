@@ -213,12 +213,12 @@ def horner(coeffs, z, live=None):
     return acc
 
 
-def refine_angles(coeffs, r, theta):
+def refine_angles(coeffs, r, theta, slope=None):
     """Guarded Newton steps in theta on Re p(r e^{i theta}) = 0 for each angle
     of ``theta``, with p the matching row of ``coeffs`` (as ``stack`` lays them
-    out) and r the matching radius. A step of 1e-3 or more leaves the angle
-    where it is."""
-    slope = npoly.polyder(coeffs, axis=1)
+    out) and r the matching radius; ``slope`` holds the rows of p' when the
+    caller has them. A step of 1e-3 or more leaves the angle where it is."""
+    slope = npoly.polyder(coeffs, axis=1) if slope is None else slope
     for _ in range(_NEWTON_STEPS):
         z = (r * np.exp(1j * theta))[:, None]
         h = horner(coeffs, z)[:, 0].real

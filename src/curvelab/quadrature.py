@@ -1,7 +1,8 @@
 """Quadrature rules used throughout: periodic trapezoid with node doubling
-(spectrally accurate for analytic periodic integrands) and adaptive
-Gauss-Legendre panels, for the radial integrals and for the Jensen circles
-whose ties are too sharp for the trapezoid."""
+(spectrally accurate for analytic periodic integrands), adaptive
+Gauss-Legendre panels for the radial integrals, and Gauss-Kronrod panels on
+given breakpoints for the Jensen circles whose ties are too sharp for the
+trapezoid."""
 
 from __future__ import annotations
 
@@ -11,6 +12,16 @@ from numpy.polynomial.legendre import leggauss
 from .errors import QuadratureBudgetError
 
 _GL_NODES, _GL_WEIGHTS = leggauss(15)
+# QUADPACK's qk15 to double precision: the Kronrod nodes in [0, 1], outermost first (every
+# other one, from the second, a 7-point Gauss node), their weights, and those nodes' Gauss weights
+_XGK = np.array([0.9914553711208126, 0.9491079123427585, 0.8648644233597691, 0.7415311855993945,
+                 0.5860872354676911, 0.4058451513773972, 0.20778495500789848, 0.0])
+_WGK = np.array([0.022935322010529224, 0.06309209262997856, 0.10479001032225019, 0.14065325971552592,
+                 0.1690047266392679, 0.19035057806478542, 0.20443294007529889, 0.20948214108472782])
+_WG = np.array([0.1294849661688697, 0.27970539148927664, 0.3818300505051189, 0.4179591836734694])
+# the same on [-1, 1] in ascending order; the Gauss nodes are _GK_NODES[1::2]
+_GK_NODES = np.concatenate([-_XGK, _XGK[-2::-1]])
+_GK_WEIGHTS, _G7_WEIGHTS = np.concatenate([_WGK, _WGK[-2::-1]]), np.concatenate([_WG, _WG[-2::-1]])
 # Points per integrand or kernel call. Calls are split to about this size so
 # that their (rows, points) temporaries stay small however far a rule refines;
 # the compiled curve kernel in curves.py chunks its evaluations to it too.
@@ -64,27 +75,6 @@ def _trapezoid_levels(f, radii, tol, n_max):
         n *= 2
 
 
-def _gl_estimates(f, lo, hi, weigh):
-    """(estimate, accept) on each panel [lo[p], hi[p]], from one call f(lo,
-    nodes, hi) for all panels; accept is None where f returns no mask."""
-    half = 0.5 * (hi - lo)
-    if half.dtype.kind == "c" and not half.imag.any():
-        half = half.real           # panels parallel to the real axis: dx is real
-    values, accept = f(lo, (0.5 * (lo + hi))[:, None] + half[:, None] * _GL_NODES, hi)
-    sums = weigh(values)
-    return half.reshape((-1,) + (1,) * (sums.ndim - 1)) * sums, accept
-
-
-def _dot_each(values):
-    """One dot per panel, the depth-first rule's bits (a dot over panels rounds otherwise)."""
-    return np.array([np.dot(_GL_WEIGHTS, v) for v in values])
-
-
-def _node_by_node(values):
-    """Each panel's weighted sum reduced over its own row: no panel's bits depend on another's."""
-    return (values * _GL_WEIGHTS.reshape((-1,) + (1,) * (values.ndim - 2))).sum(axis=1)
-
-
 def adaptive_gauss(f, a, b, tol, max_panels=4096):
     """Adaptive Gauss-Legendre integration on [a, b] of a function f that maps
     an array of nodes to an array of values. Values with a trailing axis are
@@ -95,78 +85,91 @@ def adaptive_gauss(f, a, b, tol, max_panels=4096):
     halves of all open panels to f in one call, and the accepted panels are
     summed from b towards a, so the result is the depth-first rule's to the
     last bit. Raises QuadratureBudgetError (carrying the achieved estimate and
-    bound) when the panel budget is exhausted.
+    bound) when the panel budget is exhausted."""
+    if a == b:
+        return 0.0
 
-    Arrays a, b and tol give many intervals, each with its own panel tree,
-    tolerance and budget, refined together; the result has a row per interval.
-    They are segments of the complex plane, so f tells them apart by its points.
-    f then gets each panel as a row of 17 points, its ends around its 15 nodes,
-    about CHUNK_POINTS points per call, and returns the values at the nodes,
-    shaped (panels, 15[, k]), optionally with a boolean mask per panel: a panel
-    whose mask is False is split even when its halves agree with it."""
-    if np.ndim(a) == 0:
-        if a == b:
-            return 0.0
+    def gauss(lo, hi):
+        half = 0.5 * (hi - lo)
+        nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * _GL_NODES
+        values = np.asarray(f(nodes.reshape(-1)))
+        # one dot per panel, the depth-first rule's bits (a dot over panels rounds otherwise)
+        sums = np.array([np.dot(_GL_WEIGHTS, v) for v in values.reshape(nodes.shape + values.shape[1:])])
+        return half.reshape((-1,) + (1,) * (sums.ndim - 1)) * sums
 
-        def on_nodes(lo, nodes, hi):
-            values = np.asarray(f(nodes.reshape(-1)))
-            return values.reshape(nodes.shape + values.shape[1:]), None
-
-        return _panel_trees(on_nodes, np.array([a]), np.array([b]), np.array([tol]), max_panels,
-                            _dot_each)[0]
-
-    def on_rows(lo, nodes, hi):
-        rows = np.concatenate([lo[:, None], nodes, hi[:, None]], axis=1)
-        per_call = max(1, CHUNK_POINTS // rows.shape[1])
-        parts = [f(rows[start:start + per_call]) for start in range(0, len(rows), per_call)]
-        if not isinstance(parts[0], tuple):
-            return np.concatenate(parts), None
-        values, accept = zip(*parts)
-        return np.concatenate(values), np.concatenate(accept)
-
-    return _panel_trees(on_rows, np.asarray(a), np.asarray(b), np.broadcast_to(tol, np.shape(a)),
-                        max_panels, _node_by_node)
-
-
-def _panel_trees(f, a, b, tol, max_panels, weigh):
-    """adaptive_gauss on the intervals [a[k], b[k]], with f(lo, nodes, hi) giving
-    the values at the nodes of all panels and their accept mask (or None)."""
-    span = np.abs(b - a)
-    # np.linspace(a, b)'s arithmetic for every interval at once
-    edges = a[:, None] + np.arange(INITIAL_PANELS + 1) * ((b - a) / INITIAL_PANELS)[:, None]
-    edges[:, -1] = b
-    lo, hi = edges[:, :-1].reshape(-1), edges[:, 1:].reshape(-1)
-    k = np.repeat(np.arange(a.size), INITIAL_PANELS)
-    whole, ok = _gl_estimates(f, lo, hi, weigh)
-    accepted = []   # (interval, left end, left + right) of the accepted panels of each level
-    panels_used = np.full(a.size, INITIAL_PANELS)
-    while lo.size:
+    def judge(lo, hi, whole):
         n, mid = lo.size, 0.5 * (lo + hi)
-        halves, ok_halves = _gl_estimates(f, np.concatenate([lo, mid]), np.concatenate([mid, hi]),
-                                          weigh)
+        halves = gauss(np.concatenate([lo, mid]), np.concatenate([mid, hi]))
         pair = halves[:n] + halves[n:]
-        err = np.abs(pair - whole).reshape(n, -1).max(axis=1)
-        width, span_k = np.abs(hi - lo), span[k]
-        done = err <= tol[k] * width / span_k
-        if ok is not None:
-            done &= ok
-        done |= width < 1e-14 * span_k
-        keep = ~done
-        accepted.append((k[done], lo[done], pair[done]))
-        panels_used += 2 * np.bincount(k[keep], minlength=a.size)
-        if (panels_used > max_panels).any():
-            j = np.argmax(panels_used > max_panels)
-            estimate = np.sum([s for kk, _, part in accepted for s in part[kk == j]]
-                              + list(pair[keep & (k == j)]), axis=0)
+        return pair, np.abs(pair - whole).reshape(n, -1).max(axis=1), True, (halves[:n], halves[n:])
+
+    # np.linspace(a, b)'s arithmetic
+    edges = a + np.arange(INITIAL_PANELS + 1) * ((b - a) / INITIAL_PANELS)
+    edges[-1] = b
+    lo, hi = edges[:-1], edges[1:]
+    return _refine(judge, gauss(lo, hi), np.array([a]), np.zeros(INITIAL_PANELS, dtype=int), lo, hi,
+                   np.array([abs(b - a)]), np.array([tol]), max_panels)[0]
+
+
+def kronrod_panels(f, a, k, lo, hi, tol, max_panels):
+    """Gauss-Kronrod (7, 15) integration on intervals cut into given panels:
+    interval i starts at a[i] and holds the panels [lo[p], hi[p]] with k[p] = i,
+    segments of the complex plane in any order. Returns one value per interval.
+
+    f gets each panel as a row of 17 points, its ends around its 15 nodes, in
+    calls of about CHUNK_POINTS points, and returns the values at the nodes,
+    shaped (panels, 15), and a boolean mask per panel. A panel is accepted
+    when |K15 - G7| is within its width's share of its interval's tol and its
+    mask holds; the rest are halved (_refine). Each interval is summed in a
+    fixed order, so it gives the same bits alone as among others."""
+    def judge(lo, hi, _):
+        half = 0.5 * (hi - lo)
+        if half.dtype.kind == "c" and not half.imag.any():
+            half = half.real       # panels parallel to the real axis: dx is real
+        rows = np.concatenate([lo[:, None], (0.5 * (lo + hi))[:, None] + half[:, None] * _GK_NODES,
+                               hi[:, None]], axis=1)
+        per_call = max(1, CHUNK_POINTS // rows.shape[1])
+        values, accept = (np.concatenate(parts) for parts in
+                          zip(*(f(rows[start:start + per_call]) for start in range(0, len(rows), per_call))))
+        kronrod = half * (values * _GK_WEIGHTS).sum(axis=1)    # each panel reduced over its own row
+        return kronrod, np.abs(kronrod - half * (values[:, 1::2] * _G7_WEIGHTS).sum(axis=1)), accept, None
+
+    a = np.asarray(a)
+    span = np.bincount(k, np.abs(hi - lo), minlength=a.size)
+    return _refine(judge, None, a, k, lo, hi, span, np.broadcast_to(tol, a.shape), max_panels)
+
+
+def _refine(judge, carry, a, k, lo, hi, span, tol, max_panels):
+    """The panel loop of both rules on the panels [lo[p], hi[p]] of the
+    intervals k[p] that start at a[k] and are span[k] long. judge(lo, hi,
+    carry) gives each open panel's (estimate, error, accept mask, carry of its
+    two halves); a panel is accepted when its error is within its width's share
+    of tol[k] and its mask holds, or when it is narrower than 1e-14 span[k].
+    Each level halves the rest. Every interval's accepted panels are summed
+    one by one from its far end towards a[k], the depth-first order. An
+    interval past max_panels raises with the sum of its panels' estimates
+    and of their bounds (each the larger of its error and its share of tol)."""
+    accepted = []   # (interval, left end, estimate, bound) of the accepted panels of each level
+    used = np.bincount(k, minlength=a.size)
+    while lo.size:
+        value, err, accept, carry = judge(lo, hi, carry)
+        width = np.abs(hi - lo)
+        share = tol[k] * width / span[k]
+        done = (err <= share) & accept | (width < 1e-14 * span[k])
+        err, keep = np.maximum(err, share), ~done    # a panel's bound: its error, or its share of tol
+        accepted.append((k[done], lo[done], value[done], err[done]))
+        used += 2 * np.bincount(k[keep], minlength=a.size)
+        if (used > max_panels).any():
+            j = np.argmax(used > max_panels)
+            kk, _, values, errors = (np.concatenate(parts) for parts in
+                                     zip(*accepted, (k[keep], lo[keep], value[keep], err[keep])))
             raise QuadratureBudgetError("adaptive Gauss-Legendre panel budget exhausted",
-                                        estimate, err[keep & (k == j)].max())
-        keep_halves = np.concatenate([keep, keep])
-        whole = halves[keep_halves]
-        ok = None if ok_halves is None else ok_halves[keep_halves]
-        lo, mid, hi, k = lo[keep], mid[keep], hi[keep], k[keep]
-        lo, hi, k = np.concatenate([lo, mid]), np.concatenate([mid, hi]), np.concatenate([k, k])
-    k, lo, sums = (np.concatenate(parts) for parts in zip(*accepted))
-    # each interval's panels added one by one from b towards a, the depth-first order
+                                        np.sum(values[kk == j], axis=0), float(errors[kk == j].sum()))
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.concatenate([lo[keep], mid[keep]]), np.concatenate([mid[keep], hi[keep]])
+        k = np.concatenate([k[keep], k[keep]])
+        carry = None if carry is None else np.concatenate([half[keep] for half in carry])
+    k, lo, sums, _ = (np.concatenate(parts) for parts in zip(*accepted))
     order = np.lexsort((-np.abs(lo - a[k]), k))
     k, sums = k[order], sums[order]
     bounds = np.searchsorted(k, np.arange(a.size + 1))

@@ -1,5 +1,6 @@
 """The Jensen route's panel phase: circles that the periodic trapezoid has not
-settled by JENSEN_HANDOVER angles finish on tie-guarded Gauss-Legendre panels."""
+settled by JENSEN_HANDOVER angles finish on tie-guarded Gauss-Kronrod panels
+graded from their switch angles."""
 
 import json
 import math
@@ -10,7 +11,7 @@ import pytest
 
 import curvelab.characteristic as characteristic
 from curvelab import build_table, characteristic_jensen, load_curve, parse_curve
-from curvelab.characteristic import DEFAULT_TOL, JENSEN_HANDOVER, _tie_guarded_u
+from curvelab.characteristic import DEFAULT_TOL, JENSEN_HANDOVER, _tie_guarded_u, switch_points
 from curvelab.cli import main
 from curvelab.errors import QuadratureBudgetError
 from curvelab.quadrature import _trapezoid_levels, periodic_trapezoid
@@ -68,22 +69,26 @@ N3_SIGMA05 = {"n": 3, "sigma": 0.5, "K": 1.0, "components": [
     _exppoly()]}
 
 
+def _component_logs(spec, z):
+    """The rows log|f_k(z)| = Re P_k + log|Q_k|, each by its own Horner loop."""
+    logs = []
+    for comp in spec["components"]:
+        g, p = (np.zeros_like(z) if "Q" in comp else np.ones_like(z)), np.zeros_like(z)
+        for c in reversed(comp.get("Q", [])):
+            g = g * z + complex(*c)
+        for c in reversed(comp["P"]):
+            p = p * z + complex(*c)
+        with np.errstate(divide="ignore"):
+            logs.append(p.real + np.log(np.abs(g)))
+    return np.array(logs)
+
+
 def _oracle(spec, r, nodes=1 << 22, chunk=1 << 18):
     """Circle integral of u = (1/2) log sum |f_k|^2 by a plain trapezoid on
     `nodes` angles, each |f_k| by its own Horner loop."""
     total = 0.0
     for start in range(0, nodes, chunk):
-        z = r * np.exp(1j * np.arange(start, start + chunk) * (2 * math.pi / nodes))
-        logs = []
-        for comp in spec["components"]:
-            g, p = (np.zeros_like(z) if "Q" in comp else np.ones_like(z)), np.zeros_like(z)
-            for c in reversed(comp.get("Q", [])):
-                g = g * z + complex(*c)
-            for c in reversed(comp["P"]):
-                p = p * z + complex(*c)
-            with np.errstate(divide="ignore"):
-                logs.append(p.real + np.log(np.abs(g)))
-        logs = np.array(logs)
+        logs = _component_logs(spec, r * np.exp(1j * np.arange(start, start + chunk) * (2 * math.pi / nodes)))
         top = logs.max(axis=0)
         total += np.sum(top + 0.5 * np.log(np.sum(np.exp(2.0 * (logs - top)), axis=0)))
     return total * (2 * math.pi / nodes)
@@ -93,21 +98,54 @@ def _jensen_integral(curve, r):
     return (characteristic_jensen(curve, r) + curve.u(0.0)) * 2 * math.pi
 
 
-@pytest.mark.parametrize("spec, r", [(N3_SIGMA05, VERIFY_GRID[15]), (N4_SIGMA1, VERIFY_GRID[14])],
-                         ids=["n3-r20", "n4-r16.38"])
+@pytest.mark.parametrize("spec, r", [(N3_SIGMA05, VERIFY_GRID[15]), (N4_SIGMA1, VERIFY_GRID[14]),
+                                     (N6_SIGMA05, VERIFY_GRID[13])],
+                         ids=["n3-r20", "n4-r16.38", "n6-r13.41"])
 def test_unsettled_circle_meets_its_tolerance(spec, r):
-    # the trapezoid's two-level test stopped 4.0e-8 and 1.1e-7 (relative) away
-    # from the 2^22-angle value on these circles; the panels must not
+    # the trapezoid's two-level test stopped 4.0e-8, 1.1e-7 and 1.1e-8
+    # (relative) away from the 2^22-angle value on these circles; the panels must not
     curve = parse_curve(spec)
     assert _trapezoid_levels(curve.u, [r], DEFAULT_TOL, JENSEN_HANDOVER)[2].size == 1
     reference = _oracle(spec, r)
     assert abs(_jensen_integral(curve, r) - reference) <= DEFAULT_TOL * max(1.0, abs(reference))
 
 
+def test_missed_switches_fall_to_the_tie_guard(monkeypatch):
+    # with no switch angles the panels start from the four quarters of the
+    # circle, and bisection, on the error estimate and the tie guard, must
+    # still reach the tolerance
+    def nothing(curve, radii):
+        return np.empty(0, dtype=int), np.empty(0, dtype=complex), np.empty(0, dtype=int)
+
+    monkeypatch.setattr(characteristic, "switch_points", nothing)
+    curve, r = parse_curve(N3_SIGMA05), VERIFY_GRID[15]
+    reference = _oracle(N3_SIGMA05, r)
+    assert abs(_jensen_integral(curve, r) - reference) <= DEFAULT_TOL * max(1.0, abs(reference))
+
+
+@pytest.mark.parametrize("spec", [N3_SIGMA05, N4_SIGMA1, N6_SIGMA05], ids=["n3", "n4", "n6"])
+def test_switch_points_find_every_argmax_change(spec):
+    # where the argmax of log|f_k| changes between two of 2^16 angles, a
+    # switch point lies within one step of them
+    curve, radii, count = parse_curve(spec), VERIFY_GRID[12:], 1 << 16
+    circle, z, pair = switch_points(curve, radii)
+    assert circle.size == z.size == pair.size and np.all(np.abs(np.abs(z) - radii[circle]) <= 1e-12 * radii[circle])
+    step = 2 * math.pi / count
+    theta = np.arange(count) * step
+    for c, r in enumerate(radii):
+        winner = _component_logs(spec, r * np.exp(1j * theta)).argmax(axis=0)
+        changes = theta[np.flatnonzero(winner != np.roll(winner, -1))]
+        assert changes.size
+        found = np.mod(np.angle(z[circle == c]), 2 * math.pi)
+        # circular distance from each change's left angle to the nearest switch point
+        gap = np.abs(np.angle(np.exp(1j * (changes[:, None] - found[None, :])))).min(axis=1)
+        assert np.all(gap <= step * (1 + 1e-9)), (r, changes[gap > step])
+
+
 def _gauss(f, lo, hi):
     """The 15-point Gauss-Legendre estimates and tie guards of the panel
     integrand f on the panels [lo[p], hi[p]], handed to f as rows of 17
-    points, the ends around the nodes, as adaptive_gauss hands them."""
+    points, the ends around the nodes, as kronrod_panels hands them."""
     nodes, weights = np.polynomial.legendre.leggauss(15)
     half = (0.5 * (hi - lo)).real
     rows = np.concatenate([lo[:, None], (0.5 * (lo + hi))[:, None] + half[:, None] * nodes,

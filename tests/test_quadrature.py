@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from curvelab.errors import QuadratureBudgetError
-from curvelab.quadrature import CHUNK_POINTS, adaptive_gauss, periodic_trapezoid
+from curvelab.quadrature import (CHUNK_POINTS, _G7_WEIGHTS, _GK_NODES, _GK_WEIGHTS, adaptive_gauss,
+                                 kronrod_panels, periodic_trapezoid)
 
 
 def _pole(z):
@@ -214,12 +215,42 @@ def _rows_peak(rows):
     return 1.0 / ((x.real - 0.3) ** 2 + 1e-4) + x.imag
 
 
-class TestManyIntervals:
+def _masked_peak(rows):
+    # _rows_peak at the nodes of each panel row, with a mask that holds everywhere
+    return _rows_peak(rows), np.ones(len(rows), dtype=bool)
+
+
+def _quarters(a, b):
+    """(k, lo, hi): each interval [a[i], b[i]] cut into four equal panels."""
+    t = np.arange(4) / 4
+    lo = (a[:, None] + t * (b - a)[:, None]).reshape(-1)
+    hi = (a[:, None] + (t + 0.25) * (b - a)[:, None]).reshape(-1)
+    return np.repeat(np.arange(a.size), 4), lo, hi
+
+
+class TestKronrodPanels:
+    def test_qk15_constants(self):
+        # the Gauss nodes and weights are leggauss(7)'s; K15 integrates x^k
+        # exactly up to k = 22 and G7 up to k = 13
+        nodes, weights = np.polynomial.legendre.leggauss(7)
+        np.testing.assert_allclose(_GK_NODES[1::2], nodes, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(_G7_WEIGHTS, weights, rtol=0, atol=1e-15)
+        assert np.all(np.diff(_GK_NODES) > 0) and _GK_WEIGHTS.sum() == pytest.approx(2.0, abs=1e-15)
+        for k in range(23):
+            exact = 0.0 if k % 2 else 2.0 / (k + 1)
+            assert abs(_GK_WEIGHTS @ _GK_NODES ** k - exact) <= 1e-15
+            if k <= 13:
+                assert abs(_G7_WEIGHTS @ _GK_NODES[1::2] ** k - exact) <= 1e-15
+        # and neither rule is exact one degree further
+        assert abs(_GK_WEIGHTS @ _GK_NODES ** 24 - 2.0 / 25) > 1e-12
+        assert abs(_G7_WEIGHTS @ _GK_NODES[1::2] ** 14 - 2.0 / 15) > 1e-6
+
     def test_each_interval_to_its_own_tolerance(self):
         # two real intervals and a segment parallel to the real axis
         a, b = np.array([0.0, 0.0, 2j]), np.array([1.0, 2.0, 1.0 + 2j])
         tol = np.array([1e-9, 1e-8, 1e-9])
-        values = adaptive_gauss(_rows_peak, a, b, tol)
+        k, lo, hi = _quarters(a, b)
+        values = kronrod_panels(_masked_peak, a, k, lo, hi, tol, 4096)
         assert values.shape == (3,) and values.dtype == float
 
         def peak(hi):
@@ -227,25 +258,29 @@ class TestManyIntervals:
 
         exact = [peak(1.0), peak(2.0), peak(1.0) + 2.0]
         assert np.all(np.abs(values - exact) <= tol)
-        # an interval's value does not depend on the intervals beside it
-        for k in range(3):
-            assert adaptive_gauss(_rows_peak, a[k:k + 1], b[k:k + 1], tol[k:k + 1]).tolist() == [values[k]]
+        # an interval's value does not depend on the intervals beside it, nor
+        # on the order its panels come in
+        for i in range(3):
+            mine = np.flatnonzero(k == i)[::-1]
+            alone = kronrod_panels(_masked_peak, a[i:i + 1], np.zeros_like(mine), lo[mine], hi[mine],
+                                   tol[i:i + 1], 4096)
+            assert alone.tolist() == [values[i]]
 
-    def test_mask_splits_panels_whose_halves_agree(self):
+    def test_mask_splits_panels_whose_estimate_passes(self):
         calls = []
 
         def flat(rows, masked):
             calls.append(len(rows))
-            values = np.ones(rows[:, 1:-1].shape)
-            return (values, (rows[:, -1] - rows[:, 0]).real < 1 / 64) if masked else values
+            width = (rows[:, -1] - rows[:, 0]).real
+            return np.ones(rows[:, 1:-1].shape), (width < 1 / 64) | (not masked)
 
-        plain = adaptive_gauss(lambda rows: flat(rows, False), np.array([0.0]), np.array([1.0]), 1e-12)
-        assert calls == [4, 8]
+        one = (np.array([0.0]), np.array([0]), np.array([0.0]), np.array([1.0]))
+        plain = kronrod_panels(lambda rows: flat(rows, False), *one, 1e-12, 4096)
+        assert calls == [1]
         calls.clear()
-        masked = adaptive_gauss(lambda rows: flat(rows, True), np.array([0.0]), np.array([1.0]), 1e-12)
-        # a panel is accepted once it is narrower than 1/64: the whole of width
-        # 1/128, whose halves of width 1/256 make the last level
-        assert calls == [4, 8, 16, 32, 64, 128, 256]
+        masked = kronrod_panels(lambda rows: flat(rows, True), *one, 1e-12, 4096)
+        # a panel is accepted once it is narrower than 1/64: the level of width 1/128
+        assert calls == [1, 2, 4, 8, 16, 32, 64, 128]
         assert plain.tolist() == [pytest.approx(1.0, abs=1e-15)]
         assert masked.tolist() == [pytest.approx(1.0, abs=1e-13)]
 
@@ -254,9 +289,9 @@ class TestManyIntervals:
 
         def counted(rows):
             sizes.append(rows.size)
-            return np.exp(rows[:, 1:-1].real)
+            return np.exp(rows[:, 1:-1].real), np.ones(len(rows), dtype=bool)
 
         a = np.linspace(0.0, 1.0, 600)
-        values = adaptive_gauss(counted, a, a + 1.0, 1e-12)
+        values = kronrod_panels(counted, a, *_quarters(a, a + 1.0), 1e-12, 4096)
         np.testing.assert_allclose(values, np.exp(a) * (math.e - 1), rtol=1e-13)
-        assert max(sizes) <= CHUNK_POINTS < sum(sizes[:5])
+        assert max(sizes) <= CHUNK_POINTS < sum(sizes[:2])
