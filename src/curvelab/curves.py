@@ -166,16 +166,9 @@ class _Stack:
         return out
 
 
-# The product form of ||f'||^2 stands where the two largest log|f_k| are at
-# most _GAP_MAX apart, their E_k^2 are normal numbers (with the rescale
-# beyond _GAP_PLAIN), and the numerator is at least _NUM_MIN: there the
-# factors and terms that count are normal. Other points fall back to the log
-# form.
-_GAP_PLAIN = 300.0
-_GAP_MAX = 600.0
+# The one threshold between the two forms of ||f'||^2 (CompiledCurve._spherical):
+# the product form stands where its factors that count are normal numbers.
 _NORMAL = np.finfo(float).tiny
-_NUM_MIN = 2.0 ** -960
-_HALF_LOG2E = 0.5 / math.log(2.0)
 
 
 class CompiledCurve:
@@ -249,11 +242,10 @@ class CompiledCurve:
     def _spherical(self, z, squared):
         """With E_k = exp(Re P_k - top), top the largest log|f_k|,
         ||f'||^2 = sum_{i<j} |w_ij|^2 E_i^2 E_j^2 / (sum_k |g_k|^2 E_k^2)^2:
-        one exp per component. Where the gap between the two largest log|f_k|
-        passes _GAP_PLAIN, the rescale multiplies each E_k by 2^t, t about
-        half the gap over log 2: each term keeps its bits while it stays
-        normal, and the largest and the second largest |g_k|^2 E_k^2 come to
-        about e^gap and e^-gap, so that their product stays normal too."""
+        one exp per component. The product form stands where the E_k^2 of
+        the two largest log|f_k| and the numerator are normal numbers and
+        neither sum overflows; there every term that counts keeps its bits.
+        The log form reads the other points."""
         rows = self._all
         acc = horner(rows.coeffs, z, rows.live)
         # points out of range overflow or meet inf * 0 here, and fall back
@@ -266,14 +258,10 @@ class CompiledCurve:
             g2, w2 = (rows.take(acc.real, group, np.ascontiguousarray, _abs2) for group in (0, 2))
             del acc, parts   # freed first: a lower peak per chunk avoids heap trim-and-regrow churn
             top, second = _top_two(log_f)
-            gap = top - second
             e -= top
             np.exp(e, out=e)
-            far = gap > _GAP_PLAIN
-            if far.any():
-                e *= np.ldexp(1.0, np.where(far, np.rint(np.fmin(gap, _GAP_MAX) * _HALF_LOG2E), 0).astype(int))
             e *= e
-            ok = (gap <= _GAP_MAX) & (np.min(e, axis=0, where=log_f >= second, initial=np.inf) >= _NORMAL)
+            ok = np.min(e, axis=0, where=log_f >= second, initial=np.inf) >= _NORMAL
             del log_f, second
             g2 *= e
             den = _rowsum(g2)
@@ -282,7 +270,7 @@ class CompiledCurve:
                 w2[block] *= e[i + 1:]
             num = _rowsum(w2)
             out = num / den / den if squared else np.sqrt(num) / den
-            ok &= (num >= _NUM_MIN) & (np.maximum(num, den) < np.inf)
+            ok &= (num >= _NORMAL) & (np.maximum(num, den) < np.inf)
         if not ok.all():
             bad = ~ok
             out[bad] = self._log_form(z[bad], squared)

@@ -114,7 +114,8 @@ def adaptive_gauss(f, a, b, tol, max_panels=4096):
 def kronrod_panels(f, a, k, lo, hi, tol, max_panels):
     """Gauss-Kronrod (7, 15) integration on intervals cut into given panels:
     interval i starts at a[i] and holds the panels [lo[p], hi[p]] with k[p] = i,
-    segments of the complex plane in any order. Returns one value per interval.
+    segments of the complex plane parallel to the real axis, in any order.
+    Returns one value per interval.
 
     f gets each panel as a row of 17 points, its ends around its 15 nodes, in
     calls of about CHUNK_POINTS points, and returns the values at the nodes,
@@ -123,9 +124,7 @@ def kronrod_panels(f, a, k, lo, hi, tol, max_panels):
     mask holds; the rest are halved (_refine). Each interval is summed in a
     fixed order, so it gives the same bits alone as among others."""
     def judge(lo, hi, _):
-        half = 0.5 * (hi - lo)
-        if half.dtype.kind == "c" and not half.imag.any():
-            half = half.real       # panels parallel to the real axis: dx is real
+        half = (0.5 * (hi - lo)).real     # parallel to the real axis: dx is real
         rows = np.concatenate([lo[:, None], (0.5 * (lo + hi))[:, None] + half[:, None] * _GK_NODES,
                                hi[:, None]], axis=1)
         per_call = max(1, CHUNK_POINTS // rows.shape[1])

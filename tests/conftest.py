@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,19 @@ def complex_multiply_fuses():
     rng = np.random.default_rng(0)
     a, b = rng.normal(size=(2, 64)) + 1j * rng.normal(size=(2, 64))
     return any(complex(x) * complex(y) != p for x, y, p in zip(a, b, a * b))
+
+
+@pytest.fixture(scope="session")
+def simd_exp_log():
+    """Whether numpy's float64 exp, log and log1p round otherwise than the
+    math module's: they do under AVX-512 dispatch, where numpy runs its own
+    vector loops (about one exp in twenty differs), and not under AVX2 or
+    baseline dispatch, where it calls libm. Recorded bits pick their golden
+    by it and by complex_multiply_fuses."""
+    rng = np.random.default_rng(0)
+    x, y = rng.uniform(-700.0, 700.0, 1024), np.exp(rng.uniform(-700.0, 700.0, 1024))
+    pairs = ((math.exp, np.exp, x), (math.log, np.log, y), (math.log1p, np.log1p, y))
+    return any(fn(float(v)) != w for fn, ufunc, args in pairs for v, w in zip(args, ufunc(args)))
 
 
 @pytest.fixture

@@ -294,9 +294,11 @@ class TestCompiledKernelOracle:
         # n = 2 with exponents of degree 3 or 4 whose terms are each about 300
         # in size on |z| = 20: round that circle the two largest log|f_k| run
         # from tied to more than 700 apart, so ||f'|| runs from 1e-310 to
-        # 1e-95. Twelve points spread over that range in log scale: those
-        # whose gap passes 300 take the rescale, and those past 600 (||f'||
-        # below about 1e-255) the log form.
+        # 1e-95. The product form stands where the E_k^2 of the two largest
+        # and the numerator are normal numbers; the log form reads the rest,
+        # which on this circle is a gap past about 350 and ||f'|| below about
+        # 1e-150. Twelve points spread over that range in log scale, and nine
+        # whose gaps span 280 to 360, across the hand-off.
         rng = np.random.default_rng(0)
         degree = math.floor(2 * sigma + 2)
 
@@ -307,13 +309,18 @@ class TestCompiledKernelOracle:
         curve = HolomorphicCurve(2, (CurveComponent.poly_exp(q, exponent()),
                                      CurveComponent.exp_poly(exponent()), CurveComponent.one()), sigma)
         z = 20.0 * np.exp(2j * np.pi * np.arange(1 << 14) / (1 << 14))
-        with np.errstate(divide="ignore"):
-            grid = np.log10(curve.spherical_derivative(z))
-        z = z[[int(np.argmin(np.abs(grid - target))) for target in np.linspace(-310, -95, 12)]]
         logged = []
         log_form = CompiledCurve._log_form
         monkeypatch.setattr(CompiledCurve, "_log_form",
                             lambda self, w, squared: logged.extend(w) or log_form(self, w, squared))
+        with np.errstate(divide="ignore"):
+            grid = np.log10(curve.spherical_derivative(z))
+        read = np.isin(z, logged)
+        assert grid[read].max() < -149.4 and grid[~read].min() >= -152.2
+        top, second = np.sort(curve.compiled.log_moduli(z), axis=0)[:-3:-1]
+        band = [int(np.argmin(np.abs(top - second - target))) for target in np.linspace(280, 360, 9)]
+        assert 0 < read[band].sum() < len(band)
+        z = z[[int(np.argmin(np.abs(grid - target))) for target in np.linspace(-310, -95, 12)] + band]
         ours = curve.spherical_derivative(z)
         oracles = [_mp_spherical(curve, point) for point in z]
         assert min(oracles) < 1e-300 and max(oracles) > 1e-100
@@ -322,9 +329,6 @@ class TestCompiledKernelOracle:
                 assert value < 1e-280
             else:
                 assert value == pytest.approx(oracle, rel=1e-12, abs=0.0)
-        # the log form reads some of the points below 1e-250 and no other;
-        # those from there to 1e-135 are the rescale's
-        assert logged and all(oracle < 1e-250 for point, oracle in zip(z, oracles) if point in logged)
         assert sum(1e-250 <= oracle < 1e-135 for oracle in oracles) >= 3
 
     def test_scalar_and_shapes(self, product_curve):
