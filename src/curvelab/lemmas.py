@@ -164,9 +164,10 @@ def verify_lemma2(v: DiscSuperharmonic, z1):
 def _draw(rng, superharmonic):
     """One instance's draws, in the order they leave rng: the centre, the
     radius, the boundary zero w1 = _CIRCLE[k1], the coefficients of
-    q = (w - w1) p, and for a superharmonic instance its atoms (else None)."""
-    center = complex(*rng.uniform(-2, 2, size=2))     # the same two doubles as two scalar calls
-    radius = rng.uniform(0.5, 2.5)
+    q = (w - w1) p, and for a superharmonic instance its atoms (else None).
+    Each uniform(a, b) is drawn as a + (b - a) * random(), numpy's own double."""
+    x, y, u = rng.random(3).tolist()
+    center, radius = complex(-2 + 4 * x, -2 + 4 * y), 0.5 + 2 * u
     w1 = _CIRCLE[int(rng.integers(0, GRID_SIZE))]
     p = rng.normal(size=(int(rng.integers(0, 4)) + 1, 2)).view(complex)[:, 0]
     if p[-1] == 0:      # trimmed as ComplexPoly trims; the zero polynomial becomes 1
@@ -177,10 +178,10 @@ def _draw(rng, superharmonic):
     masses = []
     for _ in range(int(rng.integers(1, _MAX_ATOMS + 1))):
         while True:
-            rho = math.sqrt(rng.uniform(0.0, 0.9))
+            rho = math.sqrt(0.9 * rng.random())
             if abs(rho - 0.5) > 1e-3:
                 break
-        phi = rng.uniform(0.0, 2 * np.pi)
+        phi = (2 * np.pi) * rng.random()
         zeta = center + radius * rho * np.exp(1j * phi)
         masses.append((zeta, float(rng.exponential(1.0))))
     return center, radius, w1, q, masses
@@ -218,29 +219,40 @@ def _grid_top(qs, autocorr):
 _Family = namedtuple("_Family", "center radius z1 h zeta weight live")
 
 
+def _families(*specs):
+    """[_family_arrays(*spec) for spec in specs], every instance drawn first
+    and every top from one _grid_top call."""
+    drawn, families = [], []
+    for seed, count, kind in specs:
+        if kind not in ("harmonic", "superharmonic", "mixed"):
+            raise ValueError(f"kind must be 'harmonic', 'superharmonic' or 'mixed', got {kind!r}")
+        rng = np.random.default_rng(seed)
+        drawn.append([_draw(rng, kind == "superharmonic" or (kind == "mixed" and k % 2 == 1))
+                      for k in range(count)])
+    corr = [[np.correlate(q, q, "full")[len(q) - 1:] for _, _, _, q, _ in draws] for draws in drawn]
+    tops = _grid_top([d[3] for draws in drawn for d in draws], [r for rs in corr for r in rs])
+    for draws, autocorr, top in zip(drawn, corr, np.split(tops, np.cumsum([len(d) for d in drawn])[:-1])):
+        center = np.array([d[0] for d in draws], dtype=complex)
+        h = np.zeros((len(draws), max([len(r) for r in autocorr] + [2])), dtype=complex)
+        zeta, weight = np.repeat(center[:, None], _MAX_ATOMS, axis=1), np.zeros((len(draws), _MAX_ATOMS))
+        for i, ((*_, masses), r) in enumerate(zip(draws, autocorr)):
+            h[i, :len(r)] = r
+            if masses:
+                zeta[i, :len(masses)], weight[i, :len(masses)] = zip(*masses)
+        h *= (10.0 / top)[:, None]
+        h[:, 1:] *= 2.0
+        live = np.arange(_MAX_ATOMS) < np.array([len(d[4] or ()) for d in draws], dtype=int)[:, None]
+        z1 = np.array([a + r * w1 for a, r, w1, _, _ in draws], dtype=complex)
+        families.append(_Family(center, np.array([d[1] for d in draws]), z1, h, zeta, weight, live))
+    return families
+
+
 def _family_arrays(seed, count, kind):
     """random_lemma_family(seed, count, kind) as a _Family, one row per
     instance: centres, radii, boundary zeros, h zero-padded to at least 2
     columns, and four atom slots, each with its location, weight and whether it
     was drawn; an empty slot sits at the centre with weight 0."""
-    if kind not in ("harmonic", "superharmonic", "mixed"):
-        raise ValueError(f"kind must be 'harmonic', 'superharmonic' or 'mixed', got {kind!r}")
-    rng = np.random.default_rng(seed)
-    draws = [_draw(rng, kind == "superharmonic" or (kind == "mixed" and k % 2 == 1))
-             for k in range(count)]
-    autocorr = [np.correlate(q, q, "full")[len(q) - 1:] for _, _, _, q, _ in draws]
-    center = np.array([d[0] for d in draws], dtype=complex)
-    h = np.zeros((count, max([len(r) for r in autocorr] + [2])), dtype=complex)
-    zeta, weight = np.repeat(center[:, None], _MAX_ATOMS, axis=1), np.zeros((count, _MAX_ATOMS))
-    for i, ((*_, masses), r) in enumerate(zip(draws, autocorr)):
-        h[i, :len(r)] = r
-        if masses:
-            zeta[i, :len(masses)], weight[i, :len(masses)] = zip(*masses)
-    h *= (10.0 / _grid_top([d[3] for d in draws], autocorr))[:, None]
-    h[:, 1:] *= 2.0
-    live = np.arange(_MAX_ATOMS) < np.array([len(d[4] or ()) for d in draws], dtype=int)[:, None]
-    z1 = np.array([a + r * w1 for a, r, w1, _, _ in draws], dtype=complex)
-    return _Family(center, np.array([d[1] for d in draws]), z1, h, zeta, weight, live)
+    return _families((seed, count, kind))[0]
 
 
 def _instance(family, i):
@@ -332,8 +344,9 @@ def harness_report(seed, count):
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count!r}")
     report, failures = {"seed": seed, "count": count}, []
-    for kind, family_seed in (("harmonic", seed), ("superharmonic", seed + 1)):
-        margins = _margins(_family_arrays(family_seed, count, kind)).tolist()
+    families = _families((seed, count, "harmonic"), (seed + 1, count, "superharmonic"))
+    for kind, family in zip(("harmonic", "superharmonic"), families):
+        margins = _margins(family).tolist()
         failures += [{"kind": kind, "index": idx, "margin": margin}
                      for idx, margin in enumerate(margins) if margin < -1e-8]
         report[f"{kind}_min_margin"] = min(margins)

@@ -6,6 +6,8 @@ trapezoid."""
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
@@ -59,20 +61,30 @@ def _trapezoid_levels(f, radii, tol, n_max):
     errors = np.full(radii.size, np.inf)
     running = np.arange(radii.size)
     n = N_START
-    theta = np.arange(n) * (2 * np.pi / n)
     while True:
-        per_call = max(1, CHUNK_POINTS // theta.size)
+        nodes = _level_nodes(n)
+        per_call = max(1, CHUNK_POINTS // nodes.size)
         for start in range(0, running.size, per_call):
             rows = running[start:start + per_call]
-            totals[rows] += np.asarray(f(radii[rows, None] * np.exp(1j * theta))).sum(axis=1)
+            totals[rows] += np.asarray(f(radii[rows, None] * nodes)).sum(axis=1)
         new = totals[running] * (2 * np.pi / n)
         errors[running] = np.abs(new - integrals[running])
         integrals[running] = new
         running = running[~(errors[running] <= tol * np.maximum(1.0, np.abs(new)))]
         if not running.size or n >= n_max:
             return integrals, errors, running
-        theta = np.arange(n) * (2 * np.pi / n) + np.pi / n   # the midpoints
         n *= 2
+
+
+@lru_cache(maxsize=None)
+def _level_nodes(n):
+    """e^{i theta} at the angles new at level n of _trapezoid_levels, read-only:
+    all n at N_START, after that the n/2 midpoints of the level before."""
+    m = n // 2
+    theta = np.arange(n) * (2 * np.pi / n) if n == N_START else np.arange(m) * (2 * np.pi / m) + np.pi / m
+    nodes = np.exp(1j * theta)
+    nodes.flags.writeable = False
+    return nodes
 
 
 def adaptive_gauss(f, a, b, tol, max_panels=4096):

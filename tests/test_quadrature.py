@@ -1,12 +1,17 @@
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from curvelab import load_curve
 from curvelab.errors import QuadratureBudgetError
-from curvelab.quadrature import (CHUNK_POINTS, _G7_WEIGHTS, _GK_NODES, _GK_WEIGHTS, adaptive_gauss,
-                                 kronrod_panels, periodic_trapezoid)
+from curvelab.quadrature import (CHUNK_POINTS, N_START, _G7_WEIGHTS, _GK_NODES, _GK_WEIGHTS,
+                                 _level_nodes, _trapezoid_levels, adaptive_gauss, kronrod_panels,
+                                 periodic_trapezoid)
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def _pole(z):
@@ -99,6 +104,62 @@ class TestPeriodicTrapezoid:
         # a few circles per call, or one alone once its level exceeds the bound
         assert all(k * n <= CHUNK_POINTS or k == 1 for k, n in shapes)
         assert max(n for _, n in shapes) > CHUNK_POINTS
+
+
+def _levels_per_chunk(f, radii, tol, n_max):
+    """_trapezoid_levels with e^{i theta} computed again for every chunk of
+    every level, as the rule did before its level nodes were cached."""
+    radii = np.asarray(radii, dtype=float)
+    totals = np.zeros(radii.size)
+    integrals = np.full(radii.size, np.inf)
+    errors = np.full(radii.size, np.inf)
+    running = np.arange(radii.size)
+    n = N_START
+    theta = np.arange(n) * (2 * np.pi / n)
+    while True:
+        per_call = max(1, CHUNK_POINTS // theta.size)
+        for start in range(0, running.size, per_call):
+            rows = running[start:start + per_call]
+            totals[rows] += np.asarray(f(radii[rows, None] * np.exp(1j * theta))).sum(axis=1)
+        new = totals[running] * (2 * np.pi / n)
+        errors[running] = np.abs(new - integrals[running])
+        integrals[running] = new
+        running = running[~(errors[running] <= tol * np.maximum(1.0, np.abs(new)))]
+        if not running.size or n >= n_max:
+            return integrals, errors, running
+        theta = np.arange(n) * (2 * np.pi / n) + np.pi / n
+        n *= 2
+
+
+class TestCachedLevelNodes:
+    # squareexp's circles out to r = 40 reach 2^15 angles; at tol 1e-12 the
+    # one at r = 60 is still running at n_max = 2^16
+    @pytest.mark.parametrize("integrand, radii, tol", [
+        ("sd", [0.5, 5.0, 20.0], 1e-9),
+        ("u", [0.5, 5.0, 20.0, 40.0], 1e-8),
+        ("u", [2.0, 40.0, 60.0], 1e-12)])
+    def test_levels_match_per_chunk_nodes(self, integrand, radii, tol):
+        curve = load_curve(FIXTURES / "squareexp.json")
+        f = curve.u if integrand == "u" else (lambda z: curve.spherical_derivative(z, squared=True))
+        widths = []
+
+        def counted(z):
+            widths.append(z.shape[1])
+            return f(z)
+
+        got = _trapezoid_levels(counted, radii, tol, 1 << 16)
+        want = _levels_per_chunk(f, radii, tol, 1 << 16)
+        assert max(widths) >= CHUNK_POINTS     # a level of n >= 2 CHUNK_POINTS angles
+        for a, b in zip(got, want, strict=True):
+            assert a.tobytes() == b.tobytes()
+
+    def test_nodes_read_only(self):
+        for n in (N_START, 2 * N_START, 4 * CHUNK_POINTS):
+            nodes = _level_nodes(n)
+            assert nodes.size == (n if n == N_START else n // 2)
+            assert not nodes.flags.writeable
+            with pytest.raises(ValueError):
+                nodes[0] = 0.0
 
 
 def _peak(x):
