@@ -25,13 +25,13 @@ import numpy as np
 
 from .curves import HolomorphicCurve
 from .locus import tied
-from .polynomials import circle_sign_changes, horner, stack
-from .quadrature import _trapezoid_levels, adaptive_gauss, kronrod_panels, periodic_trapezoid
+from .polynomials import circle_arcs, circle_sign_changes, horner, stack
+from .quadrature import N_MAX, _trapezoid_levels, adaptive_gauss, kronrod_panels, periodic_trapezoid
 
 DEFAULT_TOL = 1e-8
 CROSS_CHECK_TOL = 1e-6   # largest gap build_table allows between the two routes
 JENSEN_HANDOVER = 1024              # angles by which a Jensen circle settles or goes to panels
-JENSEN_MAX_PANELS = (1 << 20) // 15  # as many nodes as the trapezoid's 2^20 angles
+JENSEN_MAX_PANELS = N_MAX // 15     # as many nodes as the trapezoid's N_MAX angles
 SWITCH_GRADING = 4   # ratio of successive panel breakpoint offsets from a switch angle
 SWITCH_LAYER = 0.5   # the first offset, over the slope of the pair's gap there
 HARVEST_SEEDS = 512  # scan angles per circle for the switches of the pairs with u_0
@@ -153,14 +153,10 @@ def _graded_panels(curve: HolomorphicCurve, radii):
     offsets = h[:, None] * float(SWITCH_GRADING) ** np.arange(levels)
     row, m = np.nonzero(offsets < np.pi)
     near, offsets = theta[graded][row], offsets[row, m]
-    at = np.concatenate([np.repeat(np.arange(radii.size), 4), circle, np.tile(circle[graded][row], 2)])
-    cuts = np.concatenate([np.tile(np.arange(4) * (0.5 * np.pi), radii.size), theta,
+    at = np.concatenate([np.repeat(np.arange(radii.size), 3), circle, np.tile(circle[graded][row], 2)])
+    cuts = np.concatenate([np.tile(np.arange(1, 4) * (0.5 * np.pi), radii.size), theta,
                            np.mod(np.concatenate([near - offsets, near + offsets]), 2 * np.pi)])
-    # sorted by circle, then angle, without repeats: complex numbers sort by real part first
-    key = np.unique(at + 1j * cuts)
-    circle, lo = key.real.astype(int), key.imag
-    hi = np.where(np.append(circle[1:] != circle[:-1], True), 2 * np.pi, np.roll(lo, -1))
-    return circle, lo, hi
+    return circle_arcs(at, cuts, radii.size)
 
 
 def _tie_guarded_u(curve: HolomorphicCurve):
@@ -203,17 +199,12 @@ def circle_mean_max_re(polys, r):
 
     The arg-max can switch only where some Re(P_i - P_j) changes sign, so
     those angles (one circle_sign_changes call for all pairs and radii) cut
-    each circle into arcs with one winner each, read at the arc midpoint, and
-    all arcs are integrated in closed form at once. A repeated cut makes an
-    arc of length 0, which adds exactly 0.
+    each circle into arcs (circle_arcs) with one winner each, read at the arc
+    midpoint, and all arcs are integrated in closed form at once.
     """
     polys = list(polys)
-    radii = np.atleast_1d(np.asarray(r, dtype=float))
-    _, k, a = circle_sign_changes(polys, radii)
-    # each circle's arcs run between consecutive cuts, the first one at 0
-    cuts = np.sort(np.append(np.arange(len(radii)), k) + 1j * np.append(np.zeros(len(radii)), a))
-    k, a = cuts.real.astype(int), cuts.imag     # complex numbers sort by real part first
-    b = np.where(np.append(k[1:] != k[:-1], True), 2 * np.pi, np.roll(a, -1))
+    radii = _checked_radii(r)
+    k, a, b = circle_arcs(*circle_sign_changes(polys, radii)[1:], len(radii))
     rk = radii[k]
     coeffs = stack(polys)
     c = coeffs[np.argmax(horner(coeffs, rk * np.exp(0.5j * (a + b))).real, axis=0)]

@@ -17,11 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .characteristic import build_table
+from .characteristic import DEFAULT_TOL, build_table
 from .errors import CurvelabError
 from .lemmas import harness_report
 from .locus import branch_asymptotics, regularity_radius, trace_branches
-from .pipeline import verify_theorem
+from .pipeline import DEFAULT_EPSILON, verify_theorem
 from .specfile import load_curve
 
 EXIT_OK = 0
@@ -133,8 +133,8 @@ _FLAGS = {
     "--rmin": dict(type=_POSITIVE, default=1.0),
     "--rmax": dict(type=_POSITIVE, default=20.0),
     "--grid": dict(type=_checked(int, lambda v: v >= 8, "an integer >= 8"), default=16),
-    "--tol": dict(type=_POSITIVE, default=1e-8),
-    "--epsilon": dict(type=_POSITIVE, default=0.01,
+    "--tol": dict(type=_POSITIVE, default=DEFAULT_TOL),
+    "--epsilon": dict(type=_POSITIVE, default=DEFAULT_EPSILON,
                       help="slack in the distance constant (2+epsilon)^{sigma+1}"),
     "--seed": dict(type=_checked(int, lambda v: v >= 0, "an integer >= 0"), default=0),
     "--count": dict(type=_checked(int, lambda v: v >= 1, "an integer >= 1"), default=1000),

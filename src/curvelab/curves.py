@@ -22,6 +22,7 @@ from .errors import CurveValidationError
 from .polynomials import ComplexPoly, horner, running_rows, stack
 from .quadrature import CHUNK_POINTS
 
+GROWTH_CIRCLES = 8   # geometrically spaced circles that estimate_growth reads
 THETA_NODES = 2048   # angles per circle before estimate_growth refines the sup
 ZOOM_POINTS = 32     # interior angles of each bracket read at each step of that refinement
 
@@ -353,10 +354,10 @@ class HolomorphicCurve:
         return HolomorphicCurve(self.n, self.components, self.sigma, K)
 
 
-def estimate_growth(curve: HolomorphicCurve, r_min, r_max, circles=8):
-    """Least-squares estimate of the growth exponent of sup ||f'|| on circles,
-    and the matching finite-radius surrogate for the constant K at the
-    curve's declared sigma.
+def estimate_growth(curve: HolomorphicCurve, r_min, r_max):
+    """Least-squares estimate of the growth exponent of sup ||f'|| on
+    GROWTH_CIRCLES circles from r_min to r_max, and the matching finite-radius
+    surrogate for the constant K at the curve's declared sigma.
 
     Every circle is read on THETA_NODES angles in one call. Each sup is then
     refined from the two grid cells around the grid argmax, all circles
@@ -364,9 +365,7 @@ def estimate_growth(curve: HolomorphicCurve, r_min, r_max, circles=8):
     angles of every bracket and keeps the two cells around their argmax."""
     if not (0 < r_min < r_max):
         raise ValueError("need 0 < r_min < r_max")
-    if circles < 4:
-        raise ValueError("need at least 4 circles")
-    radii = np.geomspace(r_min, r_max, circles)
+    radii = np.geomspace(r_min, r_max, GROWTH_CIRCLES)
     step = 2 * np.pi / THETA_NODES
     vals = curve.spherical_derivative(radii[:, None] * np.exp(1j * step * np.arange(THETA_NODES)))
     a, width, sups = step * (np.argmax(vals, axis=1) - 1.0), 2 * step, vals.max(axis=1)

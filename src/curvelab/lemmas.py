@@ -220,8 +220,12 @@ _Family = namedtuple("_Family", "center radius z1 h zeta weight live")
 
 
 def _families(*specs):
-    """[_family_arrays(*spec) for spec in specs], every instance drawn first
-    and every top from one _grid_top call."""
+    """random_lemma_family(seed, count, kind) for each spec (seed, count,
+    kind) as a _Family, one row per instance: centres, radii, boundary zeros,
+    h zero-padded to at least 2 columns, and four atom slots, each with its
+    location, weight and whether it was drawn; an empty slot sits at the
+    centre with weight 0. Every instance of every spec is drawn first, and
+    every top comes from one _grid_top call."""
     drawn, families = [], []
     for seed, count, kind in specs:
         if kind not in ("harmonic", "superharmonic", "mixed"):
@@ -247,14 +251,6 @@ def _families(*specs):
     return families
 
 
-def _family_arrays(seed, count, kind):
-    """random_lemma_family(seed, count, kind) as a _Family, one row per
-    instance: centres, radii, boundary zeros, h zero-padded to at least 2
-    columns, and four atom slots, each with its location, weight and whether it
-    was drawn; an empty slot sits at the centre with weight 0."""
-    return _families((seed, count, kind))[0]
-
-
 def _instance(family, i):
     """Instance i of a _Family as the pair (v, z1) of random_lemma_family."""
     v = DiscHarmonic.from_real_part_poly(family.center[i], family.radius[i], family.h[i])
@@ -272,7 +268,7 @@ def random_lemma_family(seed, count, kind="mixed"):
     scaled to a grid maximum of 10, so v = Re h, h = c_0 + 2 sum_k c_k w^k,
     where c is the autocorrelation of q's coefficients times 10 / top.
     """
-    family = _family_arrays(seed, count, kind)
+    family = _families((seed, count, kind))[0]
     return [_instance(family, i) for i in range(count)]
 
 

@@ -63,6 +63,7 @@ class LocusBranch:
 @dataclass
 class LocusSummary:
     r0: float
+    r_max: float                # the outermost trace circle
     branches: list
     b: float
     c0: float
@@ -217,7 +218,7 @@ def trace_branches(polys, r0, r_max):
     radii = _radius_grid(r0, r_max)
     pairs = _pairs(polys)
     if not pairs[3].size:
-        return LocusSummary(r0=r0, branches=[], b=-math.inf, c0=0.0)
+        return LocusSummary(r0=r0, r_max=r_max, branches=[], b=-math.inf, c0=0.0)
     theta, col, b_k, c_k = _columns(pairs, radii)
     exponents, (i, j, diffs, degree) = stack(polys), pairs
     i, j = i[col], j[col]
@@ -238,7 +239,7 @@ def trace_branches(polys, r0, r_max):
             densities=np.abs(horner(slopes[p:p + 1, :degree[p]], pts)[0]) / TWO_PI,
             active_mask=np.insert(flags[:, idx], cuts, flags[cuts, idx]),
             b_k=float(b_k[idx]), c_k=float(c_k[idx]), active=bool(active[idx])))
-    return LocusSummary(r0, branches, *_far_field(b_k, c_k, active))
+    return LocusSummary(r0, r_max, branches, *_far_field(b_k, c_k, active))
 
 
 def branch_asymptotics(branch: LocusBranch):
@@ -262,13 +263,16 @@ def branch_asymptotics(branch: LocusBranch):
 
 def riesz_of_max(polys, t, r0=None, summary=None):
     """nu(t) - nu(r0): Riesz mass of max_j Re P_j accumulated along the active
-    locus branches in the annulus r0 < |z| <= t."""
+    locus branches in the annulus r0 < |z| <= t, from the summary's trace
+    (traced to t when not given); ValueError when t is past its r_max."""
     if r0 is None:
         r0 = regularity_radius(polys)
     if t <= r0:
         raise ValueError("t must exceed r0")
     if summary is None:
         summary = trace_branches(polys, r0, t)
+    if t > summary.r_max:
+        raise ValueError(f"t = {t} lies beyond the trace, which ends at r = {summary.r_max}")
     total = 0.0
     for br in summary.branches:
         pts, dens, act = br.points, br.densities, br.active_mask

@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characteristic import characteristic_jensen, reduced_characteristic, switch_points
+from .characteristic import DEFAULT_TOL, characteristic_jensen, reduced_characteristic, switch_points
 from .curves import HolomorphicCurve, _logsumexp, estimate_growth
 from .locus import regularity_radius, tail_exponents, tied
 
-HARVEST_CAP = 400          # most tie points harvest_tie_points returns
+DEFAULT_EPSILON = 0.01     # slack in the distance constant (2+epsilon)^{sigma+1}
 TIE_TOL_FACTOR = 1e-6      # relative tolerance of a tie at the max for prop1
 PROP2_SEEDS = 1024         # angles per circle for the sup of u - u*
 TAIL_FRACTION = 0.25       # share of the largest radii checked by verify_theorem
@@ -25,10 +25,10 @@ SLACK = 0.1                # relative slack on the theorem's ceiling
 
 
 def harvest_tie_points(curve: HolomorphicCurve, radii):
-    """The first HARVEST_CAP of the switch_points on the circles |z| = radii:
-    points where two of the u_j (over the full index range 0..n) agree and
-    jointly attain the maximum, in the order radius, pair, angle."""
-    return list(switch_points(curve, radii)[1][:HARVEST_CAP])
+    """The switch_points on the circles |z| = radii: every point where two of
+    the u_j (over the full index range 0..n) agree and jointly attain the
+    maximum, in the order radius, pair, angle."""
+    return list(switch_points(curve, radii)[1])
 
 
 def prop1_check(curve: HolomorphicCurve, points):
@@ -86,7 +86,7 @@ def prop4_bound(n, sigma, K, r):
     return 6.0 * 4 ** sigma * K * n * (n + 1) ** 2 / (sigma + 1) * r ** (sigma + 1)
 
 
-def theorem_constant(n, sigma, epsilon=0.01):
+def theorem_constant(n, sigma, epsilon=DEFAULT_EPSILON):
     """C(n, sigma): the reduced-characteristic constant plus the u-vs-u*
     distance constant, so that T(r) <~ K*C(n,sigma)*r^{sigma+1}."""
     if epsilon <= 0:
@@ -127,7 +127,7 @@ class BoundReport:
         }, sort_keys=True, indent=2)
 
 
-def verify_theorem(curve: HolomorphicCurve, r_grid, epsilon=0.01, tol=1e-8):
+def verify_theorem(curve: HolomorphicCurve, r_grid, epsilon=DEFAULT_EPSILON, tol=DEFAULT_TOL):
     """Run every sub-check and the tail inequality
     T(r) <= K*C(n,sigma)*r^{sigma+1}*(1+SLACK) on the largest radii of the
     grid. Sub-check failures are recorded as false verdicts; the operation
@@ -140,7 +140,7 @@ def verify_theorem(curve: HolomorphicCurve, r_grid, epsilon=0.01, tol=1e-8):
     work = curve
     if work.K is None:
         r_min = max(r_grid[0], 1.0) if r_grid[-1] > 1.0 else r_grid[0]   # circles from r = 1 on
-        _, k_hat = estimate_growth(work, r_min, r_grid[-1], circles=8)
+        _, k_hat = estimate_growth(work, r_min, r_grid[-1])
         work = work.with_K(max(k_hat, 1e-12))
     sigma, K, n = work.sigma, work.K, work.n
 

@@ -265,6 +265,17 @@ def circle_sign_changes(polys, radii):
     return pair[change], circle[change], theta[change]
 
 
+def circle_arcs(circle, angles, count):
+    """(circle, a, b): the arcs [a, b] between consecutive cuts of ``count``
+    circles, each cut at 0 and at the ``angles`` in [0, 2pi) on it (angles[i]
+    on circle[i]), sorted by circle, then angle, with no cut repeated; each
+    circle's last arc ends at 2pi."""
+    # complex numbers sort by real part first
+    key = np.unique(np.append(np.arange(count), circle) + 1j * np.append(np.zeros(count), angles))
+    circle, a = key.real.astype(int), key.imag
+    return circle, a, np.where(np.append(circle[1:] != circle[:-1], True), 2 * np.pi, np.roll(a, -1))
+
+
 def cauchy_fraction(coeffs) -> float:
     """max_k |a_k / a_d| over k < d for the ascending coefficients a_0..a_d
     (a_d != 0), by Python's complex abs; 0 for a constant. Every root of the

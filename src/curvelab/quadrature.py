@@ -29,10 +29,12 @@ _GK_WEIGHTS, _G7_WEIGHTS = np.concatenate([_WGK, _WGK[-2::-1]]), np.concatenate(
 # the compiled curve kernel in curves.py chunks its evaluations to it too.
 CHUNK_POINTS = 8192
 N_START = 64         # angles per circle at periodic_trapezoid's first level
+N_MAX = 1 << 20      # angles per circle at which periodic_trapezoid gives up
 INITIAL_PANELS = 4   # panels adaptive_gauss starts from
+MAX_PANELS = 4096    # panels per interval at which adaptive_gauss gives up
 
 
-def periodic_trapezoid(f, radii, tol, n_max=1 << 20):
+def periodic_trapezoid(f, radii, tol):
     """For each r in radii, the integral over theta in [0, 2pi) of
     f(r e^{i theta}); f maps an array of complex points to values of the
     same shape.
@@ -41,9 +43,9 @@ def periodic_trapezoid(f, radii, tol, n_max=1 << 20):
     estimates agree to tol (relative to max(1, |I|)), and stops at the level
     where it would stop alone. Every level hands f the circles still running
     as (rows, angles) arrays of about CHUNK_POINTS points. Raises
-    QuadratureBudgetError for the first circle still running at n_max.
+    QuadratureBudgetError for the first circle still running at N_MAX.
     """
-    integrals, errors, running = _trapezoid_levels(f, radii, tol, n_max)
+    integrals, errors, running = _trapezoid_levels(f, radii, tol, N_MAX)
     if running.size:
         row = running[0]
         raise QuadratureBudgetError("periodic trapezoid did not converge",
@@ -87,7 +89,7 @@ def _level_nodes(n):
     return nodes
 
 
-def adaptive_gauss(f, a, b, tol, max_panels=4096):
+def adaptive_gauss(f, a, b, tol):
     """Adaptive Gauss-Legendre integration on [a, b] of a function f that maps
     an array of nodes to an array of values. Values with a trailing axis are
     several integrands on the same panels, and the result has that axis.
@@ -97,10 +99,7 @@ def adaptive_gauss(f, a, b, tol, max_panels=4096):
     halves of all open panels to f in one call, and the accepted panels are
     summed from b towards a, so the result is the depth-first rule's to the
     last bit. Raises QuadratureBudgetError (carrying the achieved estimate and
-    bound) when the panel budget is exhausted."""
-    if a == b:
-        return 0.0
-
+    bound) when the panel count passes MAX_PANELS."""
     def gauss(lo, hi):
         half = 0.5 * (hi - lo)
         nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * _GL_NODES
@@ -120,7 +119,7 @@ def adaptive_gauss(f, a, b, tol, max_panels=4096):
     edges[-1] = b
     lo, hi = edges[:-1], edges[1:]
     return _refine(judge, gauss(lo, hi), np.array([a]), np.zeros(INITIAL_PANELS, dtype=int), lo, hi,
-                   np.array([abs(b - a)]), np.array([tol]), max_panels)[0]
+                   np.array([abs(b - a)]), np.array([tol]), MAX_PANELS)[0]
 
 
 def kronrod_panels(f, a, k, lo, hi, tol, max_panels):

@@ -278,11 +278,31 @@ def test_jensen_rejects_nonpositive_radius(exp_curve, radii):
         characteristic_jensen(exp_curve, radii)
 
 
-@pytest.mark.parametrize("route", [characteristic_area, characteristic_jensen, counting_function])
+def mean_max_re(curve, r):
+    return circle_mean_max_re(curve.reduced_polys(), r)
+
+
+def reduced_of_polys(curve, r):
+    return reduced_characteristic_polys(curve.reduced_polys(), r)
+
+
+T_STAR_ROUTES = [reduced_characteristic, reduced_of_polys, mean_max_re]
+
+
+@pytest.mark.parametrize("route", [characteristic_area, characteristic_jensen, counting_function,
+                                   *T_STAR_ROUTES])
 @pytest.mark.parametrize("radii", [math.nan, math.inf, [1.0, math.inf]])
-def test_routes_reject_nonfinite_radius(exp_curve, route, radii):
+def test_routes_reject_nonfinite_radius(product_curve, route, radii):
     with pytest.raises(ValueError, match="positive and finite"):
-        route(exp_curve, radii)
+        route(product_curve, radii)
+
+
+@pytest.mark.parametrize("route", T_STAR_ROUTES)
+@pytest.mark.parametrize("radii", [0.0, -2.0, [1.0, -2.0]])
+def test_t_star_rejects_nonpositive_radius(product_curve, route, radii):
+    # as the area and Jensen routes do: -2 would read the circle of radius 2
+    with pytest.raises(ValueError, match="positive and finite"):
+        route(product_curve, radii)
 
 
 # circles per radius that the radial pass reads on the fixtures, the same

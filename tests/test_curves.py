@@ -14,7 +14,7 @@ from curvelab import (
     load_curve,
     verify_theorem,
 )
-from curvelab.curves import THETA_NODES, CompiledCurve
+from curvelab.curves import GROWTH_CIRCLES, THETA_NODES, CompiledCurve
 from curvelab.errors import CurveValidationError
 from curvelab.polynomials import ComplexPoly
 from curvelab.quadrature import CHUNK_POINTS
@@ -96,14 +96,15 @@ class TestValidation:
             HolomorphicCurve(1, (CurveComponent.poly([0, 1]), CurveComponent.one()), sigma, K)
 
 
+@pytest.mark.identity
 class TestEstimateGrowth:
     def test_exp_curve_K(self, exp_curve):
-        sigma_hat, k_hat = estimate_growth(exp_curve, 5.0, 60.0, 8)
+        sigma_hat, k_hat = estimate_growth(exp_curve, 5.0, 60.0)
         assert abs(sigma_hat) < 1e-6
         assert k_hat == pytest.approx(0.5, abs=1e-6)
 
     def test_constant_curve_degenerate(self, constant_curve):
-        assert estimate_growth(constant_curve, 1.0, 10.0, 4) == (0.0, 0.0)
+        assert estimate_growth(constant_curve, 1.0, 10.0) == (0.0, 0.0)
 
     def test_underflowing_sups_take_no_log_of_zero(self):
         # sigma = 20, f_0 = e^{z^41}: on the outer circles ||f'|| underflows
@@ -115,13 +116,13 @@ class TestEstimateGrowth:
         assert np.any(grid.max(axis=1) == 0.0) and np.any(grid.max(axis=1) > 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            slope, k_hat = estimate_growth(curve, 1.0, 20.0, 8)
+            slope, k_hat = estimate_growth(curve, 1.0, 20.0)
             report = verify_theorem(curve, np.geomspace(1.0, 20.0, 16))
         assert math.isfinite(slope) and k_hat > 0.0
         assert report.K == max(k_hat, 1e-12)
 
     def test_square_exp_slope(self, square_exp_curve):
-        sigma_hat, k_hat = estimate_growth(square_exp_curve, 5.0, 20.0, 8)
+        sigma_hat, k_hat = estimate_growth(square_exp_curve, 5.0, 20.0)
         assert sigma_hat == pytest.approx(1.0, abs=1e-6)
         assert k_hat == pytest.approx(1.0, abs=1e-6)
 
@@ -139,7 +140,7 @@ class TestEstimateGrowth:
              0.8968066845663726 + 0.3953201325533009j]
         curve = HolomorphicCurve(1, (CurveComponent.poly_exp(q, p), CurveComponent.one()), 1.0)
         r = 20.0
-        _, k_hat = estimate_growth(curve, 1.0, r, 8)
+        _, k_hat = estimate_growth(curve, 1.0, r)
         # reference: a 2,000,001-point scan of the two grid cells around the
         # grid argmax, then 100,001 points over the two scan cells around the
         # scan argmax (the scan alone lies 7.6e-9 below the peak)
@@ -161,7 +162,7 @@ class TestEstimateGrowth:
                    for seed, n, sigma, kind in [(31, 1, 1.0, "polyexp"), (32, 2, 0.5, "exppoly"),
                                                 (33, 3, 1.0, "poly")]]
         for curve, recorded in zip(curves, RECORDED_GROWTH):
-            slope, k_hat = estimate_growth(curve, 1.0, 20.0, 8)
+            slope, k_hat = estimate_growth(curve, 1.0, 20.0)
             assert slope == pytest.approx(float.fromhex(recorded[0]), rel=1e-12, abs=0.0)
             assert k_hat == pytest.approx(float.fromhex(recorded[1]), rel=1e-12, abs=0.0)
 
@@ -177,16 +178,16 @@ class TestEstimateGrowth:
                             lambda self, z, squared=False: calls.append(1) or original(self, z, squared))
         for curve in curves:
             calls.clear()
-            _, k_hat = estimate_growth(curve, 1.0, 20.0, 8)
+            _, k_hat = estimate_growth(curve, 1.0, 20.0)
             assert len(calls) <= 12
-            assert k_hat >= (1 - 1e-13) * _golden_K(curve, 1.0, 20.0, 8)
+            assert k_hat >= (1 - 1e-13) * _golden_K(curve, 1.0, 20.0)
 
 
-def _golden_K(curve, r_min, r_max, circles):
+def _golden_K(curve, r_min, r_max):
     """estimate_growth's K with the sup of each circle refined by
     golden-section search over the two grid cells around the grid argmax."""
     golden = (math.sqrt(5) - 1) / 2
-    radii = np.geomspace(r_min, r_max, circles)
+    radii = np.geomspace(r_min, r_max, GROWTH_CIRCLES)
     step = 2 * np.pi / THETA_NODES
     vals = curve.spherical_derivative(radii[:, None] * np.exp(1j * step * np.arange(THETA_NODES)))
     a = step * (np.argmax(vals, axis=1) - 1.0)
@@ -247,6 +248,7 @@ def _mp_spherical(curve, z):
         return float(mpmath.sqrt(wronski) / norm2)
 
 
+@pytest.mark.identity
 class TestCompiledKernelOracle:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_mpmath(self, seed):
@@ -356,6 +358,7 @@ def _logsumexp_u(stack):
         return 0.5 * (np.log(np.exp(a - top).sum(axis=0)) + top)
 
 
+@pytest.mark.identity
 class TestLogModuliKernel:
     """The compiled rows against CurveComponent.log_modulus, bit for bit."""
 
@@ -399,6 +402,7 @@ class TestLogModuliKernel:
         assert thousands > 0 and minus_inf > 0
 
 
+@pytest.mark.identity
 def test_kernel_values_whatever_the_chunk(monkeypatch):
     # the kernel works through its points CHUNK_POINTS at a time; ||f'||, u
     # and log|f_k| are the same bits at any chunk size, one point included

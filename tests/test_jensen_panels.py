@@ -248,6 +248,7 @@ LOG_FORM_ROWS = {
 }
 
 
+@pytest.mark.identity
 @pytest.mark.parametrize("name", sorted(RECORDED_ROWS))
 def test_settled_rows_keep_their_bits(name, complex_multiply_fuses, simd_exp_log):
     table = build_table(load_curve(FIXTURES / f"{name}.json"), [0.5, 2.0])
@@ -271,6 +272,7 @@ def test_settled_circles_are_the_trapezoid(name):
     assert characteristic_jensen(curve, radii)[settled].tolist() == trapezoid.tolist()
 
 
+@pytest.mark.identity
 def test_panel_circles_batched_as_scalar():
     # every circle has its own panel tree and its own sums, so a radius gives
     # the same bits alone as among others that go on to panels with it

@@ -260,7 +260,7 @@ def _report_two_loops(seed, count):
 
 
 def _q_lengths(seed, count, superharmonic):
-    """The lengths of q in a one-kind family, drawn as _family_arrays draws them;
+    """The lengths of q in a one-kind family, drawn as _families draws them;
     d = len(q) - 1 unless q_0 = 0."""
     rng = np.random.default_rng(seed)
     return {len(lemmas._draw(rng, superharmonic)[3]) for _ in range(count)}
@@ -272,6 +272,7 @@ _REJECTING_SEEDS = (5, 11)
 
 
 class TestHarnessAgainstReference:
+    @pytest.mark.identity
     @pytest.mark.parametrize("seed", [1, 4, 9, *_REJECTING_SEEDS])
     def test_family_matches_per_instance_grid(self, seed):
         rejections = []
@@ -301,27 +302,30 @@ class TestHarnessAgainstReference:
                 assert np.max(np.abs(h - h_ref)) <= 1e-14 * max(1.0, np.max(np.abs(on_circle)))
                 assert np.max(np.abs(on_circle.real - ref.rho)) <= 1e-13
 
+    @pytest.mark.identity
     @pytest.mark.parametrize("seed", [2, 7, 12])
     def test_report_matches_two_loops(self, seed):
         got = harness_report(seed, 50)
         want = _report_two_loops(seed, 50)
         assert json.dumps(got) == json.dumps(want)
 
+    @pytest.mark.identity
     @pytest.mark.parametrize("seed", range(1, 21))
     def test_array_margins_match_verifiers(self, seed):
         for kind, verify in (("harmonic", verify_lemma1), ("superharmonic", verify_lemma2)):
-            got = lemmas._margins(lemmas._family_arrays(seed, 250, kind))
+            got = lemmas._margins(lemmas._families((seed, 250, kind))[0])
             want = np.array([verify(v, z1)[2] for v, z1 in random_lemma_family(seed, 250, kind)])
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.identity
     @pytest.mark.parametrize("seed, count, shared", [(5, 1, True), (0, 1, False), (12, 4, False),
                                                      (2, 50, True)])
     def test_shared_scale_matches_two_families(self, seed, count, shared):
         # shared: whether the two families meet in a (length of q, d) group of _grid_top
         assert bool(_q_lengths(seed, count, False) & _q_lengths(seed + 1, count, True)) == shared
         joint = lemmas._families((seed, count, "harmonic"), (seed + 1, count, "superharmonic"))
-        alone = [lemmas._family_arrays(seed, count, "harmonic"),
-                 lemmas._family_arrays(seed + 1, count, "superharmonic")]
+        alone = [lemmas._families((seed, count, "harmonic"))[0],
+                 lemmas._families((seed + 1, count, "superharmonic"))[0]]
         for got, want in zip(joint, alone, strict=True):
             for a, b in zip(got, want, strict=True):
                 assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -329,7 +333,7 @@ class TestHarnessAgainstReference:
     @pytest.mark.parametrize("kind, craft", [("harmonic", "value"), ("superharmonic", "value"),
                                              ("superharmonic", "atom")])
     def test_array_preconditions_raise_as_verifiers(self, kind, craft):
-        family = lemmas._family_arrays(3, 6, kind)
+        family = lemmas._families((3, 6, kind))[0]
         if craft == "value":
             family.h[4, 0] += 1.0       # v(z1) is 1 plus rounding
         else:                           # an atom 1e-7 R outside the half-radius circle
@@ -364,6 +368,7 @@ def _two_close_peaks(theta0, eps=1e-7):
     return np.poly(outside)[::-1]
 
 
+@pytest.mark.identity
 class TestCriticalAngleMaximum:
     """_grid_top reads the same grid maximum of |q|^2 as the full scan."""
 
@@ -456,6 +461,7 @@ BASELINE_GOLDEN_REPORTS = {**GOLDEN_REPORTS, (7, 1000): (
     '"green_kernel_min": 0.3333333333333333, "failures": []}')}
 
 
+@pytest.mark.identity
 @pytest.mark.parametrize("seed, count", list(GOLDEN_REPORTS))
 def test_report_matches_recorded_json(seed, count, complex_multiply_fuses):
     golden = GOLDEN_REPORTS if complex_multiply_fuses else BASELINE_GOLDEN_REPORTS

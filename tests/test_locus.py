@@ -233,6 +233,7 @@ class TestBranchAngles:
         return [(rows, r0 * np.array([1.0, 1.01, 2.0, 10.0, 100.0, 1e4]))
                 for rows, r0 in groups.values()]
 
+    @pytest.mark.identity
     def test_rows_match_one_row(self):
         # every row keeps the bits it has when solved alone, though the rows
         # of one stack stop their Newton steps at different iterations
@@ -248,6 +249,7 @@ class TestBranchAngles:
             for row, got in zip(rows, _branch_angles(rows, radii)):
                 assert got.tobytes() == _per_pair_angles(row, radii).tobytes()
 
+    @pytest.mark.identity
     def test_circle_angles_rows_match_one_row(self):
         # the differences of one degree in one stacked solve, row by row
         radii = np.array([0.5, 1.0, 3.0, 40.0])
@@ -349,6 +351,7 @@ def _transitions_60(exponents, i, j, coeffs, r_lo, r_hi, th_lo, th_hi, flag):
 
 
 class TestTransitions:
+    @pytest.mark.identity
     def test_early_stop_bit_identical(self, monkeypatch):
         # the bisection stops at the first step that moves no bracket end,
         # with the points of all 60 steps, bit for bit, and fewer probes
@@ -412,6 +415,17 @@ class TestRieszMass:
         for t in (5.0, 20.0, 40.0):
             nu = riesz_of_max([Z2, -1 * Z2], t, r0, summary)
             assert nu == pytest.approx(4 * (t * t - r0 * r0) / math.pi, rel=1e-3)
+
+    def test_beyond_the_trace_raises(self):
+        # a trace knows no mass past its outermost circle: product2 traced to
+        # r = 8 holds 1.91 up to there, against 4.46 at t = 16 and 24.83 at t = 80
+        polys = load_curve(FIXTURES / "product2.json").reduced_polys()
+        r0 = regularity_radius(polys)
+        summary = trace_branches(polys, r0, 8.0)
+        assert riesz_of_max(polys, 8.0, r0, summary) == riesz_of_max(polys, 8.0, r0)
+        for t in (8.0 * (1 + 1e-15), 16.0, 80.0):
+            with pytest.raises(ValueError, match="beyond the trace"):
+                riesz_of_max(polys, t, r0, summary)
 
     def test_matches_jensen_route(self):
         # independent oracle: nu(t) = t dT*/dt from the exact circle means

@@ -90,7 +90,7 @@ def _scan_sign_changes(diff, r, seeds):
     return 0.5 * (a + b)
 
 
-def _harvest_per_radius(curve, radii, seeds=512, cap=400):
+def _harvest_per_radius(curve, radii, seeds=512):
     """One circle and one pair at a time: a scan and bisection for each pair
     (0, j), circle_sign_changes at one radius for each pair i, j >= 1."""
     comps = curve.components
@@ -106,7 +106,7 @@ def _harvest_per_radius(curve, radii, seeds=512, cap=400):
         top = tied(np.stack([c.log_modulus(z) for c in comps]), 1e-7)
         cols = np.arange(z.size)
         points.extend(z[top[np.repeat(first, counts), cols] & top[np.repeat(second, counts), cols]])
-    return points[:cap]
+    return points
 
 
 def _random_curve(rng, n, kind0):
@@ -152,9 +152,10 @@ def _harvest_all_components(curve, radii):
     z = radii[np.concatenate(ks)[order]] * np.exp(1j * np.concatenate(angles)[order])
     top = tied(np.stack([c.log_modulus(z) for c in comps]), 1e-7)
     cols = np.arange(z.size)
-    return list(z[top[first[pair], cols] & top[second[pair], cols]][:400])
+    return list(z[top[first[pair], cols] & top[second[pair], cols]])
 
 
+@pytest.mark.identity
 class TestHarvest:
     def test_matches_per_radius_loop(self):
         rng = np.random.default_rng(11)
@@ -167,13 +168,14 @@ class TestHarvest:
                 got = harvest_tie_points(curve, radii)
                 assert len(got) == len(expected) > 0, (kind0, n)
                 assert np.allclose(got, expected, rtol=1e-14, atol=0.0), (kind0, n)
-        # more candidates than the cap: the order decides which points stay
+        # more than 400 points: every one of them is returned, in order
         curve = _random_curve(rng, 4, "polyexp")
         radii = list(np.geomspace(0.5, 30.0, 90))
-        assert len(_harvest_per_radius(curve, radii, cap=None)) > 400
+        expected = _harvest_per_radius(curve, radii)
+        assert len(expected) > 400
         got = harvest_tie_points(curve, radii)
-        assert len(got) == 400
-        assert np.allclose(got, _harvest_per_radius(curve, radii), rtol=1e-14, atol=0.0)
+        assert len(got) == len(expected)
+        assert np.allclose(got, expected, rtol=1e-14, atol=0.0)
 
     def test_newton_matches_bisection(self, monkeypatch):
         # the Newton steps find the points of 60 bisection steps, in the same

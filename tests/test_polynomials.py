@@ -112,6 +112,7 @@ def _poly_lists(rng):
     return lists
 
 
+@pytest.mark.identity
 def test_circle_sign_changes_over_radii_matches_one_radius():
     # radii from well inside to past r0, where the count of sign changes
     # varies from circle to circle

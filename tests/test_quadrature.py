@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curvelab import load_curve
+from curvelab import load_curve, quadrature
 from curvelab.errors import QuadratureBudgetError
 from curvelab.quadrature import (CHUNK_POINTS, N_START, _G7_WEIGHTS, _GK_NODES, _GK_WEIGHTS,
                                  _level_nodes, _trapezoid_levels, adaptive_gauss, kronrod_panels,
@@ -71,26 +71,29 @@ class TestPeriodicTrapezoid:
                 n *= 2
             assert periodic_trapezoid(_pole, [r], 1e-12).tolist() == [estimate]
 
-    def test_budget_below_start_raises_budget_error(self):
-        # n_max at or below the first level: its estimate, with error inf
+    def test_budget_below_start_raises_budget_error(self, monkeypatch):
+        # N_MAX at or below the first level: its estimate, with error inf
         for n_max in (16, 64):
+            monkeypatch.setattr(quadrature, "N_MAX", n_max)
             with pytest.raises(QuadratureBudgetError) as info:
-                periodic_trapezoid(lambda z: np.ones(z.shape), [1.0], 1e-10, n_max=n_max)
+                periodic_trapezoid(lambda z: np.ones(z.shape), [1.0], 1e-10)
             assert info.value.estimate == pytest.approx(2 * math.pi, rel=1e-15)
             assert info.value.error_bound == math.inf
 
-    def test_batch_budget_below_start_raises_budget_error(self):
+    def test_batch_budget_below_start_raises_budget_error(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "N_MAX", 32)
         with pytest.raises(QuadratureBudgetError) as info:
-            periodic_trapezoid(lambda z: z.real ** 2, [2.0, 3.0], 1e-10, n_max=32)
+            periodic_trapezoid(lambda z: z.real ** 2, [2.0, 3.0], 1e-10)
         assert info.value.estimate == pytest.approx(4 * math.pi, rel=1e-15)
         assert info.value.error_bound == math.inf
 
-    def test_exhausted_row_raises_with_its_own_estimate(self):
+    def test_exhausted_row_raises_with_its_own_estimate(self, monkeypatch):
         radii = np.insert(RADII, 2, 1.99999)
+        monkeypatch.setattr(quadrature, "N_MAX", 1024)
         with pytest.raises(QuadratureBudgetError) as alone:
-            periodic_trapezoid(_pole, [1.99999], 1e-12, n_max=1024)
+            periodic_trapezoid(_pole, [1.99999], 1e-12)
         with pytest.raises(QuadratureBudgetError) as batch:
-            periodic_trapezoid(_pole, radii, 1e-12, n_max=1024)
+            periodic_trapezoid(_pole, radii, 1e-12)
         assert batch.value.estimate == alone.value.estimate
         assert batch.value.error_bound == alone.value.error_bound
 
@@ -131,6 +134,7 @@ def _levels_per_chunk(f, radii, tol, n_max):
         n *= 2
 
 
+@pytest.mark.identity
 class TestCachedLevelNodes:
     # squareexp's circles out to r = 40 reach 2^15 angles; at tol 1e-12 the
     # one at r = 60 is still running at n_max = 2^16
@@ -226,13 +230,15 @@ class TestAdaptiveGauss:
         if f is np.exp:
             assert value == pytest.approx(math.e - 1, abs=1e-13)
 
-    def test_budget_as_depth_first(self):
+    def test_budget_as_depth_first(self, monkeypatch):
         def f(x):
             return 1.0 / np.sqrt(np.abs(x - 1.0 / 3.0))
 
-        for rule in (adaptive_gauss, _depth_first):
-            with pytest.raises(QuadratureBudgetError):
-                rule(f, 0.0, 1.0, 1e-12, max_panels=64)
+        monkeypatch.setattr(quadrature, "MAX_PANELS", 64)
+        with pytest.raises(QuadratureBudgetError):
+            adaptive_gauss(f, 0.0, 1.0, 1e-12)
+        with pytest.raises(QuadratureBudgetError):
+            _depth_first(f, 0.0, 1.0, 1e-12, max_panels=64)
 
     def test_trailing_axis_integrands(self):
         # a smooth and a peaked integrand on the same panels: the peak drives
@@ -253,15 +259,16 @@ class TestAdaptiveGauss:
         value = adaptive_gauss(lambda x: 1.0 / ((x - 0.3) ** 2 + 1e-4), 0.0, 1.0, 1e-9)
         assert abs(value - exact) <= 1e-9
 
-    def test_panel_budget(self):
+    def test_panel_budget(self, monkeypatch):
         calls = []
 
         def f(x):
             calls.append(x)
             return 1.0 / np.sqrt(np.abs(x - 1.0 / 3.0))
 
+        monkeypatch.setattr(quadrature, "MAX_PANELS", 64)
         with pytest.raises(QuadratureBudgetError) as info:
-            adaptive_gauss(f, 0.0, 1.0, 1e-12, max_panels=64)
+            adaptive_gauss(f, 0.0, 1.0, 1e-12)
         exact = 2 * (math.sqrt(1 / 3) + math.sqrt(2 / 3))
         assert abs(info.value.estimate - exact) < 0.1
         assert info.value.error_bound > 0.0
@@ -306,6 +313,7 @@ class TestKronrodPanels:
         assert abs(_GK_WEIGHTS @ _GK_NODES ** 24 - 2.0 / 25) > 1e-12
         assert abs(_G7_WEIGHTS @ _GK_NODES[1::2] ** 14 - 2.0 / 15) > 1e-6
 
+    @pytest.mark.identity
     def test_each_interval_to_its_own_tolerance(self):
         # two real intervals and a segment parallel to the real axis
         a, b = np.array([0.0, 0.0, 2j]), np.array([1.0, 2.0, 1.0 + 2j])
