@@ -25,13 +25,12 @@ import numpy as np
 
 from .curves import HolomorphicCurve
 from .locus import tied
-from .polynomials import circle_arcs, circle_sign_changes, horner, stack
-from .quadrature import N_MAX, _trapezoid_levels, adaptive_gauss, kronrod_panels, periodic_trapezoid
+from .polynomials import circle_arcs, circle_sign_changes, horner, on_circles, stack
+from .quadrature import _trapezoid_levels, adaptive_gauss, kronrod_panels, periodic_trapezoid
 
 DEFAULT_TOL = 1e-8
 CROSS_CHECK_TOL = 1e-6   # largest gap build_table allows between the two routes
-JENSEN_HANDOVER = 1024              # angles by which a Jensen circle settles or goes to panels
-JENSEN_MAX_PANELS = N_MAX // 15     # as many nodes as the trapezoid's N_MAX angles
+JENSEN_HANDOVER = 1024   # angles by which a Jensen circle settles or goes to panels
 SWITCH_GRADING = 4   # ratio of successive panel breakpoint offsets from a switch angle
 SWITCH_LAYER = 0.5   # the first offset, over the slope of the pair's gap there
 HARVEST_SEEDS = 512  # scan angles per circle for the switches of the pairs with u_0
@@ -69,7 +68,7 @@ def _disk_integrals(curve: HolomorphicCurve, radii, tol):
     return out[:, 0], out[:, 1]
 
 
-def characteristic_jensen(curve: HolomorphicCurve, r, tol=DEFAULT_TOL):
+def characteristic_jensen(curve: HolomorphicCurve, r, tol=DEFAULT_TOL, switches=None):
     """Circle average of u minus u(0), for a number r or elementwise for an
     array of radii.
 
@@ -77,28 +76,31 @@ def characteristic_jensen(curve: HolomorphicCurve, r, tol=DEFAULT_TOL):
     not settled by then, with ties sharper than the grid, finish on
     Gauss-Kronrod panels in theta graded from their switch angles
     (_graded_panels), with the tie guard of _tie_guarded_u, to the
-    trapezoid's tolerance relative to its last estimate.
+    trapezoid's tolerance relative to its last estimate. ``switches``, the
+    switch_points of the radii when the caller has them, spares that solve.
     """
     radii = _checked_radii(r)
     integrals, _, running = _trapezoid_levels(curve.u, radii, tol, JENSEN_HANDOVER)
     if running.size:
-        circle, lo, hi = _graded_panels(curve, radii[running])
+        switches = switch_points(curve, radii[running]) if switches is None else on_circles(switches, running)
+        circle, lo, hi = _graded_panels(curve, switches, running.size)
         # |z| = r is the image of the segment from -i log r to 2pi - i log r under z = e^{ix}
         a = -1j * np.log(radii[running])
         integrals[running] = kronrod_panels(
             _tie_guarded_u(curve), a, circle, lo + a[circle], hi + a[circle],
-            tol * np.maximum(1.0, np.abs(integrals[running])), JENSEN_MAX_PANELS)
+            tol * np.maximum(1.0, np.abs(integrals[running])))
     return _per_radius(r, integrals / (2 * np.pi) - curve.u(0.0))
 
 
-def switch_points(curve: HolomorphicCurve, radii):
+def switch_points(curve: HolomorphicCurve, radii, changes=None):
     """(circle, z, pair) for every point z on the circles |z| = radii[circle]
     where two of the u_j (over the full index range 0..n, pair indexing
     np.triu_indices) agree and jointly attain the maximum, in the order
     radius, pair, angle. For i, j >= 1, u_i - u_j = Re(P_i - P_j) changes
-    sign at polynomial roots; for the pairs with u_0, the sign changes of
-    u_0 - u_j on HARVEST_SEEDS angles of every circle are refined all at once
-    by safeguarded Newton steps (README, "Sign changes on a circle")."""
+    sign at polynomial roots (``changes``, their circle_sign_changes on the
+    radii, when the caller has them); for the pairs with u_0, the sign changes
+    of u_0 - u_j on HARVEST_SEEDS angles of every circle are refined all at
+    once by safeguarded Newton steps (README, "Sign changes on a circle")."""
     first, second = np.triu_indices(curve.n + 1, 1)
     radii = np.asarray(radii, dtype=float)
     theta = np.linspace(0.0, 2 * np.pi, HARVEST_SEEDS, endpoint=False)
@@ -125,7 +127,7 @@ def switch_points(curve: HolomorphicCurve, radii):
         t[run] = np.where(np.abs(end - (t[run] - step)) <= 1e-14, end, 0.5 * (lo + hi))
         run = run[~(np.abs(step) <= 1e-14)]
     # the pairs i, j >= 1 follow the n pairs (0, j) in triu order
-    p, kp, angles = circle_sign_changes(curve.reduced_polys(), radii)
+    p, kp, angles = circle_sign_changes(curve.reduced_polys(), radii) if changes is None else changes
     k, pair = np.append(k, kp), np.append(pair, p + curve.n)
     order = np.lexsort((pair, k))
     circle, pair = k[order], pair[order]
@@ -135,15 +137,15 @@ def switch_points(curve: HolomorphicCurve, radii):
     return circle[switch], z[switch], pair[switch]
 
 
-def _graded_panels(curve: HolomorphicCurve, radii):
-    """(circle, lo, hi): panels [lo, hi] in theta that cut each circle at 0,
-    pi/2, pi and 3pi/2, at its switch angles theta* and at theta* +- h 4^m
-    below pi, with h = SWITCH_LAYER / s for the slope s = |d(u_i - u_j)/dtheta|
-    of the tied pair there. u is smooth off the switches, with its
-    singularities about pi/(2s) off the circle, so graded panels reach
-    rounding without a search (Trefethen, ATAP ch. 19). A slope of 0 or one
-    that is not finite grades nothing."""
-    circle, z, pair = switch_points(curve, radii)
+def _graded_panels(curve: HolomorphicCurve, switches, count):
+    """(circle, lo, hi): panels [lo, hi] in theta that cut each of ``count``
+    circles at 0, pi/2, pi and 3pi/2, at its ``switches`` (switch_points)
+    theta* and at theta* +- h 4^m below pi, with h = SWITCH_LAYER / s for
+    the slope s = |d(u_i - u_j)/dtheta| of the tied pair there. u is smooth
+    off the switches, with its singularities about pi/(2s) off the circle,
+    so graded panels reach rounding without a search (Trefethen, ATAP
+    ch. 19). A slope of 0 or one that is not finite grades nothing."""
+    circle, z, pair = switches
     first, second = np.triu_indices(curve.n + 1, 1)
     slopes, cols = curve.compiled.log_derivatives(z), np.arange(z.size)
     s = np.abs((z * (slopes[first[pair], cols] - slopes[second[pair], cols])).imag)
@@ -153,10 +155,10 @@ def _graded_panels(curve: HolomorphicCurve, radii):
     offsets = h[:, None] * float(SWITCH_GRADING) ** np.arange(levels)
     row, m = np.nonzero(offsets < np.pi)
     near, offsets = theta[graded][row], offsets[row, m]
-    at = np.concatenate([np.repeat(np.arange(radii.size), 3), circle, np.tile(circle[graded][row], 2)])
-    cuts = np.concatenate([np.tile(np.arange(1, 4) * (0.5 * np.pi), radii.size), theta,
+    at = np.concatenate([np.repeat(np.arange(count), 3), circle, np.tile(circle[graded][row], 2)])
+    cuts = np.concatenate([np.tile(np.arange(1, 4) * (0.5 * np.pi), count), theta,
                            np.mod(np.concatenate([near - offsets, near + offsets]), 2 * np.pi)])
-    return circle_arcs(at, cuts, radii.size)
+    return circle_arcs(at, cuts, count)
 
 
 def _tie_guarded_u(curve: HolomorphicCurve):
@@ -193,18 +195,19 @@ def counting_function(curve: HolomorphicCurve, t, tol=DEFAULT_TOL):
 
 # -- reduced curve ------------------------------------------------------------
 
-def circle_mean_max_re(polys, r):
+def circle_mean_max_re(polys, r, changes=None):
     """(1/2pi) * integral over theta of max_j Re P_j(r e^{i theta}), for a
     number r or elementwise for an array of radii.
 
     The arg-max can switch only where some Re(P_i - P_j) changes sign, so
-    those angles (one circle_sign_changes call for all pairs and radii) cut
-    each circle into arcs (circle_arcs) with one winner each, read at the arc
-    midpoint, and all arcs are integrated in closed form at once.
+    those angles (``changes`` from the caller, or one circle_sign_changes
+    call for all pairs and radii) cut each circle into arcs (circle_arcs)
+    with one winner each, read at the arc midpoint, and all arcs are
+    integrated in closed form at once.
     """
     polys = list(polys)
     radii = _checked_radii(r)
-    k, a, b = circle_arcs(*circle_sign_changes(polys, radii)[1:], len(radii))
+    k, a, b = circle_arcs(*(circle_sign_changes(polys, radii) if changes is None else changes)[1:], len(radii))
     rk = radii[k]
     coeffs = stack(polys)
     c = coeffs[np.argmax(horner(coeffs, rk * np.exp(0.5j * (a + b))).real, axis=0)]
@@ -221,8 +224,8 @@ def reduced_characteristic(curve: HolomorphicCurve, r):
     return reduced_characteristic_polys(curve.reduced_polys(), r)
 
 
-def reduced_characteristic_polys(polys, r):
-    return circle_mean_max_re(polys, r) - float(stack(polys)[:, 0].real.max())
+def reduced_characteristic_polys(polys, r, changes=None):
+    return circle_mean_max_re(polys, r, changes) - float(stack(polys)[:, 0].real.max())
 
 
 # -- tables -------------------------------------------------------------------

@@ -131,9 +131,10 @@ def _branch_angles(diffs, radii):
     theta, done = 0.5 * (lo + hi), np.zeros((len(diffs), 1, 1), dtype=bool)
     for _ in range(60):
         v = roots / (radii * np.exp(1j * theta))[..., None]
-        f = c + d * theta + np.angle(1 - v).sum(axis=3) - tau
+        w = 1 - v
+        f = c + d * theta + np.angle(w).sum(axis=3) - tau
         lo, hi = np.where(f < 0, theta, lo), np.where(f < 0, hi, theta)
-        step = f / (d + (v / (1 - v)).real.sum(axis=3))
+        step = f / (d + (v / w).real.sum(axis=3))
         inside = (lo <= theta - step) & (theta - step <= hi)
         theta = np.where(done, theta, np.where(inside, theta - step, 0.5 * (lo + hi)))
         done = done | (np.abs(step).max(axis=(1, 2), keepdims=True) <= 1e-14)
@@ -220,25 +221,23 @@ def trace_branches(polys, r0, r_max):
     if not pairs[3].size:
         return LocusSummary(r0=r0, r_max=r_max, branches=[], b=-math.inf, c0=0.0)
     theta, col, b_k, c_k = _columns(pairs, radii)
-    exponents, (i, j, diffs, degree) = stack(polys), pairs
+    exponents, (i, j, diffs, _) = stack(polys), pairs
     i, j = i[col], j[col]
     points = radii[:, None] * np.exp(1j * theta)
     flags = _pair_active(exponents, i, j, points)
     active = _tail(flags).all(axis=0)
     k, c = np.nonzero(flags[1:] != flags[:-1])
-    ends = np.empty(0, complex)
-    if k.size:
-        ends = _transitions(exponents, i[c], j[c], diffs[col[c]], radii[k], radii[k + 1],
-                            theta[k, c], theta[k + 1, c], flags[k, c])
-    slopes, branches = diffs[:, 1:] * np.arange(1, diffs.shape[1]), []
-    for idx, (p, pi, pj) in enumerate(zip(col.tolist(), i.tolist(), j.tolist())):
-        cuts = k[c == idx] + 1
-        pts = np.insert(points[:, idx], cuts, ends[c == idx])
-        branches.append(LocusBranch(
-            pair=(pi, pj), points=pts, arclens=np.abs(np.diff(pts)),
-            densities=np.abs(horner(slopes[p:p + 1, :degree[p]], pts)[0]) / TWO_PI,
-            active_mask=np.insert(flags[:, idx], cuts, flags[cuts, idx]),
-            b_k=float(b_k[idx]), c_k=float(c_k[idx]), active=bool(active[idx])))
+    ends = np.empty(0, complex) if not k.size else _transitions(
+        exponents, i[c], j[c], diffs[col[c]], radii[k], radii[k + 1], theta[k, c], theta[k + 1, c], flags[k, c])
+    # the samples of each branch in turn (column-major), each transition after sample k of its column c
+    at, sizes = c * len(radii) + k + 1, len(radii) + np.bincount(c, minlength=col.size)
+    pts, mask = np.insert(points.T.ravel(), at, ends), np.insert(flags.T.ravel(), at, flags[k + 1, c])
+    slopes = diffs[:, 1:] * np.arange(1, diffs.shape[1])    # the rows D'; each point reads its pair's
+    densities = np.abs(horner(slopes[np.repeat(col, sizes)], pts[:, None])[:, 0]) / TWO_PI
+    gaps = np.abs(np.diff(pts, append=pts[-1:]))    # the last gap of each branch runs to the next
+    parts = (np.split(a, np.cumsum(sizes)[:-1]) for a in (pts, gaps, densities, mask))
+    branches = [LocusBranch(pair, p, g[:-1], d, m, b, ck, on) for pair, p, g, d, m, b, ck, on in
+                zip(zip(i.tolist(), j.tolist()), *parts, b_k.tolist(), c_k.tolist(), active.tolist())]
     return LocusSummary(r0, r_max, branches, *_far_field(b_k, c_k, active))
 
 
@@ -264,15 +263,15 @@ def branch_asymptotics(branch: LocusBranch):
 def riesz_of_max(polys, t, r0=None, summary=None):
     """nu(t) - nu(r0): Riesz mass of max_j Re P_j accumulated along the active
     locus branches in the annulus r0 < |z| <= t, from the summary's trace
-    (traced to t when not given); ValueError when t is past its r_max."""
+    (traced to t when not given); ValueError where the annulus leaves it."""
     if r0 is None:
         r0 = regularity_radius(polys)
     if t <= r0:
         raise ValueError("t must exceed r0")
     if summary is None:
         summary = trace_branches(polys, r0, t)
-    if t > summary.r_max:
-        raise ValueError(f"t = {t} lies beyond the trace, which ends at r = {summary.r_max}")
+    if r0 < summary.r0 or t > summary.r_max:
+        raise ValueError(f"{r0} < |z| <= {t} reaches beyond the trace, from r = {summary.r0} to {summary.r_max}")
     total = 0.0
     for br in summary.branches:
         pts, dens, act = br.points, br.densities, br.active_mask

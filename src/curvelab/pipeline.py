@@ -13,9 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characteristic import DEFAULT_TOL, characteristic_jensen, reduced_characteristic, switch_points
+from .characteristic import DEFAULT_TOL, characteristic_jensen, reduced_characteristic_polys, switch_points
 from .curves import HolomorphicCurve, _logsumexp, estimate_growth
 from .locus import regularity_radius, tail_exponents, tied
+from .polynomials import circle_sign_changes, on_circles
 
 DEFAULT_EPSILON = 0.01     # slack in the distance constant (2+epsilon)^{sigma+1}
 TIE_TOL_FACTOR = 1e-6      # relative tolerance of a tie at the max for prop1
@@ -131,9 +132,11 @@ def verify_theorem(curve: HolomorphicCurve, r_grid, epsilon=DEFAULT_EPSILON, tol
     """Run every sub-check and the tail inequality
     T(r) <= K*C(n,sigma)*r^{sigma+1}*(1+SLACK) on the largest radii of the
     grid. Sub-check failures are recorded as false verdicts; the operation
-    itself does not abort. prop1 reads the tie points harvested on every
-    (N // 6)-th of the N grid radii; prop3 reads the locus's far field on the
-    tail of the trace radii from r0 to max(4*r0, max(r_grid)), without a trace."""
+    itself does not abort. One circle_sign_changes and one switch_points solve
+    on every (N // 6)-th of the N grid radii and on the tail serve prop1's tie
+    points, T* and the Jensen panels of T; prop3 reads the locus's far field
+    on the tail of the trace radii from r0 to max(4*r0, max(r_grid)),
+    without a trace."""
     r_grid = sorted(float(r) for r in r_grid)
     if not r_grid or (curve.K is None and r_grid[0] == r_grid[-1]):
         raise ValueError("empty r_grid" if not r_grid else "declare K or pass two distinct radii")
@@ -148,21 +151,26 @@ def verify_theorem(curve: HolomorphicCurve, r_grid, epsilon=DEFAULT_EPSILON, tol
     r0 = regularity_radius(polys)
     far = tail_exponents(polys, r0, max(4 * r0, r_grid[-1]))
 
-    prop1_worst = prop1_check(work, harvest_tie_points(work, r_grid[:: max(1, len(r_grid) // 6)]))
+    step, tail_start = max(1, len(r_grid) // 6), int(math.floor(len(r_grid) * (1 - TAIL_FRACTION)))
+    solved = np.union1d(np.arange(0, len(r_grid), step), np.arange(tail_start, len(r_grid)))
+    radii = np.asarray(r_grid)[solved]
+    changes = circle_sign_changes(polys, radii)
+    switches = switch_points(work, radii, changes)
+    prop1_worst = prop1_check(work, on_circles(switches, np.flatnonzero(solved % step == 0))[1])
 
     rows2 = prop2_margin(work, epsilon, r_grid)
-    tail_start = int(math.floor(len(r_grid) * (1 - TAIL_FRACTION)))
     prop2_tail_ok = all(sup <= bound for _, sup, bound in rows2[tail_start:])
 
     p3 = prop3_check(far, work)
 
-    tail = np.asarray(r_grid[tail_start:])
-    t_star = reduced_characteristic(work, tail)
+    on_tail = np.flatnonzero(solved >= tail_start)
+    tail = radii[on_tail]
+    t_star = reduced_characteristic_polys(polys, tail, on_circles(changes, on_tail, at=1))
     prop4_margin = float(np.min(prop4_bound(n, sigma, K, tail) - t_star))
 
     const = theorem_constant(n, sigma, epsilon)
-    tail_rows = [(r, t, K * const * r ** (sigma + 1) * (1 + SLACK))
-                 for r, t in zip(tail.tolist(), characteristic_jensen(work, tail, tol).tolist())]
+    t_jensen = characteristic_jensen(work, tail, tol, on_circles(switches, on_tail)).tolist()
+    tail_rows = [(r, t, K * const * r ** (sigma + 1) * (1 + SLACK)) for r, t in zip(tail.tolist(), t_jensen)]
     theorem_ok = all(t <= ceiling for _, t, ceiling in tail_rows)
 
     scale = 1.0 + max(abs(v) for v in ([prop1_worst] if np.isfinite(prop1_worst) else [0.0]))

@@ -276,6 +276,13 @@ def circle_arcs(circle, angles, count):
     return circle, a, np.where(np.append(circle[1:] != circle[:-1], True), 2 * np.pi, np.roll(a, -1))
 
 
+def on_circles(found, keep, at=0):
+    """The flat arrays of ``found``, found[at] the circle of each entry, on the
+    circles ``keep`` (ascending indices), in order, found[at] renumbered to index keep."""
+    mask = np.isin(found[at], keep)
+    return tuple(np.searchsorted(keep, a[mask]) if i == at else a[mask] for i, a in enumerate(found))
+
+
 def cauchy_fraction(coeffs) -> float:
     """max_k |a_k / a_d| over k < d for the ascending coefficients a_0..a_d
     (a_d != 0), by Python's complex abs; 0 for a constant. Every root of the

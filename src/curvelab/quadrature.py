@@ -32,6 +32,7 @@ N_START = 64         # angles per circle at periodic_trapezoid's first level
 N_MAX = 1 << 20      # angles per circle at which periodic_trapezoid gives up
 INITIAL_PANELS = 4   # panels adaptive_gauss starts from
 MAX_PANELS = 4096    # panels per interval at which adaptive_gauss gives up
+JENSEN_MAX_PANELS = N_MAX // 15   # kronrod_panels' budget: as many nodes as N_MAX angles
 
 
 def periodic_trapezoid(f, radii, tol):
@@ -122,7 +123,7 @@ def adaptive_gauss(f, a, b, tol):
                    np.array([abs(b - a)]), np.array([tol]), MAX_PANELS)[0]
 
 
-def kronrod_panels(f, a, k, lo, hi, tol, max_panels):
+def kronrod_panels(f, a, k, lo, hi, tol):
     """Gauss-Kronrod (7, 15) integration on intervals cut into given panels:
     interval i starts at a[i] and holds the panels [lo[p], hi[p]] with k[p] = i,
     segments of the complex plane parallel to the real axis, in any order.
@@ -132,8 +133,9 @@ def kronrod_panels(f, a, k, lo, hi, tol, max_panels):
     calls of about CHUNK_POINTS points, and returns the values at the nodes,
     shaped (panels, 15), and a boolean mask per panel. A panel is accepted
     when |K15 - G7| is within its width's share of its interval's tol and its
-    mask holds; the rest are halved (_refine). Each interval is summed in a
-    fixed order, so it gives the same bits alone as among others."""
+    mask holds; the rest are halved (_refine), up to JENSEN_MAX_PANELS per
+    interval. Each interval is summed in a fixed order, so it gives the same
+    bits alone as among others."""
     def judge(lo, hi, _):
         half = (0.5 * (hi - lo)).real     # parallel to the real axis: dx is real
         rows = np.concatenate([lo[:, None], (0.5 * (lo + hi))[:, None] + half[:, None] * _GK_NODES,
@@ -146,7 +148,7 @@ def kronrod_panels(f, a, k, lo, hi, tol, max_panels):
 
     a = np.asarray(a)
     span = np.bincount(k, np.abs(hi - lo), minlength=a.size)
-    return _refine(judge, None, a, k, lo, hi, span, np.broadcast_to(tol, a.shape), max_panels)
+    return _refine(judge, None, a, k, lo, hi, span, np.broadcast_to(tol, a.shape), JENSEN_MAX_PANELS)
 
 
 def _refine(judge, carry, a, k, lo, hi, span, tol, max_panels):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import curvelab.characteristic as characteristic
+import curvelab.quadrature as quadrature
 from curvelab import build_table, characteristic_jensen, load_curve, parse_curve
 from curvelab.characteristic import DEFAULT_TOL, JENSEN_HANDOVER, _tie_guarded_u, switch_points
 from curvelab.cli import main
@@ -184,10 +185,10 @@ def test_tie_guard_rejects_what_the_plain_rule_accepts(spec, r, first, count):
 
 def test_panel_budget_raises_with_estimate_and_bound(monkeypatch, tmp_path, capsys):
     # JENSEN_MAX_PANELS allows as many nodes as the trapezoid's 2^20 angles
-    assert characteristic.JENSEN_MAX_PANELS * 15 <= 1 << 20 < (characteristic.JENSEN_MAX_PANELS + 1) * 15
+    assert quadrature.JENSEN_MAX_PANELS * 15 <= 1 << 20 < (quadrature.JENSEN_MAX_PANELS + 1) * 15
     curve, r = parse_curve(N3_SIGMA05), VERIFY_GRID[15]
     full = _jensen_integral(curve, r)
-    monkeypatch.setattr(characteristic, "JENSEN_MAX_PANELS", 64)
+    monkeypatch.setattr(quadrature, "JENSEN_MAX_PANELS", 64)
     with pytest.raises(QuadratureBudgetError) as info:
         characteristic_jensen(curve, r)
     assert info.value.exit_code == 3

@@ -15,7 +15,7 @@ from curvelab import (
 from curvelab.characteristic import reduced_characteristic_polys
 from curvelab import locus
 from curvelab.locus import _branch_angles
-from curvelab.polynomials import ComplexPoly, circle_angles, circle_sign_changes, refine_angles
+from curvelab.polynomials import ComplexPoly, circle_angles, circle_sign_changes, horner, refine_angles, stack
 from test_characteristic import FIXTURES, _dense_sign_changes, _sign_changes
 
 Z = ComplexPoly([0, 1])
@@ -427,6 +427,19 @@ class TestRieszMass:
             with pytest.raises(ValueError, match="beyond the trace"):
                 riesz_of_max(polys, t, r0, summary)
 
+    def test_inside_the_trace_raises(self):
+        # a trace from r = 4 holds product2's mass from 4 to 16, 3.8197, and
+        # not the 4.4563 from its r0 = 2 out: an annulus that starts inside
+        # the trace's first circle raises, whether r0 is given or computed
+        polys = load_curve(FIXTURES / "product2.json").reduced_polys()
+        r0, late = regularity_radius(polys), trace_branches(polys, 4.0, 16.0)
+        assert r0 == 2.0
+        assert riesz_of_max(polys, 16.0, 4.0, late) == pytest.approx(3.8197, abs=1e-4)
+        assert riesz_of_max(polys, 16.0, r0) == pytest.approx(4.4563, abs=1e-4)
+        for start in (r0, 4.0 * (1 - 1e-15), None):
+            with pytest.raises(ValueError, match="beyond the trace"):
+                riesz_of_max(polys, 16.0, start, late)
+
     def test_matches_jensen_route(self):
         # independent oracle: nu(t) = t dT*/dt from the exact circle means
         r14 = regularity_radius(LOCUS14)
@@ -472,3 +485,58 @@ class TestBranchCountBound:
                 polys.append(ComplexPoly(coeffs))
             count, bound, ok = count_branch_bound(polys, sigma)
             assert ok
+
+
+def _trace_per_branch(polys, r0, r_max):
+    """trace_branches with each branch built alone, by the per-branch loop of
+    insertions, Horner rows and chord lengths that one pass over the flat
+    samples replaced: the reference of its bits."""
+    radii, pairs = locus._radius_grid(r0, r_max), locus._pairs(polys)
+    if not pairs[3].size:
+        return locus.LocusSummary(r0=r0, r_max=r_max, branches=[], b=-math.inf, c0=0.0)
+    theta, col, b_k, c_k = locus._columns(pairs, radii)
+    exponents, (i, j, diffs, degree) = stack(polys), pairs
+    i, j = i[col], j[col]
+    points = radii[:, None] * np.exp(1j * theta)
+    flags = locus._pair_active(exponents, i, j, points)
+    active = locus._tail(flags).all(axis=0)
+    k, c = np.nonzero(flags[1:] != flags[:-1])
+    ends = np.empty(0, complex)
+    if k.size:
+        ends = locus._transitions(exponents, i[c], j[c], diffs[col[c]], radii[k], radii[k + 1],
+                                  theta[k, c], theta[k + 1, c], flags[k, c])
+    slopes, branches = diffs[:, 1:] * np.arange(1, diffs.shape[1]), []
+    for idx, (p, pi, pj) in enumerate(zip(col.tolist(), i.tolist(), j.tolist())):
+        cuts = k[c == idx] + 1
+        pts = np.insert(points[:, idx], cuts, ends[c == idx])
+        branches.append(locus.LocusBranch(
+            pair=(pi, pj), points=pts, arclens=np.abs(np.diff(pts)),
+            densities=np.abs(horner(slopes[p:p + 1, :degree[p]], pts)[0]) / locus.TWO_PI,
+            active_mask=np.insert(flags[:, idx], cuts, flags[cuts, idx]),
+            b_k=float(b_k[idx]), c_k=float(c_k[idx]), active=bool(active[idx])))
+    return locus.LocusSummary(r0, r_max, branches, *locus._far_field(b_k, c_k, active))
+
+
+@pytest.mark.identity
+@pytest.mark.parametrize("polys, transitions, most", [
+    (_random_stacks(seed=33, count=6)[5], 6, 2),    # two triple points, one branch through both
+    (_random_stacks(seed=9, count=12)[0], 3, 1),    # one triple point: one transition on each of 3 branches
+    (LOCUS14, 0, 0),
+    ([Z, ZERO], 0, 0),
+    ([Z, Z], 0, 0),                                 # an empty locus
+])
+def test_branches_from_one_flat_pass(polys, transitions, most):
+    # the transitions lie where three Re P_j tie, where three pair loci meet,
+    # so a trace holds none or at least three of them
+    r0 = regularity_radius(polys)
+    r_max = max(4 * r0, 20.0)
+    got, expected = trace_branches(polys, r0, r_max), _trace_per_branch(polys, r0, r_max)
+    assert (got.r0, got.r_max, got.b, got.c0) == (expected.r0, expected.r_max, expected.b, expected.c0)
+    assert len(got.branches) == len(expected.branches)
+    inserted = [len(br.points) - len(locus._radius_grid(r0, r_max)) for br in got.branches]
+    assert (sum(inserted), max(inserted, default=0)) == (transitions, most)
+    for a, b in zip(got.branches, expected.branches):
+        assert (a.pair, a.b_k, a.c_k, a.active) == (b.pair, b.b_k, b.c_k, b.active)
+        for name in ("points", "densities", "arclens", "active_mask"):
+            assert getattr(a, name).dtype == getattr(b, name).dtype
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name

@@ -6,6 +6,7 @@ import pytest
 from curvelab import (
     CurveComponent,
     HolomorphicCurve,
+    circle_mean_max_re,
     harvest_tie_points,
     load_curve,
     parse_curve,
@@ -20,10 +21,14 @@ from curvelab import (
     trace_branches,
     verify_theorem,
 )
+import curvelab.characteristic as characteristic
+import curvelab.pipeline as pipeline
+from curvelab.characteristic import characteristic_jensen, switch_points
 from curvelab.curves import CompiledCurve
 from curvelab.locus import tied
-from curvelab.polynomials import ComplexPoly, circle_sign_changes
+from curvelab.polynomials import ComplexPoly, circle_sign_changes, on_circles
 from test_characteristic import FIXTURE_NAMES, FIXTURES, _sign_changes
+from test_jensen_panels import N3_SIGMA05, N4_SIGMA1, N6_SIGMA05
 
 
 class TestProp1:
@@ -417,3 +422,70 @@ class TestVerifyTheorem:
         report = verify_theorem(curve, np.geomspace(1.0, 20.0, 16))
         assert report.verdicts["prop1"]
         assert report.prop1_worst == pytest.approx(8.274, abs=1e-3)
+
+
+def _shared_work_curves(seed):
+    """The fixtures, three curves with sharp ties whose tail circles go on to
+    the Jensen panels, and random curves with n = 1..6, all with K declared."""
+    rng = np.random.default_rng(seed)
+    curves = [load_curve(FIXTURES / f"{name}.json") for name in FIXTURE_NAMES]
+    curves += [parse_curve(spec).with_K(1.0) for spec in (N3_SIGMA05, N4_SIGMA1, N6_SIGMA05)]
+    return curves + [_random_curve(rng, n, kind0).with_K(1.0)
+                     for n, kind0 in zip(range(1, 7), ("poly", "exppoly", "polyexp") * 2)]
+
+
+def _same_bits(got, expected):
+    return len(got) == len(expected) and all(
+        a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(got, expected))
+
+
+def _recorded(monkeypatch, module, name):
+    """Patch module.name to record the arguments and result of every call."""
+    calls, original = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append((args, original(*args))) or calls[-1][1])
+    return calls
+
+
+@pytest.mark.identity
+@pytest.mark.parametrize("count", [16, 13])
+def test_one_solve_serves_every_check(monkeypatch, count):
+    # verify_theorem solves the sign changes and switch points once, on the
+    # union of prop1's circles and the tail, and hands each check its own
+    # circles: prop1's points, T* and T are the bits of their routes run alone
+    panels = _recorded(monkeypatch, characteristic, "_graded_panels")
+    means = _recorded(monkeypatch, characteristic, "circle_mean_max_re")
+    ties = _recorded(monkeypatch, pipeline, "prop1_check")
+    grid = np.geomspace(1.0, 20.0, count)
+    harvest, tail = grid[:: count // 6], grid[math.floor(0.75 * count):]
+    for curve in _shared_work_curves(41):
+        means.clear()
+        ties.clear()
+        report = verify_theorem(curve, grid)
+        [((_, points), worst)], [(_, mean)] = ties, means
+        expected = harvest_tie_points(curve, harvest)
+        assert points.tobytes() == np.array(expected, dtype=complex).tobytes()
+        assert worst == report.prop1_worst == prop1_check(curve, expected)
+        assert mean.tolist() == circle_mean_max_re(curve.reduced_polys(), tail).tolist()
+        assert [row[0] for row in report.tail_rows] == tail.tolist()
+        assert [row[1] for row in report.tail_rows] == characteristic_jensen(curve, tail).tolist()
+        t_star = reduced_characteristic(curve, tail)
+        assert report.prop4_margin == float(np.min(prop4_bound(curve.n, curve.sigma, curve.K, tail) - t_star))
+    assert sum(args[2] for args, _ in panels) >= 6    # tail circles that went on to the panels
+
+
+@pytest.mark.identity
+def test_switch_points_on_a_subset_of_circles():
+    # the switch points and sign changes of a union of circles, restricted to
+    # some of them, are those of these circles alone, bit for bit; so are the
+    # switch points when the caller hands in the sign changes
+    radii = np.geomspace(1.0, 20.0, 16)
+    found = 0
+    for curve in _shared_work_curves(43):
+        polys = curve.reduced_polys()
+        changes, whole = circle_sign_changes(polys, radii), switch_points(curve, radii)
+        assert _same_bits(switch_points(curve, radii, changes), whole)
+        for keep in (np.arange(0, 16, 2), np.arange(12, 16), np.array([5])):
+            assert _same_bits(on_circles(whole, keep), switch_points(curve, radii[keep]))
+            assert _same_bits(on_circles(changes, keep, at=1), circle_sign_changes(polys, radii[keep]))
+        found += whole[0].size
+    assert found > 100

@@ -319,7 +319,7 @@ class TestKronrodPanels:
         a, b = np.array([0.0, 0.0, 2j]), np.array([1.0, 2.0, 1.0 + 2j])
         tol = np.array([1e-9, 1e-8, 1e-9])
         k, lo, hi = _quarters(a, b)
-        values = kronrod_panels(_masked_peak, a, k, lo, hi, tol, 4096)
+        values = kronrod_panels(_masked_peak, a, k, lo, hi, tol)
         assert values.shape == (3,) and values.dtype == float
 
         def peak(hi):
@@ -332,7 +332,7 @@ class TestKronrodPanels:
         for i in range(3):
             mine = np.flatnonzero(k == i)[::-1]
             alone = kronrod_panels(_masked_peak, a[i:i + 1], np.zeros_like(mine), lo[mine], hi[mine],
-                                   tol[i:i + 1], 4096)
+                                   tol[i:i + 1])
             assert alone.tolist() == [values[i]]
 
     def test_mask_splits_panels_whose_estimate_passes(self):
@@ -344,10 +344,10 @@ class TestKronrodPanels:
             return np.ones(rows[:, 1:-1].shape), (width < 1 / 64) | (not masked)
 
         one = (np.array([0.0]), np.array([0]), np.array([0.0]), np.array([1.0]))
-        plain = kronrod_panels(lambda rows: flat(rows, False), *one, 1e-12, 4096)
+        plain = kronrod_panels(lambda rows: flat(rows, False), *one, 1e-12)
         assert calls == [1]
         calls.clear()
-        masked = kronrod_panels(lambda rows: flat(rows, True), *one, 1e-12, 4096)
+        masked = kronrod_panels(lambda rows: flat(rows, True), *one, 1e-12)
         # a panel is accepted once it is narrower than 1/64: the level of width 1/128
         assert calls == [1, 2, 4, 8, 16, 32, 64, 128]
         assert plain.tolist() == [pytest.approx(1.0, abs=1e-15)]
@@ -361,6 +361,6 @@ class TestKronrodPanels:
             return np.exp(rows[:, 1:-1].real), np.ones(len(rows), dtype=bool)
 
         a = np.linspace(0.0, 1.0, 600)
-        values = kronrod_panels(counted, a, *_quarters(a, a + 1.0), 1e-12, 4096)
+        values = kronrod_panels(counted, a, *_quarters(a, a + 1.0), 1e-12)
         np.testing.assert_allclose(values, np.exp(a) * (math.e - 1), rtol=1e-13)
         assert max(sizes) <= CHUNK_POINTS < sum(sizes[:2])
