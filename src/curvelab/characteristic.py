@@ -33,6 +33,10 @@ CROSS_CHECK_TOL = 1e-6   # largest gap build_table allows between the two routes
 JENSEN_HANDOVER = 1024   # angles by which a Jensen circle settles or goes to panels
 SWITCH_GRADING = 4   # ratio of successive panel breakpoint offsets from a switch angle
 SWITCH_LAYER = 0.5   # the first offset, over the slope of the pair's gap there
+# Rungs of each switch's ladder, 1 + ceil(log_4(-ln(eps) / SWITCH_LAYER)): the
+# last, 4^4 h = 128/s, is the first past -ln(eps)/s, from where the tie's kink
+# (1/2) log(1 + e^{-2s|theta - theta*|}) is below rounding.
+SWITCH_LEVELS = 5
 HARVEST_SEEDS = 512  # scan angles per circle for the switches of the pairs with u_0
 
 
@@ -140,19 +144,18 @@ def switch_points(curve: HolomorphicCurve, radii, changes=None):
 def _graded_panels(curve: HolomorphicCurve, switches, count):
     """(circle, lo, hi): panels [lo, hi] in theta that cut each of ``count``
     circles at 0, pi/2, pi and 3pi/2, at its ``switches`` (switch_points)
-    theta* and at theta* +- h 4^m below pi, with h = SWITCH_LAYER / s for
-    the slope s = |d(u_i - u_j)/dtheta| of the tied pair there. u is smooth
-    off the switches, with its singularities about pi/(2s) off the circle,
-    so graded panels reach rounding without a search (Trefethen, ATAP
-    ch. 19). A slope of 0 or one that is not finite grades nothing."""
+    theta* and at theta* +- h 4^m below pi, m < SWITCH_LEVELS, with
+    h = SWITCH_LAYER / s for the slope s = |d(u_i - u_j)/dtheta| of the tied
+    pair there. u is smooth off the switches, with its singularities about
+    pi/(2s) off the circle, so graded panels reach rounding without a search
+    (Trefethen, ATAP ch. 19). A slope of 0 or one that is not finite grades
+    nothing."""
     circle, z, pair = switches
     first, second = np.triu_indices(curve.n + 1, 1)
     slopes, cols = curve.compiled.log_derivatives(z), np.arange(z.size)
     s = np.abs((z * (slopes[first[pair], cols] - slopes[second[pair], cols])).imag)
     theta, graded = np.mod(np.angle(z), 2 * np.pi), np.isfinite(s) & (s > 0)
-    h = SWITCH_LAYER / s[graded]
-    levels = np.ceil(np.log(np.pi / h.min(initial=np.pi)) / np.log(SWITCH_GRADING))   # to reach pi
-    offsets = h[:, None] * float(SWITCH_GRADING) ** np.arange(levels)
+    offsets = (SWITCH_LAYER / s[graded])[:, None] * float(SWITCH_GRADING) ** np.arange(SWITCH_LEVELS)
     row, m = np.nonzero(offsets < np.pi)
     near, offsets = theta[graded][row], offsets[row, m]
     at = np.concatenate([np.repeat(np.arange(count), 3), circle, np.tile(circle[graded][row], 2)])

@@ -170,6 +170,8 @@ class _Stack:
 # The one threshold between the two forms of ||f'||^2 (CompiledCurve._spherical):
 # the product form stands where its factors that count are normal numbers.
 _NORMAL = np.finfo(float).tiny
+# An exponent far enough below -745.2, where exp rounds to +0, that no rounding lifts it.
+_UNDERFLOW = -760.0
 
 
 class CompiledCurve:
@@ -279,7 +281,10 @@ class CompiledCurve:
 
     def _log_form(self, z, squared):
         """||f'|| (or its square) as exp(log num - log den), every term in log
-        domain, for the points out of the product form's range."""
+        domain, for the points out of the product form's range. As log den >= 0,
+        the exponent is at most q_(1) + q_(2) + max log|w_ij| + log(pairs)/2,
+        q_(1) and q_(2) the two largest q = Re P - top: below _UNDERFLOW the
+        exp is +0, and only the other points run the sums."""
         rows = self._all
         acc = horner(rows.coeffs, z, rows.live)
         re_p, log_g = rows.take(acc, 1, np.real), rows.take(acc, 0, _log_abs)
@@ -289,11 +294,15 @@ class CompiledCurve:
         # numerator and denominator, so that no sum of exponents in the
         # thousands is rounded before they cancel
         top = (re_p + log_g).max(axis=0)
+        out = np.zeros(z.shape)
         with np.errstate(invalid="ignore"):
             q = re_p - top
+            first, second = _top_two(q)
+            run = ~(first + second + log_w.max(axis=0) + 0.5 * math.log(len(self._first)) < _UNDERFLOW)
+            q, log_g, log_w = q[:, run], log_g[:, run], log_w[:, run]
             num = 0.5 * _logsumexp(2.0 * (q[self._first] + q[self._second]) + 2.0 * log_w)
             den = _logsumexp(2.0 * (q + log_g))
-            out = np.exp(num - den)
+            out[run] = np.exp(num - den)
         out = np.where(np.isnan(out), 0.0, out)
         return out * out if squared else out
 

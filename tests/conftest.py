@@ -1,3 +1,4 @@
+import importlib
 import math
 from pathlib import Path
 
@@ -7,6 +8,15 @@ import pytest
 from curvelab import CurveComponent, HolomorphicCurve
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+BENCH = FIXTURES.parent / "bench"
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    """import_module for the benchmark's modules, with bench/ on sys.path for
+    the test: the tests read them and change nothing there."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    return importlib.import_module
 
 
 @pytest.fixture(scope="session")

@@ -12,6 +12,7 @@ from curvelab import (
     HolomorphicCurve,
     estimate_growth,
     load_curve,
+    parse_curve,
     verify_theorem,
 )
 from curvelab.curves import GROWTH_CIRCLES, THETA_NODES, CompiledCurve
@@ -433,3 +434,102 @@ def test_kernel_values_whatever_the_chunk(monkeypatch):
         thousands += np.sum(np.abs(rows[1:]) > 1000.0)
         zeros += np.sum(rows[0] == -np.inf)
     assert thousands > 0 and zeros > 0
+
+
+def _unbounded_log_form(self, z, squared):
+    """CompiledCurve._log_form without its underflow bound: every point runs
+    the log-domain sums."""
+    rows = self._all
+    acc = curvelab.curves.horner(rows.coeffs, z, rows.live)
+    re_p, log_g = rows.take(acc, 1, np.real), rows.take(acc, 0, curvelab.curves._log_abs)
+    log_w = rows.take(acc, 2, curvelab.curves._log_abs)
+    top = (re_p + log_g).max(axis=0)
+    with np.errstate(invalid="ignore"):
+        q = re_p - top
+        num = 0.5 * curvelab.curves._logsumexp(2.0 * (q[self._first] + q[self._second]) + 2.0 * log_w)
+        den = curvelab.curves._logsumexp(2.0 * (q + log_g))
+        out = np.exp(num - den)
+    out = np.where(np.isnan(out), 0.0, out)
+    return out * out if squared else out
+
+
+
+def _log_form_work(monkeypatch):
+    """[points handed to CompiledCurve._log_form, points its sums read],
+    counted from the call on."""
+    work, inside = [0, 0], []
+    log_form, logsumexp = CompiledCurve._log_form, curvelab.curves._logsumexp
+
+    def counted_form(self, z, squared):
+        work[0] += z.size
+        inside.append(1)
+        try:
+            return log_form(self, z, squared)
+        finally:
+            inside.pop()
+
+    def counted_sum(a):     # called twice per _log_form call, on the same points
+        work[1] += a.shape[-1] / 2 if inside else 0
+        return logsumexp(a)
+
+    monkeypatch.setattr(CompiledCurve, "_log_form", counted_form)
+    monkeypatch.setattr(curvelab.curves, "_logsumexp", counted_sum)
+    return work
+
+
+@pytest.mark.identity
+class TestLogFormBound:
+    """Where its bound shows that ||f'|| underflows, _log_form writes +0
+    without the sums: the bits of the unbounded form, and no warning."""
+
+    @staticmethod
+    def _assert_unmoved(curve, z, monkeypatch):
+        with warnings.catch_warnings(record=True) as warned:
+            warnings.simplefilter("always")
+            got = [curve.spherical_derivative(z, squared) for squared in (False, True)]
+            with monkeypatch.context() as patch:
+                patch.setattr(CompiledCurve, "_log_form", _unbounded_log_form)
+                count = len(warned)
+                want = [curve.spherical_derivative(z, squared) for squared in (False, True)]
+        for a, b in zip(got, want):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        # no warning that the unbounded form does not raise too
+        assert {str(w.message) for w in warned[:count]} <= {str(w.message) for w in warned[count:]}
+
+    @pytest.mark.parametrize("seed", [6, 81])
+    def test_growth_grids_of_the_benchmark(self, seed, bench, monkeypatch):
+        # every grid that estimate_growth reads on the curves without a
+        # declared K of the locus-bound workload, as verify_theorem calls it
+        specs = bench("workloads").locus_bound_workload(seed).specs
+        grids, sd = [], HolomorphicCurve.spherical_derivative
+        with monkeypatch.context() as patch:
+            patch.setattr(HolomorphicCurve, "spherical_derivative",
+                          lambda self, z, squared=False: grids.append((self, z)) or sd(self, z, squared))
+            for spec in specs.values():
+                if "K" not in spec:
+                    estimate_growth(parse_curve(spec), 1.0, 20.0)
+        assert len({id(curve) for curve, _ in grids}) == 9
+        work = _log_form_work(monkeypatch)
+        for curve, z in grids:
+            self._assert_unmoved(curve, z, monkeypatch)
+        assert work[0] > 0 and work[0] - work[1] >= 0.75 * work[0]
+
+    def test_thousands_and_zeros(self, monkeypatch):
+        # |Re P| in the thousands, and the zeros of g_0: the exact one at 0
+        # of the last curve and np.roots' of the others
+        work = _log_form_work(monkeypatch)
+        for curve in TestLogModuliKernel._curves():
+            zeros = np.roots(curve.components[0].poly_factor.coeffs[::-1])
+            for z in TestLogModuliKernel._points() + [zeros]:
+                self._assert_unmoved(curve, z, monkeypatch)
+        assert 0 < work[1] < work[0]
+
+    def test_huge_exponent(self, monkeypatch):
+        # Re P = 1e200 Re z, the spec on which the area and Jensen routes
+        # disagree: |w_01|^2 = 1e400 overflows
+        curve = parse_curve({"n": 1, "sigma": 0, "components": [
+            {"type": "exppoly", "P": [[0, 0], [1e200, 0]]}, {"type": "exppoly", "P": []}]})
+        work = _log_form_work(monkeypatch)
+        z = np.geomspace(1e-205, 1e4, 200)[:, None] * np.exp(2j * np.pi * np.arange(64) / 64)
+        self._assert_unmoved(curve, z, monkeypatch)
+        assert 0 < work[1] < work[0]

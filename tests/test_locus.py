@@ -250,6 +250,19 @@ class TestBranchAngles:
                 assert got.tobytes() == _per_pair_angles(row, radii).tobytes()
 
     @pytest.mark.identity
+    def test_high_degrees_match_per_pair_roots(self):
+        # numpy adds fewer than 8 roots in order and 8 or more pairwise, so
+        # the root sums keep np.sum's bits on both sides of the switch
+        rng = np.random.default_rng(89)
+        for deg in (7, 8, 9):
+            pairs = [[ComplexPoly(rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)), ZERO]
+                     for _ in range(3)]
+            rows = [(p - q).coeffs for p, q in pairs]
+            radii = max(map(regularity_radius, pairs)) * np.array([1.0, 1.01, 2.0, 10.0, 100.0, 1e4])
+            for row, got in zip(rows, _branch_angles(rows, radii)):
+                assert got.tobytes() == _per_pair_angles(row, radii).tobytes()
+
+    @pytest.mark.identity
     def test_circle_angles_rows_match_one_row(self):
         # the differences of one degree in one stacked solve, row by row
         radii = np.array([0.5, 1.0, 3.0, 40.0])
@@ -355,13 +368,16 @@ class TestTransitions:
     def test_early_stop_bit_identical(self, monkeypatch):
         # the bisection stops at the first step that moves no bracket end,
         # with the points of all 60 steps, bit for bit, and fewer probes
-        probes = []
-        original = locus._pair_active
+        probes, calls = [], []
+        original, transitions = locus._pair_active, locus._transitions
         monkeypatch.setattr(locus, "_pair_active", lambda *args: probes.append(1) or original(*args))
+        # the brackets handed to _transitions, r_lo its fifth argument
+        monkeypatch.setattr(locus, "_transitions", lambda *args: calls.append(len(args[4])) or transitions(*args))
         with_transitions = 0
         for polys in _random_stacks(seed=9, count=12):
             r0 = regularity_radius(polys)
             probes.clear()
+            calls.clear()
             fast = trace_branches(polys, r0, max(4 * r0, 20.0))
             fast_probes = len(probes)
             with monkeypatch.context() as patch:
@@ -372,7 +388,7 @@ class TestTransitions:
             for a, b in zip(fast.branches, full.branches):
                 assert a.points.tobytes() == b.points.tobytes()
                 assert np.array_equal(a.active_mask, b.active_mask)
-            if len(probes) > 1:     # one probe classifies the samples, the rest bisect
+            if sum(calls):
                 with_transitions += 1
                 assert fast_probes < len(probes)
         assert with_transitions >= 3
