@@ -26,18 +26,19 @@ import numpy as np
 from .curves import HolomorphicCurve
 from .locus import tied
 from .polynomials import circle_arcs, circle_sign_changes, horner, on_circles, stack
-from .quadrature import _trapezoid_levels, adaptive_gauss, kronrod_panels, periodic_trapezoid
+from .quadrature import N_START, _trapezoid_levels, adaptive_gauss, kronrod_panels, periodic_trapezoid
 
 DEFAULT_TOL = 1e-8
 CROSS_CHECK_TOL = 1e-6   # largest gap build_table allows between the two routes
-JENSEN_HANDOVER = 1024   # angles by which a Jensen circle settles or goes to panels
+JENSEN_HANDOVER = 1024   # most trapezoid angles a Jensen circle runs before it goes to panels
 SWITCH_GRADING = 4   # ratio of successive panel breakpoint offsets from a switch angle
 SWITCH_LAYER = 0.5   # the first offset, over the slope of the pair's gap there
 # Rungs of each switch's ladder, 1 + ceil(log_4(-ln(eps) / SWITCH_LAYER)): the
 # last, 4^4 h = 128/s, is the first past -ln(eps)/s, from where the tie's kink
 # (1/2) log(1 + e^{-2s|theta - theta*|}) is below rounding.
 SWITCH_LEVELS = 5
-HARVEST_SEEDS = 512  # scan angles per circle for the switches of the pairs with u_0
+PROP2_SEEDS = 1024   # angles per circle of verify_theorem's grid, where prop2 reads u - u*
+HARVEST_SEEDS = PROP2_SEEDS // 2   # switch_points' scan: the grid's even angles, to the bit
 
 
 def _checked_radii(r):
@@ -80,14 +81,23 @@ def characteristic_jensen(curve: HolomorphicCurve, r, tol=DEFAULT_TOL, switches=
     not settled by then, with ties sharper than the grid, finish on
     Gauss-Kronrod panels in theta graded from their switch angles
     (_graded_panels), with the tie guard of _tie_guarded_u, to the
-    trapezoid's tolerance relative to its last estimate. ``switches``, the
-    switch_points of the radii when the caller has them, spares that solve.
+    trapezoid's tolerance relative to its last estimate. ``switches`` (the
+    radii's switch_points, if handed in) spare that solve and send the sharp
+    circles to the panels first; without them the trapezoid's false stops stay.
     """
     radii = _checked_radii(r)
-    integrals, _, running = _trapezoid_levels(curve.u, radii, tol, JENSEN_HANDOVER)
+    caps = np.full(radii.size, JENSEN_HANDOVER)
+    if switches is not None:
+        # A tie of slope s kinks u by (1/2) log(1 + e^{-2s|theta - theta*|}), analytic in a strip of half-width
+        # pi/(2s) only, so N angles err by about e^{-pi N/(2s)} (Trefethen and Weideman, SIAM Review 56, 2014):
+        # past s = JENSEN_HANDOVER pi/(2 ln(1/tol)), 87.3 at tol = 1e-8, no level settles it (none for tol >= 1)
+        circle, _, s = switches = _with_slopes(curve, switches)
+        caps[circle[np.isfinite(s) & (2 * s * math.log(1 / tol) > JENSEN_HANDOVER * math.pi)]] = N_START
+    integrals, _, running = _trapezoid_levels(curve.u, radii, tol, caps)
     if running.size:
-        switches = switch_points(curve, radii[running]) if switches is None else on_circles(switches, running)
-        circle, lo, hi = _graded_panels(curve, switches, running.size)
+        switches = (_with_slopes(curve, switch_points(curve, radii[running])) if switches is None
+                    else on_circles(switches, running))
+        circle, lo, hi = _graded_panels(switches, running.size)
         # |z| = r is the image of the segment from -i log r to 2pi - i log r under z = e^{ix}
         a = -1j * np.log(radii[running])
         integrals[running] = kronrod_panels(
@@ -96,19 +106,33 @@ def characteristic_jensen(curve: HolomorphicCurve, r, tol=DEFAULT_TOL, switches=
     return _per_radius(r, integrals / (2 * np.pi) - curve.u(0.0))
 
 
-def switch_points(curve: HolomorphicCurve, radii, changes=None):
+def _with_slopes(curve: HolomorphicCurve, switches):
+    """switch_points' (circle, z, pair) as (circle, z, s), s = |d(u_i - u_j)/dtheta| of the tied pair."""
+    circle, z, pair = switches
+    first, second = np.triu_indices(curve.n + 1, 1)
+    slopes, cols = curve.compiled.log_derivatives(z), np.arange(z.size)
+    return circle, z, np.abs((z * (slopes[first[pair], cols] - slopes[second[pair], cols])).imag)
+
+
+def circle_rows(curve: HolomorphicCurve, radii, count=PROP2_SEEDS):
+    """log_moduli rows on ``count`` angles of each circle |z| = radii, (n + 1, radii, count)."""
+    theta = np.linspace(0.0, 2 * np.pi, count, endpoint=False)
+    return curve.compiled.log_moduli(np.asarray(radii, dtype=float)[:, None] * np.exp(1j * theta))
+
+
+def switch_points(curve: HolomorphicCurve, radii, changes=None, scan=None):
     """(circle, z, pair) for every point z on the circles |z| = radii[circle]
     where two of the u_j (over the full index range 0..n, pair indexing
     np.triu_indices) agree and jointly attain the maximum, in the order
     radius, pair, angle. For i, j >= 1, u_i - u_j = Re(P_i - P_j) changes
     sign at polynomial roots (``changes``, their circle_sign_changes on the
-    radii, when the caller has them); for the pairs with u_0, the sign changes
-    of u_0 - u_j on HARVEST_SEEDS angles of every circle are refined all at
-    once by safeguarded Newton steps (README, "Sign changes on a circle")."""
+    radii, if handed in); for the pairs with u_0, the sign changes of u_0 - u_j
+    on HARVEST_SEEDS angles of every circle (their log_moduli rows ``scan``, if
+    handed in) are refined all at once by safeguarded Newton steps (README)."""
     first, second = np.triu_indices(curve.n + 1, 1)
     radii = np.asarray(radii, dtype=float)
     theta = np.linspace(0.0, 2 * np.pi, HARVEST_SEEDS, endpoint=False)
-    u = curve.compiled.log_moduli(radii[:, None] * np.exp(1j * theta))
+    u = circle_rows(curve, radii, HARVEST_SEEDS) if scan is None else scan
     d = u[0] - u[1:]     # u_0 - u_j by j - 1, radius, angle
     d_next = np.roll(d, -1, axis=2)
     pair, k, s = np.nonzero(np.isfinite(d) & np.isfinite(d_next) & ((d > 0) != (d_next > 0)))
@@ -141,19 +165,15 @@ def switch_points(curve: HolomorphicCurve, radii, changes=None):
     return circle[switch], z[switch], pair[switch]
 
 
-def _graded_panels(curve: HolomorphicCurve, switches, count):
+def _graded_panels(switches, count):
     """(circle, lo, hi): panels [lo, hi] in theta that cut each of ``count``
-    circles at 0, pi/2, pi and 3pi/2, at its ``switches`` (switch_points)
-    theta* and at theta* +- h 4^m below pi, m < SWITCH_LEVELS, with
-    h = SWITCH_LAYER / s for the slope s = |d(u_i - u_j)/dtheta| of the tied
-    pair there. u is smooth off the switches, with its singularities about
-    pi/(2s) off the circle, so graded panels reach rounding without a search
-    (Trefethen, ATAP ch. 19). A slope of 0 or one that is not finite grades
-    nothing."""
-    circle, z, pair = switches
-    first, second = np.triu_indices(curve.n + 1, 1)
-    slopes, cols = curve.compiled.log_derivatives(z), np.arange(z.size)
-    s = np.abs((z * (slopes[first[pair], cols] - slopes[second[pair], cols])).imag)
+    circles at 0, pi/2, pi and 3pi/2, at its ``switches`` (circle, z, s of
+    _with_slopes) theta* and at theta* +- h 4^m below pi, m < SWITCH_LEVELS,
+    with h = SWITCH_LAYER / s for the slope s of the tied pair there. u is
+    smooth off the switches, with its singularities about pi/(2s) off the
+    circle, so graded panels reach rounding without a search (Trefethen,
+    ATAP ch. 19). A slope of 0 or one that is not finite grades nothing."""
+    circle, z, s = switches
     theta, graded = np.mod(np.angle(z), 2 * np.pi), np.isfinite(s) & (s > 0)
     offsets = (SWITCH_LAYER / s[graded])[:, None] * float(SWITCH_GRADING) ** np.arange(SWITCH_LEVELS)
     row, m = np.nonzero(offsets < np.pi)

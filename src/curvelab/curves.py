@@ -304,7 +304,8 @@ class CompiledCurve:
             den = _logsumexp(2.0 * (q + log_g))
             out[run] = np.exp(num - den)
         out = np.where(np.isnan(out), 0.0, out)
-        return out * out if squared else out
+        with np.errstate(over="ignore"):   # ||f'||^2 may pass the double range
+            return out * out if squared else out
 
 
 @dataclass(frozen=True)

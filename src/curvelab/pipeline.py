@@ -13,14 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characteristic import DEFAULT_TOL, characteristic_jensen, reduced_characteristic_polys, switch_points
+from .characteristic import (DEFAULT_TOL, characteristic_jensen, circle_rows, reduced_characteristic_polys,
+                             switch_points)
 from .curves import HolomorphicCurve, _logsumexp, estimate_growth
 from .locus import regularity_radius, tail_exponents, tied
 from .polynomials import circle_sign_changes, on_circles
 
 DEFAULT_EPSILON = 0.01     # slack in the distance constant (2+epsilon)^{sigma+1}
 TIE_TOL_FACTOR = 1e-6      # relative tolerance of a tie at the max for prop1
-PROP2_SEEDS = 1024         # angles per circle for the sup of u - u*
 TAIL_FRACTION = 0.25       # share of the largest radii checked by verify_theorem
 SLACK = 0.1                # relative slack on the theorem's ceiling
 
@@ -48,16 +48,14 @@ def prop1_check(curve: HolomorphicCurve, points):
     return float(np.min(lhs - grad_gap, initial=math.inf))
 
 
-def prop2_margin(curve: HolomorphicCurve, epsilon, radii):
+def prop2_margin(curve: HolomorphicCurve, epsilon, radii, rows=None):
     """Per-radius sup of u - u* on the circle against the explicit ceiling
     K*(2+eps)^{sigma+1}*(n+1)*r^{sigma+1}, all radii on one grid of
-    PROP2_SEEDS angles. Returns a list of (r, sup, bound) rows."""
+    PROP2_SEEDS angles (its circle_rows ``rows``, if handed in). Returns (r, sup, bound) rows."""
     if curve.K is None:
         raise ValueError("curve needs K declared or estimated")
-    radii = np.asarray(radii, dtype=float)
-    z = radii[:, None] * np.exp(1j * np.linspace(0.0, 2 * np.pi, PROP2_SEEDS, endpoint=False))
     # u and u* from one kernel pass; log|f_j| = Re P_j for j >= 1, where g_j = 1
-    rows = curve.compiled.log_moduli(z)
+    rows = circle_rows(curve, radii) if rows is None else rows
     sups = np.max(0.5 * _logsumexp(2.0 * rows) - rows[1:].max(axis=0), axis=1)
     scale = curve.K * (2 + epsilon) ** (curve.sigma + 1) * (curve.n + 1)
     return [(float(r), float(sup), scale * float(r) ** (curve.sigma + 1))
@@ -134,9 +132,9 @@ def verify_theorem(curve: HolomorphicCurve, r_grid, epsilon=DEFAULT_EPSILON, tol
     grid. Sub-check failures are recorded as false verdicts; the operation
     itself does not abort. One circle_sign_changes and one switch_points solve
     on every (N // 6)-th of the N grid radii and on the tail serve prop1's tie
-    points, T* and the Jensen panels of T; prop3 reads the locus's far field
-    on the tail of the trace radii from r0 to max(4*r0, max(r_grid)),
-    without a trace."""
+    points, T* and the Jensen route of T, and one circle_rows pass serves
+    prop2 and the switch scan; prop3 reads the locus's far field on the tail
+    of the trace radii from r0 to max(4*r0, max(r_grid)), without a trace."""
     r_grid = sorted(float(r) for r in r_grid)
     if not r_grid or (curve.K is None and r_grid[0] == r_grid[-1]):
         raise ValueError("empty r_grid" if not r_grid else "declare K or pass two distinct radii")
@@ -154,11 +152,12 @@ def verify_theorem(curve: HolomorphicCurve, r_grid, epsilon=DEFAULT_EPSILON, tol
     step, tail_start = max(1, len(r_grid) // 6), int(math.floor(len(r_grid) * (1 - TAIL_FRACTION)))
     solved = np.union1d(np.arange(0, len(r_grid), step), np.arange(tail_start, len(r_grid)))
     radii = np.asarray(r_grid)[solved]
+    grid = circle_rows(work, r_grid)
     changes = circle_sign_changes(polys, radii)
-    switches = switch_points(work, radii, changes)
+    switches = switch_points(work, radii, changes, grid[:, solved, ::2])
     prop1_worst = prop1_check(work, on_circles(switches, np.flatnonzero(solved % step == 0))[1])
 
-    rows2 = prop2_margin(work, epsilon, r_grid)
+    rows2 = prop2_margin(work, epsilon, r_grid, grid)
     prop2_tail_ok = all(sup <= bound for _, sup, bound in rows2[tail_start:])
 
     p3 = prop3_check(far, work)

@@ -203,9 +203,11 @@ def horner(coeffs, z, live=None):
     ``running_rows``, for a stack sorted widest first) the step for column k
     updates only the first live[k] rows: the others hold the +0 that the full
     step would give them again, so every value keeps its bits."""
-    acc = np.empty(np.broadcast_shapes((len(coeffs), 1), np.shape(z)), dtype=complex)
+    shape = np.shape(z)    # the two layouts directly, without np.broadcast_shapes' microseconds
+    acc = np.empty((len(coeffs), shape[-1]) if len(shape) == 1 or len(shape) == 2 and shape[0] in (1, len(coeffs))
+                   else np.broadcast_shapes((len(coeffs), 1), shape), dtype=complex)
     acc[:] = coeffs[:, -1:]
-    per_row = np.ndim(z) == 2 and len(z) > 1
+    per_row = len(shape) == 2 and shape[0] > 1
     for k in range(coeffs.shape[1] - 2, -1, -1):
         rows = acc if live is None else acc[:live[k]]
         rows *= z[:len(rows)] if per_row else z
@@ -279,8 +281,10 @@ def circle_arcs(circle, angles, count):
 def on_circles(found, keep, at=0):
     """The flat arrays of ``found``, found[at] the circle of each entry, on the
     circles ``keep`` (ascending indices), in order, found[at] renumbered to index keep."""
-    mask = np.isin(found[at], keep)
-    return tuple(np.searchsorted(keep, a[mask]) if i == at else a[mask] for i, a in enumerate(found))
+    index = np.full(max(found[at].max(initial=-1), keep.max(initial=-1)) + 1, -1)
+    index[keep] = np.arange(keep.size)     # each kept circle's place in keep, -1 elsewhere
+    mask = index[found[at]] >= 0
+    return tuple(index[a[mask]] if i == at else a[mask] for i, a in enumerate(found))
 
 
 def cauchy_fraction(coeffs) -> float:

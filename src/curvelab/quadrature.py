@@ -56,13 +56,13 @@ def periodic_trapezoid(f, radii, tol):
 
 def _trapezoid_levels(f, radii, tol, n_max):
     """periodic_trapezoid's rule, handing back the circles still running at
-    n_max: (integrals, errors, running), the last estimate and its change for
-    every circle, and the indices of those circles."""
+    n_max, one cap or one per circle: (integrals, errors, stopped), the last
+    estimate and its change for every circle, and the indices of those circles."""
     radii = np.asarray(radii, dtype=float)
     totals = np.zeros(radii.size)
     integrals = np.full(radii.size, np.inf)   # so the first level's error is inf
     errors = np.full(radii.size, np.inf)
-    running = np.arange(radii.size)
+    running, stopped, lowest = np.arange(radii.size), np.zeros(radii.size, bool), np.min(n_max, initial=N_MAX)
     n = N_START
     while True:
         nodes = _level_nodes(n)
@@ -74,8 +74,11 @@ def _trapezoid_levels(f, radii, tol, n_max):
         errors[running] = np.abs(new - integrals[running])
         integrals[running] = new
         running = running[~(errors[running] <= tol * np.maximum(1.0, np.abs(new)))]
-        if not running.size or n >= n_max:
-            return integrals, errors, running
+        if n >= lowest:     # some circle may reach its cap at this level
+            stopped[running] = capped = np.broadcast_to(n_max, radii.shape)[running] <= n
+            running = running[~capped]
+        if not running.size:
+            return integrals, errors, np.flatnonzero(stopped)
         n *= 2
 
 

@@ -524,12 +524,26 @@ class TestLogFormBound:
                 self._assert_unmoved(curve, z, monkeypatch)
         assert 0 < work[1] < work[0]
 
-    def test_huge_exponent(self, monkeypatch):
-        # Re P = 1e200 Re z, the spec on which the area and Jensen routes
-        # disagree: |w_01|^2 = 1e400 overflows
+    @staticmethod
+    def _huge_exponent():
+        """Re P = 1e200 Re z, the spec on which the area and Jensen routes
+        disagree, and a grid from 1e-205 to 1e4 over it."""
         curve = parse_curve({"n": 1, "sigma": 0, "components": [
             {"type": "exppoly", "P": [[0, 0], [1e200, 0]]}, {"type": "exppoly", "P": []}]})
+        return curve, np.geomspace(1e-205, 1e4, 200)[:, None] * np.exp(2j * np.pi * np.arange(64) / 64)
+
+    def test_huge_exponent(self, monkeypatch):
+        # |w_01|^2 = 1e400 overflows
+        curve, z = self._huge_exponent()
         work = _log_form_work(monkeypatch)
-        z = np.geomspace(1e-205, 1e4, 200)[:, None] * np.exp(2j * np.pi * np.arange(64) / 64)
         self._assert_unmoved(curve, z, monkeypatch)
         assert 0 < work[1] < work[0]
+
+    def test_huge_exponent_squared_is_silent(self):
+        # ||f'||^2 passes the double range at some of the log form's points:
+        # +inf there without a warning, as in the product form
+        curve, z = self._huge_exponent()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            squared = curve.spherical_derivative(z, squared=True)
+        assert np.count_nonzero(np.isinf(squared)) == 495

@@ -11,7 +11,7 @@ import pytest
 
 import curvelab.characteristic as characteristic
 import curvelab.quadrature as quadrature
-from curvelab import build_table, characteristic_jensen, load_curve, parse_curve
+from curvelab import HolomorphicCurve, build_table, characteristic_jensen, load_curve, parse_curve, verify_theorem
 from curvelab.characteristic import DEFAULT_TOL, JENSEN_HANDOVER, _tie_guarded_u, switch_points
 from curvelab.cli import main
 from curvelab.errors import QuadratureBudgetError
@@ -109,6 +109,41 @@ def test_unsettled_circle_meets_its_tolerance(spec, r):
     assert _trapezoid_levels(curve.u, [r], DEFAULT_TOL, JENSEN_HANDOVER)[2].size == 1
     reference = _oracle(spec, r)
     assert abs(_jensen_integral(curve, r) - reference) <= DEFAULT_TOL * max(1.0, abs(reference))
+
+
+def test_sharp_circles_leave_the_trapezoid_after_its_first_level(monkeypatch):
+    # handed its switch points, a circle with a slope past the sharp bound reads
+    # u on N_START angles before the panels; without them it runs the
+    # trapezoid to JENSEN_HANDOVER angles
+    curve, r = parse_curve(N3_SIGMA05), VERIFY_GRID[15]
+    switches = switch_points(curve, [r])
+    sharp = JENSEN_HANDOVER * math.pi / (2 * math.log(1 / DEFAULT_TOL))   # 87.3
+    assert characteristic._with_slopes(curve, switches)[2].max() > sharp
+    points, u = [], HolomorphicCurve.u
+    monkeypatch.setattr(HolomorphicCurve, "u", lambda self, z: points.append(np.size(z)) or u(self, z))
+    routed = characteristic_jensen(curve, r, switches=switches)
+    assert sum(points[:-1]) == quadrature.N_START     # the last call reads u(0)
+    points.clear()
+    assert abs(characteristic_jensen(curve, r) - routed) <= DEFAULT_TOL * abs(routed)
+    assert sum(points[:-1]) == JENSEN_HANDOVER
+
+
+@pytest.mark.parametrize("seed, name, row", [(3, "locus03.json", 0), (6, "locus06.json", 0),
+                                             (81, "locus03.json", 1)])
+def test_false_stops_go_to_the_panels(seed, name, row, bench):
+    # the trapezoid's two-level test stopped these tail circles of the
+    # locus-bound benchmark 5.6e-8, 3.9e-12 and 9.7e-12 (relative) off a
+    # 2^22-angle trapezoid; their switch slopes (187, 96 and 115) now send
+    # them to the panels
+    curve = parse_curve(bench("workloads").locus_bound_workload(seed).specs[name])
+    r, t, _ = verify_theorem(curve, VERIFY_GRID).tail_rows[row]
+    nodes, chunk = 1 << 20, 1 << 16
+    reference = sum(np.sum(curve.u(r * np.exp(1j * np.arange(start, start + chunk) * (2 * math.pi / nodes))))
+                    for start in range(0, nodes, chunk)) / nodes - curve.u(0.0)
+    assert abs(t - reference) <= 1e-14 * abs(reference)
+    # without switch points the trapezoid runs first and keeps its stop there
+    integrals, _, running = quadrature._trapezoid_levels(curve.u, [r], DEFAULT_TOL, JENSEN_HANDOVER)
+    assert not running.size and characteristic_jensen(curve, r) == integrals[0] / (2 * math.pi) - curve.u(0.0)
 
 
 def test_missed_switches_fall_to_the_tie_guard(monkeypatch):

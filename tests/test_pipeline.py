@@ -23,7 +23,7 @@ from curvelab import (
 )
 import curvelab.characteristic as characteristic
 import curvelab.pipeline as pipeline
-from curvelab.characteristic import characteristic_jensen, switch_points
+from curvelab.characteristic import HARVEST_SEEDS, characteristic_jensen, switch_points
 from curvelab.curves import CompiledCurve
 from curvelab.locus import tied
 from curvelab.polynomials import ComplexPoly, circle_sign_changes, on_circles
@@ -467,10 +467,32 @@ def test_one_solve_serves_every_check(monkeypatch, count):
         assert worst == report.prop1_worst == prop1_check(curve, expected)
         assert mean.tolist() == circle_mean_max_re(curve.reduced_polys(), tail).tolist()
         assert [row[0] for row in report.tail_rows] == tail.tolist()
-        assert [row[1] for row in report.tail_rows] == characteristic_jensen(curve, tail).tolist()
+        # the same switch points route the same circles to the panels; without
+        # them a circle the trapezoid stops on falsely keeps its value by design
+        jensen = characteristic_jensen(curve, tail, switches=switch_points(curve, tail))
+        assert [row[1] for row in report.tail_rows] == jensen.tolist()
         t_star = reduced_characteristic(curve, tail)
         assert report.prop4_margin == float(np.min(prop4_bound(curve.n, curve.sigma, curve.K, tail) - t_star))
-    assert sum(args[2] for args, _ in panels) >= 6    # tail circles that went on to the panels
+    assert sum(args[1] for args, _ in panels) >= 6    # tail circles that went on to the panels
+
+
+@pytest.mark.identity
+def test_one_grid_serves_prop2_and_the_switch_scan(monkeypatch):
+    # verify_theorem reads log_moduli once on the verify grid: the even angles
+    # of its solved circles are the scan switch_points reads alone, and the
+    # whole grid gives the rows prop2_margin reads alone, bit for bit
+    scans = _recorded(monkeypatch, pipeline, "switch_points")
+    sups = _recorded(monkeypatch, pipeline, "prop2_margin")
+    theta = np.linspace(0.0, 2 * np.pi, HARVEST_SEEDS, endpoint=False)
+    for curve in _shared_work_curves(47):
+        scans.clear()
+        sups.clear()
+        verify_theorem(curve, np.geomspace(1.0, 20.0, 16))
+        [((_, radii, changes, scan), switches)], [((_, epsilon, grid, _), rows)] = scans, sups
+        own = curve.compiled.log_moduli(radii[:, None] * np.exp(1j * theta))
+        assert scan.shape == own.shape and scan.tobytes() == own.tobytes()
+        assert _same_bits(switches, switch_points(curve, radii, changes))
+        assert rows == prop2_margin(curve, epsilon, grid)
 
 
 @pytest.mark.identity
