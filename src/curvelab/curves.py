@@ -361,7 +361,10 @@ class HolomorphicCurve:
         return [self.components[j].exponent for j in range(1, self.n + 1)]
 
     def with_K(self, K):
-        return HolomorphicCurve(self.n, self.components, self.sigma, K)
+        """The curve with K declared; it shares the CompiledCurve once built, which reads only the components."""
+        curve = HolomorphicCurve(self.n, self.components, self.sigma, K)
+        curve.__dict__.update((key, value) for key, value in self.__dict__.items() if key == "compiled")
+        return curve
 
 
 def estimate_growth(curve: HolomorphicCurve, r_min, r_max):

@@ -121,9 +121,9 @@ def _branch_angles(diffs, radii):
     ``diffs`` (ascending, all of one degree d), shape (rows, radii, 2d): the
     branches in ascending angle at radii[0], which must exceed every root, and
     values in [0, 2pi). Branch m solves phi = pi/2 + m pi for the unwrapped
-    phase phi of D(r e^{i theta}) by safeguarded Newton steps on all rows and
-    radii at once; a row stops at the step where it would stop if solved alone
-    (README, "Tracing the locus")."""
+    phase phi of D(r e^{i theta}) by safeguarded Newton steps on the rows still
+    running, at all radii at once; a row stops at the step where it would stop
+    if solved alone (README, "Tracing the locus")."""
     diffs = np.asarray(diffs, dtype=complex)
     roots = _roots(diffs)[:, None, None, :]
     radii = np.asarray(radii, dtype=float)[:, None]
@@ -134,7 +134,8 @@ def _branch_angles(diffs, radii):
     tau = np.pi * (np.ceil(phase0 / np.pi - 0.5) + 0.5 + np.arange(2 * d))
     spread = _root_sum(np.arcsin(np.abs(roots) / radii[..., None]))
     lo, hi = (tau - c - spread) / d, (tau - c + spread) / d
-    theta, done = 0.5 * (lo + hi), np.zeros((len(diffs), 1, 1), dtype=bool)
+    theta = 0.5 * (lo + hi)
+    out, run = np.empty_like(theta), np.arange(len(diffs))     # every row's angles; the running rows
     for _ in range(60):
         v = roots / (radii * np.exp(1j * theta))[..., None]
         w = 1 - v
@@ -142,11 +143,13 @@ def _branch_angles(diffs, radii):
         lo, hi = np.where(f < 0, theta, lo), np.where(f < 0, hi, theta)
         step = f / (d + _root_sum((v / w).real))
         inside = (lo <= theta - step) & (theta - step <= hi)
-        theta = np.where(done, theta, np.where(inside, theta - step, 0.5 * (lo + hi)))
-        done = done | (np.abs(step).max(axis=(1, 2), keepdims=True) <= 1e-14)
-        if done.all():
+        theta = np.where(inside, theta - step, 0.5 * (lo + hi))
+        out[run] = theta
+        go = ~(np.abs(step).max(axis=(1, 2)) <= 1e-14)     # a NaN step keeps its row running
+        if not go.any():
             break
-    return np.mod(theta, TWO_PI)
+        run, roots, c, tau, lo, hi, theta = (a[go] for a in (run, roots, c, tau, lo, hi, theta))
+    return np.mod(out, TWO_PI)
 
 
 def _transitions(exponents, i, j, coeffs, r_lo, r_hi, th_lo, th_hi, flag):

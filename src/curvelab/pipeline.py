@@ -17,7 +17,7 @@ from .characteristic import (DEFAULT_TOL, characteristic_jensen, circle_rows, re
                              switch_points)
 from .curves import HolomorphicCurve, _logsumexp, estimate_growth
 from .locus import regularity_radius, tail_exponents, tied
-from .polynomials import circle_sign_changes, on_circles
+from .polynomials import circle_sign_changes, leading_hull, on_circles
 
 DEFAULT_EPSILON = 0.01     # slack in the distance constant (2+epsilon)^{sigma+1}
 TIE_TOL_FACTOR = 1e-6      # relative tolerance of a tie at the max for prop1
@@ -63,8 +63,8 @@ def prop2_margin(curve: HolomorphicCurve, epsilon, radii, rows=None):
 
 
 def prop3_check(far, curve: HolomorphicCurve):
-    """Asymptotic ceilings b <= sigma and c0 <= 3*4^sigma*K*(n+1) on the
-    locus's far-field exponents ``far = (b, c0)``, (-inf, 0) for an empty locus."""
+    """Asymptotic ceilings b <= sigma and c0 <= 3*4^sigma*K*(n+1) on the locus's
+    far field ``far = (b, c0)`` (see verify_theorem), (-inf, 0) for an empty locus."""
     if curve.K is None:
         raise ValueError("curve needs K declared or estimated")
     b, c0 = far
@@ -133,8 +133,9 @@ def verify_theorem(curve: HolomorphicCurve, r_grid, epsilon=DEFAULT_EPSILON, tol
     itself does not abort. One circle_sign_changes and one switch_points solve
     on every (N // 6)-th of the N grid radii and on the tail serve prop1's tie
     points, T* and the Jensen route of T, and one circle_rows pass serves
-    prop2 and the switch scan; prop3 reads the locus's far field on the tail
-    of the trace radii from r0 to max(4*r0, max(r_grid)), without a trace."""
+    prop2 and the switch scan; prop3 reads the locus's far field off the hull
+    of the top coefficients (leading_hull), or, where lower-order terms decide
+    it, off the tail radii from r0 to max(4*r0, max(r_grid)) (tail_exponents)."""
     r_grid = sorted(float(r) for r in r_grid)
     if not r_grid or (curve.K is None and r_grid[0] == r_grid[-1]):
         raise ValueError("empty r_grid" if not r_grid else "declare K or pass two distinct radii")
@@ -146,8 +147,7 @@ def verify_theorem(curve: HolomorphicCurve, r_grid, epsilon=DEFAULT_EPSILON, tol
     sigma, K, n = work.sigma, work.K, work.n
 
     polys = work.reduced_polys()
-    r0 = regularity_radius(polys)
-    far = tail_exponents(polys, r0, max(4 * r0, r_grid[-1]))
+    far = leading_hull(polys) or tail_exponents(polys, r0 := regularity_radius(polys), max(4 * r0, r_grid[-1]))
 
     step, tail_start = max(1, len(r_grid) // 6), int(math.floor(len(r_grid) * (1 - TAIL_FRACTION)))
     solved = np.union1d(np.arange(0, len(r_grid), step), np.arange(tail_start, len(r_grid)))

@@ -180,6 +180,30 @@ def pair_differences(polys):
     return first, second, diffs, degree
 
 
+def leading_hull(polys):
+    """prop3's far field (b, c0) of max_k Re P_k over ``polys`` from the convex hull of their coefficients a_k of
+    the top degree D, 0 below it (Polya's indicator diagram): (D - 1, max over hull edges of D |a_i - a_j| / 2pi),
+    each c as locus._columns forms c_k; (-inf, 0) for D = 0; None where lower-order terms decide (every a_k equal,
+    or one strictly inside an edge). Andrew's monotone chain, on the a_k as integers times one power of two."""
+    coeffs = stack(polys)
+    top, a = coeffs.shape[1] - 1, np.unique(coeffs[:, -1]).tolist()     # sorted by real part, then imaginary
+    if top == 0:
+        return -math.inf, 0.0
+    ratios = [v.as_integer_ratio() for p in a for v in (p.real, p.imag)]   # n / d, d a power of two
+    scale = max(d for _, d in ratios)
+    x, y = ([n * (scale // d) for n, d in ratios[part::2]] for part in (0, 1))    # exact cross products
+    cross, lower, upper = lambda o, p, q: (x[p] - x[o]) * (y[q] - y[o]) - (y[p] - y[o]) * (x[q] - x[o]), [], []
+    for hull, order in ((lower, range(len(a))), (upper, range(len(a) - 1, -1, -1))):
+        for k in order:
+            while len(hull) >= 2 and cross(hull[-2], hull[-1], k) <= 0:
+                hull.pop()
+            hull.append(k)
+    edges = list(zip(lower[:-1] + upper[:-1], lower[1:] + upper[1:]))
+    if len(a) < 2 or any(cross(i, j, k) == 0 for i, j in edges for k in range(len(a)) if k not in (i, j)):
+        return None
+    return top - 1.0, max(top * abs(a[i] - a[j]) / (2 * math.pi) for i, j in edges)
+
+
 def running_rows(coeffs):
     """For each column k of a stack sorted widest first, how many leading rows
     have a nonzero coefficient at k or above: the rows still running at

@@ -15,7 +15,8 @@ from curvelab import (
 from curvelab.characteristic import reduced_characteristic_polys
 from curvelab import locus
 from curvelab.locus import _branch_angles
-from curvelab.polynomials import ComplexPoly, circle_angles, circle_sign_changes, horner, refine_angles, stack
+from curvelab.polynomials import (ComplexPoly, circle_angles, circle_sign_changes, horner, leading_hull, refine_angles,
+                                  stack)
 from test_characteristic import FIXTURES, _dense_sign_changes, _sign_changes
 
 Z = ComplexPoly([0, 1])
@@ -348,6 +349,98 @@ class TestTailExponents:
     def test_radius_order_checked(self):
         with pytest.raises(ValueError, match="r_max"):
             tail_exponents([Z, ZERO], 4.0, 4.0)
+
+
+# reduced exponents of three generated curves (bench/workloads.py, locus-bound
+# seed 15 locus16, seed 34 locus14 and seed 40 locus15) whose far field the
+# tail radii up to max(4 r0, 20) misread, and the r_max that reads it
+SHORT_TAILS = [([ComplexPoly(c) for c in rows], r_max) for rows, r_max in (
+    ([[0.29759228481363026 + 0.013213425408640522j, 0.14254402980875158 - 0.12749611484759246j,
+       -0.5303869467053912 - 0.051351269016478567j, -0.5283898409599367 - 0.45366310045256575j],
+      [-0.007030874473121113 - 0.4922578366368564j, -0.15997852963957815 + 0.2031778388684455j,
+       0.02405004186653447 - 0.5592556805843965j, 0.06054559283883395 - 0.14879882573046518j],
+      [0.4759237176775991 + 0.4657327115370642j, -0.23078252360936471 - 0.5024552287038943j,
+       1.181286320025417 + 0.5575624064629635j, 0.9568386315943974 + 0.32733466752034174j],
+      [0.5715827273700864 + 0.161489408464444j, 0.12459015026867772 + 0.7126032310181147j,
+       -0.45745438355172585 - 1.1322253397219044j, 0.5322426265410155 + 0.385076985746457j],
+      [0.7043468499410672 + 0.2145863734139712j, 0.2673970714136841 + 0.16542514048241888j,
+       -1.0534116344762179 - 0.3247126886461694j, 0.3634504558867552 + 0.022001691553450792j],
+      []], 200.0),
+    ([[-0.15058122848584146 - 0.2685113339237069j, 0.005426673820738234 - 0.2687608747158389j,
+       0.6558533527892373 + 0.4367783466121696j, 0.26349616482184945 - 0.466661150972949j,
+       -0.3152359304924512 - 0.3963618326519174j],
+      [-0.30088574738376067 - 0.014883030749024546j, 0.32767515020188703 + 0.0876495674201556j,
+       -0.2803428179296827 - 0.09414643616265315j, -0.014014819281076825 - 0.1390052249214289j,
+       0.1616956892333781 - 0.21108409716853294j],
+      [-0.28031975333639025 - 0.14661625785521604j, 0.48641141199488014 - 0.6855909640458056j,
+       -0.24255863960702162 + 1.088932128263615j, -0.32603053920799174 + 0.11451529157196741j,
+       0.3405263452331905 + 0.2486604624190585j],
+      [-0.393756957319717 + 1.1309912293233746j, 0.35884604277229626 + 0.3393578559896309j,
+       0.3917156408633088 + 0.7684080125283067j, 0.23038698955773013 + 0.020799449224074566j,
+       -0.5033033413898907 - 0.6333333307183638j],
+      []], 2e4),
+    ([[0.22570676505815154 - 0.26177090010544557j, -0.7597471928722543 - 0.29081498212301554j,
+       0.10496493928434579 - 1.1534318012317841j],
+      [0.86847454518477 + 0.9654357842207252j, 0.9150686945633915 - 0.5604954920747973j,
+       0.6877010065712037 + 0.04078640961903351j],
+      [-0.5938904592270148 - 0.08497807468702692j, -0.7548730383461236 - 0.22703193010945322j,
+       -0.09574104596332329 - 0.64451640375046j],
+      [0.3676362220097219 + 0.19179802972429497j, 1.3344707665164552 - 0.15430895461358551j,
+       -0.8970983610023449 - 0.07242002623395649j],
+      [-0.5137977759733305 - 0.34421782911619486j, -0.14379027025427596 - 0.4426002690397432j,
+       -0.3072480388640855 - 0.6746550609743613j],
+      []], 200.0),
+)]
+
+
+class TestLeadingHull:
+    """prop3's (b, c0) in closed form, from the convex hull of the top coefficients."""
+
+    @pytest.mark.identity
+    def test_matches_a_deep_tail(self):
+        # the tail of the trace radii out to 2e4 reads the hull's (b, c0), bit for bit
+        stacks = [load_curve(path).reduced_polys() for path in sorted(FIXTURES.glob("*.json"))]
+        for polys in stacks + _random_stacks():
+            assert leading_hull(polys) == tail_exponents(polys, regularity_radius(polys), 2e4)
+
+    @pytest.mark.identity
+    def test_short_tails_misread(self):
+        for polys, r_max in SHORT_TAILS:
+            r0 = regularity_radius(polys)
+            far = leading_hull(polys)
+            assert tail_exponents(polys, r0, max(4 * r0, 20.0)) != far
+            assert tail_exponents(polys, r0, r_max) == far
+
+    def test_constants(self):
+        assert leading_hull([ComplexPoly([2.0]), ComplexPoly([1j]), ZERO]) == (-math.inf, 0.0)
+        assert leading_hull([ZERO]) == (-math.inf, 0.0)
+
+    @pytest.mark.identity
+    def test_tied_vertex(self):
+        # z^2 + z and z^2 share the vertex 1, which lower terms split between
+        # them; the far field is the hull's, over the edges to i and -1 - i/2
+        polys = [Z2 + Z, Z2, ComplexPoly([0, 0, 1j]), ComplexPoly([0, 1, -1 - 0.5j]), ZERO]
+        far = leading_hull(polys)
+        assert far == (1.0, 2 * abs(1 - (-1 - 0.5j)) / (2 * math.pi))
+        assert far == tail_exponents(polys, regularity_radius(polys), 2e4)
+
+    def test_collinearity_is_exact(self):
+        # a cross product in doubles reads 0 for these three, which are not
+        # collinear (exactly, -3.5e-17): b sits on no edge of the triangle
+        a, b, c = (0.44296881516653674 + 0.4223835393905593j, 1.315849988765456 + 0.2665975393133897j,
+                   2.188731162364375 + 0.11081153923622011j)
+        far = leading_hull([ComplexPoly([0, a]), ComplexPoly([0, b]), ComplexPoly([0, c])])
+        assert far == (0.0, abs(c - a) / (2 * math.pi))
+
+    def test_lower_terms_decide(self):
+        # every top coefficient equal, or one strictly inside an edge (also
+        # of a hull that is a segment): no closed form
+        assert leading_hull([Z2 + Z, Z2]) is None
+        assert leading_hull([Z2, -1 * Z2, ComplexPoly([1])]) is None
+        assert leading_hull([ComplexPoly([0, 0, 1 + 1j]), Z, ComplexPoly([0, 0, -1 - 1j])]) is None
+        assert leading_hull([ComplexPoly([0, 0, 2 + 1j]), ComplexPoly([0, 0, 1j]), ComplexPoly([0, 0, 1 + 1j]),
+                             ComplexPoly([0, 0, 1])]) is None
+        assert leading_hull([Z2, -1 * Z2]) == (1.0, 2 * 2 / (2 * math.pi))
 
 
 def _transitions_60(exponents, i, j, coeffs, r_lo, r_hi, th_lo, th_hi, flag):

@@ -22,11 +22,12 @@ from curvelab import (
     verify_theorem,
 )
 import curvelab.characteristic as characteristic
+import curvelab.locus as locus
 import curvelab.pipeline as pipeline
 from curvelab.characteristic import HARVEST_SEEDS, characteristic_jensen, switch_points
 from curvelab.curves import CompiledCurve
 from curvelab.locus import tied
-from curvelab.polynomials import ComplexPoly, circle_sign_changes, on_circles
+from curvelab.polynomials import ComplexPoly, circle_sign_changes, leading_hull, on_circles
 from test_characteristic import FIXTURE_NAMES, FIXTURES, _sign_changes
 from test_jensen_panels import N3_SIGMA05, N4_SIGMA1, N6_SIGMA05
 
@@ -413,6 +414,31 @@ class TestVerifyTheorem:
         assert data["verdicts"]["theorem"] is True
         assert data["theorem_constant"] == pytest.approx(28.02)
 
+    @pytest.mark.identity
+    def test_prop3_reads_the_leading_hull(self, monkeypatch):
+        # product2's far field is its hull's: the locus is neither bounded nor solved
+        calls = []
+        for name in ("tail_exponents", "regularity_radius"):
+            for module in (pipeline, locus):
+                monkeypatch.setattr(module, name, lambda *args, _name=name: calls.append(_name))
+        curve = load_curve(FIXTURES / "product2.json")
+        report = verify_theorem(curve, np.geomspace(1.0, 20.0, 16))
+        assert calls == []
+        assert (report.prop3["b"], report.prop3["c0"]) == leading_hull(curve.reduced_polys())
+
+    def test_prop3_falls_back_where_lower_terms_decide(self):
+        # the top coefficient 0 of 1 and 0 lies inside the hull edge from 1 to
+        # -1, and near the diagonals the constant 1 beats +-z^2: the tail
+        # radii read c0 = 1/pi, where the bare hull would read 2/pi
+        comps = (CurveComponent.poly([1, 1]), *map(CurveComponent.exp_poly, ([0, 0, 1], [0, 0, -1], [1])),
+                 CurveComponent.one())
+        curve = HolomorphicCurve(4, comps, 0.0, 1.0)
+        polys = curve.reduced_polys()
+        r0 = regularity_radius(polys)
+        report = verify_theorem(curve, np.geomspace(1.0, 20.0, 8))
+        far = tail_exponents(polys, r0, max(4 * r0, 20.0))
+        assert (report.prop3["b"], report.prop3["c0"]) == far == (1.0, pytest.approx(1 / math.pi))
+
     def test_prop1_reads_harvested_ties_only(self):
         # far out on its locus (|z| ~ 7000) u is ~3e14, where a relative tie
         # tolerance of 1e-6 takes a 25-unit gap between u_1 and u_5 for a tie;
@@ -511,3 +537,19 @@ def test_switch_points_on_a_subset_of_circles():
             assert _same_bits(on_circles(changes, keep, at=1), circle_sign_changes(polys, radii[keep]))
         found += whole[0].size
     assert found > 100
+
+
+@pytest.mark.identity
+def test_with_K_shares_the_compiled_curve(monkeypatch):
+    # the kernel depends only on the components, so a K-omitted verify_theorem
+    # reuses the one estimate_growth built, and its report keeps every bit
+    bare = load_curve(FIXTURES / "product2.json").with_K(None)
+    assert "compiled" not in bare.with_K(2.0).__dict__      # nothing is built before first use
+    compiled = bare.compiled
+    assert bare.with_K(2.0).compiled is compiled
+    grid = np.geomspace(1.0, 20.0, 16)
+    curves = _shared_work_curves(43)[::2]
+    shared = [verify_theorem(curve.with_K(None), grid).to_json() for curve in curves]
+    monkeypatch.setattr(HolomorphicCurve, "with_K",
+                        lambda self, K: HolomorphicCurve(self.n, self.components, self.sigma, K))
+    assert shared == [verify_theorem(curve.with_K(None), grid).to_json() for curve in curves]
