@@ -26,7 +26,6 @@ from .locus import (
     count_branch_bound,
     regularity_radius,
     riesz_of_max,
-    tail_exponents,
     trace_branches,
 )
 from .lemmas import (

@@ -102,6 +102,8 @@ def _cmd_verify_bound(args, out: Path):
     _write_json(out / "bound_report.json", json.loads(report.to_json()))
     print(f"sigma={report.sigma} K={report.K:.6g} "
           f"C(n,sigma)={report.theorem_constant:.6g}")
+    if report.K_radii is not None:
+        print(f"K read on r = {', '.join(f'{r:.6g}' for r in report.K_radii)}")
     for name, verdict in report.verdicts.items():
         print(f"  {name:8s} {'PASS' if verdict else 'FAIL'}")
     return EXIT_OK if report.all_true else EXIT_VERDICT_FALSE

@@ -22,9 +22,8 @@ from .errors import CurveValidationError
 from .polynomials import ComplexPoly, horner, running_rows, stack
 from .quadrature import CHUNK_POINTS
 
-GROWTH_CIRCLES = 8   # geometrically spaced circles that estimate_growth reads
-THETA_NODES = 2048   # angles per circle before estimate_growth refines the sup
-ZOOM_POINTS = 32     # interior angles of each bracket read at each step of that refinement
+COARSE_NODES = 256   # angles per circle where estimate_growth looks for a peak off the switch points
+ZOOM_POINTS = 32     # interior angles of each bracket read at each step of its refinement
 
 
 @dataclass(frozen=True)
@@ -367,29 +366,35 @@ class HolomorphicCurve:
         return curve
 
 
-def estimate_growth(curve: HolomorphicCurve, r_min, r_max):
-    """Least-squares estimate of the growth exponent of sup ||f'|| on
-    GROWTH_CIRCLES circles from r_min to r_max, and the matching finite-radius
-    surrogate for the constant K at the curve's declared sigma.
+def estimate_growth(curve: HolomorphicCurve, radii, switches):
+    """The finite-radius surrogate for the constant K of ||f'||(z) <= K |z|^sigma
+    at the curve's sigma: the largest sup ||f'|| / r^sigma over the circles
+    |z| = radii, with ``switches`` the (circle, z, pair) of switch_points there.
 
-    Every circle is read on THETA_NODES angles in one call. Each sup is then
-    refined from the two grid cells around the grid argmax, all circles
-    together, down to a 1e-12 bracket: each step reads ZOOM_POINTS interior
-    angles of every bracket and keeps the two cells around their argmax."""
-    if not (0 < r_min < r_max):
-        raise ValueError("need 0 < r_min < r_max")
-    radii = np.geomspace(r_min, r_max, GROWTH_CIRCLES)
-    step = 2 * np.pi / THETA_NODES
-    vals = curve.spherical_derivative(radii[:, None] * np.exp(1j * step * np.arange(THETA_NODES)))
-    a, width, sups = step * (np.argmax(vals, axis=1) - 1.0), 2 * step, vals.max(axis=1)
-    cells = np.arange(1, ZOOM_POINTS + 1) / (ZOOM_POINTS + 1)
+    ||f'|| peaks where the two largest |f_k| tie, in spikes about 1/s wide for
+    the slope s of the tied pair. So each circle's sup starts from the higher
+    of its best switch point and its argmax on COARSE_NODES angles, all read
+    in one call, and is refined, all circles together, down to a 1e-12
+    bracket: each step reads ZOOM_POINTS interior angles of a bracket centred
+    on the best angle yet, two coarse cells wide at first, and keeps the two
+    cells around the best of them and that angle. A spike narrower than the
+    cells keeps its centre until they resolve it."""
+    radii = np.asarray(radii, dtype=float)
+    circle, z = switches[:2]
+    step, rows = 2 * np.pi / COARSE_NODES, np.arange(radii.size)
+    coarse = radii[:, None] * np.exp(1j * step * np.arange(COARSE_NODES))
+    vals = curve.spherical_derivative(np.append(coarse, z))
+    grid, ties = vals[:coarse.size].reshape(coarse.shape), vals[coarse.size:]
+    centre, sups = step * np.argmax(grid, axis=1), grid.max(axis=1)
+    np.maximum.at(sups, circle, ties)
+    k = np.flatnonzero(ties == sups[circle])    # where a switch point holds its circle's best
+    centre[circle[k]] = np.angle(z[k])
+    width, cells = 2 * step, np.arange(1, ZOOM_POINTS + 1) / (ZOOM_POINTS + 1) - 0.5
     while width > 1e-12:
-        vals = curve.spherical_derivative(radii[:, None] * np.exp(1j * (a[:, None] + width * cells)))
-        a = a + width * np.argmax(vals, axis=1) / (ZOOM_POINTS + 1)
+        theta = centre[:, None] + width * cells
+        vals = curve.spherical_derivative(radii[:, None] * np.exp(1j * theta))
+        j = np.argmax(vals, axis=1)
+        peak = vals[rows, j]
+        centre, sups = np.where(peak > sups, theta[rows, j], centre), np.maximum(sups, peak)
         width *= 2 / (ZOOM_POINTS + 1)
-        sups = np.maximum(sups, vals.max(axis=1))
-    # the slope is fitted over the circles whose sup did not underflow to 0
-    fit = sups > 0.0
-    slope = np.polyfit(np.log(radii[fit]), np.log(sups[fit]), 1)[0] if fit.sum() >= 2 else 0.0
-    K_hat = float(np.max(sups * radii ** (-curve.sigma)))
-    return float(slope), K_hat
+    return float(np.max(sups * radii ** -curve.sigma))

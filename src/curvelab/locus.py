@@ -17,7 +17,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import AsymptoticsError
-from .polynomials import cauchy_fraction, horner, pair_differences, refine_angles, stack
+from .polynomials import cauchy_fraction, horner, leading_hull, pair_differences, refine_angles, stack
 
 TWO_PI = 2 * math.pi
 _RATIO = 1.01   # radius ratio of consecutive trace circles
@@ -187,11 +187,6 @@ def _columns(pairs, radii):
     return theta, col, (degree - 1.0)[col], (degree * lead / TWO_PI)[col]
 
 
-def _tail(rows):
-    """The rows of the last max(4, N/10) of N trace radii."""
-    return rows[-max(4, len(rows) // 10):]
-
-
 def _far_field(b_k, c_k, active):
     """(b, c0) of the locus: b is the largest b_k of the ``active`` columns
     and c0 the largest c_k among those with b_k = b; (-inf, 0) for none."""
@@ -199,31 +194,20 @@ def _far_field(b_k, c_k, active):
     return float(b), float(c_k[active & (b_k == b)].max(initial=0.0))
 
 
-def tail_exponents(polys, r0, r_max):
-    """The (b, c0) of trace_branches(polys, r0, r_max) without the trace: a
-    branch is active when its pair holds the max on all of the tail radii, so
-    only those are classified; r0 leads the solved radii, to be checked."""
-    radii = np.append(r0, _tail(_radius_grid(r0, r_max)))
-    pairs = _pairs(polys)
-    if not pairs[3].size:
-        return -math.inf, 0.0
-    theta, col, b_k, c_k = _columns(pairs, radii)
-    points = radii[1:, None] * np.exp(1j * theta[1:])
-    flags = _pair_active(stack(polys), pairs[0][col], pairs[1][col], points)
-    return _far_field(b_k, c_k, flags.all(axis=0))
-
-
 def trace_branches(polys, r0, r_max):
     """Trace every branch of the equal-value locus from |z| = r0 out to
-    |z| = r_max and assemble the summary (asymptotic exponents b, c0); an
-    empty locus gives no branches, b = -inf and c0 = 0.
+    |z| = r_max and assemble the summary, whose far field (b, c0) is the
+    closed form of leading_hull; an empty locus gives no branches, b = -inf
+    and c0 = 0.
 
     r0 must exceed every root of every P_i - P_j, as ``regularity_radius``
     does, else ValueError. Each branch is sampled where it crosses the circles
     r0 * 1.01^k below r_max and the circle r_max; every sample is classified
     at once, and the point where a branch's dominance changes is inserted
     between the samples on either side of it. A branch is active when its pair
-    holds the max on the last max(4, N/10) of the N circles (tail_exponents)."""
+    holds the max on the last max(4, N/10) of the N circles; where lower-order
+    terms decide the far field (leading_hull returns None), (b, c0) is read
+    off the active branches."""
     polys = list(polys)
     radii = _radius_grid(r0, r_max)
     pairs = _pairs(polys)
@@ -234,7 +218,7 @@ def trace_branches(polys, r0, r_max):
     i, j = i[col], j[col]
     points = radii[:, None] * np.exp(1j * theta)
     flags = _pair_active(exponents, i, j, points)
-    active = _tail(flags).all(axis=0)
+    active = flags[-max(4, len(radii) // 10):].all(axis=0)   # on the tail radii
     k, c = np.nonzero(flags[1:] != flags[:-1])
     ends = np.empty(0, complex) if not k.size else _transitions(
         exponents, i[c], j[c], diffs[col[c]], radii[k], radii[k + 1], theta[k, c], theta[k + 1, c], flags[k, c])
@@ -247,7 +231,7 @@ def trace_branches(polys, r0, r_max):
     parts = (np.split(a, np.cumsum(sizes)[:-1]) for a in (pts, gaps, densities, mask))
     branches = [LocusBranch(pair, p, g[:-1], d, m, b, ck, on) for pair, p, g, d, m, b, ck, on in
                 zip(zip(i.tolist(), j.tolist()), *parts, b_k.tolist(), c_k.tolist(), active.tolist())]
-    return LocusSummary(r0, r_max, branches, *_far_field(b_k, c_k, active))
+    return LocusSummary(r0, r_max, branches, *(leading_hull(polys) or _far_field(b_k, c_k, active)))
 
 
 def branch_asymptotics(branch: LocusBranch):

@@ -16,7 +16,7 @@ import numpy as np
 from .characteristic import (DEFAULT_TOL, characteristic_jensen, circle_rows, reduced_characteristic_polys,
                              switch_points)
 from .curves import HolomorphicCurve, _logsumexp, estimate_growth
-from .locus import regularity_radius, tail_exponents, tied
+from .locus import regularity_radius, tied, trace_branches
 from .polynomials import circle_sign_changes, leading_hull, on_circles
 
 DEFAULT_EPSILON = 0.01     # slack in the distance constant (2+epsilon)^{sigma+1}
@@ -106,6 +106,7 @@ class BoundReport:
     theorem_constant: float
     tail_rows: list            # (r, T_jensen, ceiling)
     verdicts: dict = field(default_factory=dict)
+    K_radii: list | None = None   # the circles K was read on; None where the curve declares K
 
     @property
     def all_true(self):
@@ -123,6 +124,7 @@ class BoundReport:
             "theorem_constant": self.theorem_constant,
             "tail_rows": [list(map(float, row)) for row in self.tail_rows],
             "verdicts": self.verdicts,
+            "K_radii": self.K_radii,
         }, sort_keys=True, indent=2)
 
 
@@ -131,30 +133,36 @@ def verify_theorem(curve: HolomorphicCurve, r_grid, epsilon=DEFAULT_EPSILON, tol
     T(r) <= K*C(n,sigma)*r^{sigma+1}*(1+SLACK) on the largest radii of the
     grid. Sub-check failures are recorded as false verdicts; the operation
     itself does not abort. One circle_sign_changes and one switch_points solve
-    on every (N // 6)-th of the N grid radii and on the tail serve prop1's tie
-    points, T* and the Jensen route of T, and one circle_rows pass serves
-    prop2 and the switch scan; prop3 reads the locus's far field off the hull
-    of the top coefficients (leading_hull), or, where lower-order terms decide
-    it, off the tail radii from r0 to max(4*r0, max(r_grid)) (tail_exponents)."""
+    on every (N // 6)-th of the N grid radii and on the tail serve K (where the
+    curve omits it, read by estimate_growth on those circles with r >= 1, or
+    on all of them for a grid inside the unit disk), prop1's tie points, T*
+    and the Jensen route of T, and one circle_rows pass serves prop2 and the
+    switch scan; prop3 reads the locus's far field off the hull of the top
+    coefficients (leading_hull), or, where lower-order terms decide it, off
+    the trace from r0 to max(4*r0, max(r_grid)) (trace_branches)."""
     r_grid = sorted(float(r) for r in r_grid)
     if not r_grid or (curve.K is None and r_grid[0] == r_grid[-1]):
         raise ValueError("empty r_grid" if not r_grid else "declare K or pass two distinct radii")
-    work = curve
-    if work.K is None:
-        r_min = max(r_grid[0], 1.0) if r_grid[-1] > 1.0 else r_grid[0]   # circles from r = 1 on
-        _, k_hat = estimate_growth(work, r_min, r_grid[-1])
-        work = work.with_K(max(k_hat, 1e-12))
-    sigma, K, n = work.sigma, work.K, work.n
-
-    polys = work.reduced_polys()
-    far = leading_hull(polys) or tail_exponents(polys, r0 := regularity_radius(polys), max(4 * r0, r_grid[-1]))
-
+    polys = curve.reduced_polys()
     step, tail_start = max(1, len(r_grid) // 6), int(math.floor(len(r_grid) * (1 - TAIL_FRACTION)))
     solved = np.union1d(np.arange(0, len(r_grid), step), np.arange(tail_start, len(r_grid)))
     radii = np.asarray(r_grid)[solved]
-    grid = circle_rows(work, r_grid)
+    grid = circle_rows(curve, r_grid)
     changes = circle_sign_changes(polys, radii)
-    switches = switch_points(work, radii, changes, grid[:, solved, ::2])
+    switches = switch_points(curve, radii, changes, grid[:, solved, ::2])
+
+    work, K_radii = curve, None
+    if curve.K is None:
+        read = np.flatnonzero(radii >= 1.0) if r_grid[-1] > 1.0 else np.arange(radii.size)   # circles from r = 1 on
+        K_radii = radii[read].tolist()
+        work = curve.with_K(max(estimate_growth(curve, radii[read], on_circles(switches, read)), 1e-12))
+    sigma, K, n = work.sigma, work.K, work.n
+
+    far = leading_hull(polys)
+    if far is None:
+        summary = trace_branches(polys, r0 := regularity_radius(polys), max(4 * r0, r_grid[-1]))
+        far = summary.b, summary.c0
+
     prop1_worst = prop1_check(work, on_circles(switches, np.flatnonzero(solved % step == 0))[1])
 
     rows2 = prop2_margin(work, epsilon, r_grid, grid)
@@ -184,4 +192,4 @@ def verify_theorem(curve: HolomorphicCurve, r_grid, epsilon=DEFAULT_EPSILON, tol
         sigma=sigma, K=K, epsilon=epsilon,
         prop1_worst=prop1_worst, prop2_rows=rows2, prop3=p3,
         prop4_margin=prop4_margin, theorem_constant=const,
-        tail_rows=tail_rows, verdicts=verdicts)
+        tail_rows=tail_rows, verdicts=verdicts, K_radii=K_radii)

@@ -181,10 +181,11 @@ def pair_differences(polys):
 
 
 def leading_hull(polys):
-    """prop3's far field (b, c0) of max_k Re P_k over ``polys`` from the convex hull of their coefficients a_k of
-    the top degree D, 0 below it (Polya's indicator diagram): (D - 1, max over hull edges of D |a_i - a_j| / 2pi),
-    each c as locus._columns forms c_k; (-inf, 0) for D = 0; None where lower-order terms decide (every a_k equal,
-    or one strictly inside an edge). Andrew's monotone chain, on the a_k as integers times one power of two."""
+    """The far field (b, c0) of the locus of max_k Re P_k over ``polys``, for prop3 and trace_branches, from the
+    convex hull of their coefficients a_k of the top degree D, 0 below it (Polya's indicator diagram): (D - 1, max
+    over hull edges of D |a_i - a_j| / 2pi), each c as locus._columns forms c_k; (-inf, 0) for D = 0; None where
+    lower-order terms decide (every a_k equal, or one strictly inside an edge). Andrew's monotone chain, on the a_k
+    as integers times one power of two."""
     coeffs = stack(polys)
     top, a = coeffs.shape[1] - 1, np.unique(coeffs[:, -1]).tolist()     # sorted by real part, then imaginary
     if top == 0:

@@ -94,6 +94,21 @@ class TestCommands:
         report = json.loads((tmp_path / "bound_report.json").read_text(), parse_constant=reject)
         assert report["prop3"]["b"] is None
 
+    def test_verify_bound_records_the_K_circles(self, tmp_path, capsys):
+        # a declared K reads no circle; an omitted one names the circles it was read on
+        spec = json.loads((FIXTURES / "product2.json").read_text())
+        spec.pop("K")
+        (tmp_path / "no_K.json").write_text(json.dumps(spec))
+        for path, out in ((FIXTURES / "product2.json", "declared"), (tmp_path / "no_K.json", "omitted")):
+            main(["verify-bound", "--input", str(path), "--out", str(tmp_path / out), "--grid", "8"])
+        declared, omitted = (json.loads((tmp_path / d / "bound_report.json").read_text())
+                             for d in ("declared", "omitted"))
+        assert declared["K_radii"] is None
+        # on 8 radii from 1 to 20 every circle is solved, and every one has r >= 1
+        assert omitted["K_radii"] == [row[0] for row in omitted["prop2_rows"]] and len(omitted["K_radii"]) == 8
+        printed = capsys.readouterr().out
+        assert printed.count("K read on r = ") == 1 and "K read on r = 1, 1.53413, " in printed
+
     def test_locus_outputs(self, tmp_path, capsys):
         status = main(["locus", "--input", str(FIXTURES / "product2.json"),
                        "--out", str(tmp_path), "--rmax", "30"])
@@ -291,8 +306,8 @@ def test_import_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     report = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    growth = ("curvelab.estimate_growth(curvelab.load_curve("
-              f"{str(FIXTURES / 'product2.json')!r}).with_K(None), 1.0, 20.0); ")
+    growth = (f"c = curvelab.load_curve({str(FIXTURES / 'product2.json')!r}).with_K(None); "
+              "curvelab.estimate_growth(c, [1.0, 20.0], curvelab.characteristic.switch_points(c, [1.0, 20.0])); ")
     for run in ("", "curvelab.harness_report(1, 5); ", growth):
         code = f"import sys, curvelab; {run}{report}"
         result = subprocess.run([sys.executable, "-c", code], env=env,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import curvelab.curves
+import curvelab.pipeline
 from curvelab import (
     CurveComponent,
     HolomorphicCurve,
@@ -15,7 +16,8 @@ from curvelab import (
     parse_curve,
     verify_theorem,
 )
-from curvelab.curves import GROWTH_CIRCLES, THETA_NODES, CompiledCurve
+from curvelab.characteristic import switch_points
+from curvelab.curves import CompiledCurve
 from curvelab.errors import CurveValidationError
 from curvelab.polynomials import ComplexPoly
 from curvelab.quadrature import CHUNK_POINTS
@@ -100,16 +102,15 @@ class TestValidation:
 @pytest.mark.identity
 class TestEstimateGrowth:
     def test_exp_curve_K(self, exp_curve):
-        sigma_hat, k_hat = estimate_growth(exp_curve, 5.0, 60.0)
-        assert abs(sigma_hat) < 1e-6
-        assert k_hat == pytest.approx(0.5, abs=1e-6)
+        # ||f'|| = |e^z| / (1 + |e^z|^2), at most 1/2, on Re z = 0
+        assert _growth(exp_curve, np.geomspace(5.0, 60.0, 8)) == pytest.approx(0.5, abs=1e-6)
 
     def test_constant_curve_degenerate(self, constant_curve):
-        assert estimate_growth(constant_curve, 1.0, 10.0) == (0.0, 0.0)
+        assert _growth(constant_curve, np.geomspace(1.0, 10.0, 8)) == 0.0
 
     def test_underflowing_sups_take_no_log_of_zero(self):
         # sigma = 20, f_0 = e^{z^41}: on the outer circles ||f'|| underflows
-        # to 0 at every grid angle, and the slope is fitted without them
+        # to 0 at every coarse angle, but not at the 82 ties Re z^41 = 0
         curve = HolomorphicCurve(
             1, (CurveComponent.exp_poly([0] * 41 + [1]), CurveComponent.one()), 20.0)
         radii = np.geomspace(1.0, 20.0, 8)
@@ -117,20 +118,21 @@ class TestEstimateGrowth:
         assert np.any(grid.max(axis=1) == 0.0) and np.any(grid.max(axis=1) > 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            slope, k_hat = estimate_growth(curve, 1.0, 20.0)
+            k_hat = _growth(curve, radii)
             report = verify_theorem(curve, np.geomspace(1.0, 20.0, 16))
-        assert math.isfinite(slope) and k_hat > 0.0
-        assert report.K == max(k_hat, 1e-12)
+        assert k_hat > 0.0
+        assert report.K == max(_growth(curve, report.K_radii), 1e-12)
 
     def test_square_exp_slope(self, square_exp_curve):
-        sigma_hat, k_hat = estimate_growth(square_exp_curve, 5.0, 20.0)
-        assert sigma_hat == pytest.approx(1.0, abs=1e-6)
-        assert k_hat == pytest.approx(1.0, abs=1e-6)
+        # ||f'|| = |2z e^{z^2}| / (1 + |e^{z^2}|^2) peaks at |z| on the ties
+        # Re z^2 = 0: the sup grows with slope 1 in log r, K = 1 on every circle
+        for r in (5.0, 9.0, 20.0):
+            assert _growth(square_exp_curve, [r]) == pytest.approx(1.0, abs=1e-6)
 
     def test_sharp_peak_sup(self):
         # n = 1, sigma = 1, f_0 = Q e^P with deg P = 4 and K omitted: at
-        # r = 20 the sup of ||f'|| is a spike 4.2e-6 rad wide at half height,
-        # near a zero of Q where Re P is large, and the r = 20 circle sets K.
+        # r = 20 ||f'|| spikes, a few 1e-6 rad wide at half height, where
+        # |f_0| = 1 (u_0 = u_1) near the zeros of Q, and the r = 20 circle sets K.
         q = [-0.08488019026801545 + 0.47045248205467055j,
              -0.5818658321430112 - 0.13631571227931955j,
              -0.32660855923794924 + 0.6580151547228593j]
@@ -141,71 +143,65 @@ class TestEstimateGrowth:
              0.8968066845663726 + 0.3953201325533009j]
         curve = HolomorphicCurve(1, (CurveComponent.poly_exp(q, p), CurveComponent.one()), 1.0)
         r = 20.0
-        _, k_hat = estimate_growth(curve, 1.0, r)
-        # reference: a 2,000,001-point scan of the two grid cells around the
-        # grid argmax, then 100,001 points over the two scan cells around the
-        # scan argmax (the scan alone lies 7.6e-9 below the peak)
-        step = 2 * np.pi / THETA_NODES
-        grid = curve.spherical_derivative(r * np.exp(1j * step * np.arange(THETA_NODES)))
-        k = int(np.argmax(grid))
-        theta = np.linspace(step * (k - 1), step * (k + 1), 2_000_001)
-        i = int(np.argmax(curve.spherical_derivative(r * np.exp(1j * theta))))
-        theta = np.linspace(theta[i - 1], theta[i + 1], 100_001)
-        dense = np.max(curve.spherical_derivative(r * np.exp(1j * theta)))
+        k_hat = _growth(curve, np.geomspace(1.0, r, 8))
+        # reference: the 8 sign changes of log|f_0| on 2^20 angles; around
+        # each a 200,001-point scan from one cell before to two after, then
+        # 100,001 points over the two scan cells around the scan argmax (the
+        # spike a 2048-angle grid picks lies 2.0 % below the highest)
+        step = 2 * np.pi / (1 << 20)
+        theta = step * np.arange(1 << 20)
+        gap = curve.compiled.log_moduli(r * np.exp(1j * theta))[0]
+        dense = 0.0
+        for k in np.flatnonzero((gap > 0) != (np.roll(gap, -1) > 0)):
+            t = np.linspace(theta[k] - step, theta[k] + 2 * step, 200_001)
+            i = int(np.argmax(curve.spherical_derivative(r * np.exp(1j * t))))
+            t = np.linspace(t[i - 1], t[i + 1], 100_001)
+            dense = max(dense, np.max(curve.spherical_derivative(r * np.exp(1j * t))))
         assert k_hat * r == pytest.approx(dense, rel=1e-10)
 
     def test_K_as_recorded(self):
-        # (slope, K) on [1, 20] of product2 without its K and of three seeded
-        # K-omitted curves, as float.hex, recorded while ||f'|| was
-        # exp(log numerator - log denominator) at every point
+        # K on 8 circles from 1 to 20 of product2 without its K and of three
+        # seeded K-omitted curves, as float.hex, recorded when the sups were
+        # first read from the switch points and a 256-angle grid
         curves = [load_curve(FIXTURES / "product2.json").with_K(None)]
         curves += [_random_curve(np.random.default_rng(seed), n, sigma, kind)
                    for seed, n, sigma, kind in [(31, 1, 1.0, "polyexp"), (32, 2, 0.5, "exppoly"),
                                                 (33, 3, 1.0, "poly")]]
         for curve, recorded in zip(curves, RECORDED_GROWTH):
-            slope, k_hat = estimate_growth(curve, 1.0, 20.0)
-            assert slope == pytest.approx(float.fromhex(recorded[0]), rel=1e-12, abs=0.0)
-            assert k_hat == pytest.approx(float.fromhex(recorded[1]), rel=1e-12, abs=0.0)
+            k_hat = _growth(curve, np.geomspace(1.0, 20.0, 8))
+            assert k_hat == pytest.approx(float.fromhex(recorded), rel=1e-12, abs=0.0)
 
     def test_zoom_work_and_K(self, monkeypatch):
-        # at most 12 calls of ||f'|| (the grid and 9 zoom steps), and K no
-        # lower than that of the golden-section search the zoom replaces
+        # at most 10 calls of ||f'|| (the grid with the switch points, and 9
+        # zoom steps), and K no lower than a 2^14-angle scan of its circles
         curves = [_random_curve(np.random.default_rng(seed), n, sigma, kind)
                   for seed, n, sigma, kind in [(41, 2, 1.0, "polyexp"), (42, 4, 0.5, "poly"),
                                                (43, 6, 0.0, "exppoly")]]
+        radii = np.geomspace(1.0, 20.0, 8)
         calls = []
         original = HolomorphicCurve.spherical_derivative
         monkeypatch.setattr(HolomorphicCurve, "spherical_derivative",
                             lambda self, z, squared=False: calls.append(1) or original(self, z, squared))
         for curve in curves:
+            switches = switch_points(curve, radii)
             calls.clear()
-            _, k_hat = estimate_growth(curve, 1.0, 20.0)
-            assert len(calls) <= 12
-            assert k_hat >= (1 - 1e-13) * _golden_K(curve, 1.0, 20.0)
+            k_hat = estimate_growth(curve, radii, switches)
+            assert len(calls) <= 10
+            assert k_hat >= (1 - 1e-12) * _scanned_K(curve, radii, 1 << 14)
 
 
-def _golden_K(curve, r_min, r_max):
-    """estimate_growth's K with the sup of each circle refined by
-    golden-section search over the two grid cells around the grid argmax."""
-    golden = (math.sqrt(5) - 1) / 2
-    radii = np.geomspace(r_min, r_max, GROWTH_CIRCLES)
-    step = 2 * np.pi / THETA_NODES
-    vals = curve.spherical_derivative(radii[:, None] * np.exp(1j * step * np.arange(THETA_NODES)))
-    a = step * (np.argmax(vals, axis=1) - 1.0)
-    b = a + 2 * step
-    sups = vals.max(axis=1)
-    while np.max(b - a) > 1e-12:
-        c, d = b - golden * (b - a), a + golden * (b - a)
-        fc, fd = curve.spherical_derivative(radii * np.exp(1j * np.stack([c, d])))
-        a, b = np.where(fc > fd, a, c), np.where(fc > fd, d, b)
-        sups = np.maximum.reduce([sups, fc, fd])
-    return float(np.max(sups * radii ** (-curve.sigma)))
+def _growth(curve, radii):
+    """estimate_growth on the circles |z| = radii from their own switch points."""
+    return estimate_growth(curve, radii, switch_points(curve, radii))
 
 
-RECORDED_GROWTH = [("-0x1.25bd9065d0686p-4", "0x1.5b3ccc334725bp-1"),
-                   ("0x1.678866d2e1394p+1", "0x1.efd207ee4cfe4p+9"),
-                   ("0x1.b2d1c7fe7e059p+0", "0x1.95d8c0a0a7d8cp+5"),
-                   ("-0x1.179ea8a47667fp-1", "0x1.e096401da7b64p+6")]
+def _scanned_K(curve, radii, nodes):
+    """max over the circles of ||f'|| / r^sigma on ``nodes`` angles of each."""
+    theta = 2 * np.pi * np.arange(nodes) / nodes
+    return max(float(curve.spherical_derivative(r * np.exp(1j * theta)).max()) * r ** -curve.sigma for r in radii)
+
+
+RECORDED_GROWTH = ["0x1.5b3ccc334725bp-1", "0x1.f9f4edda3fb9cp+9", "0x1.c90d4e570b97ep+5", "0x1.cdf0cb0592eefp+8"]
 
 
 def _random_curve(rng, n, sigma, kind0):
@@ -500,14 +496,23 @@ class TestLogFormBound:
     def test_growth_grids_of_the_benchmark(self, seed, bench, monkeypatch):
         # every grid that estimate_growth reads on the curves without a
         # declared K of the locus-bound workload, as verify_theorem calls it
-        specs = bench("workloads").locus_bound_workload(seed).specs
-        grids, sd = [], HolomorphicCurve.spherical_derivative
+        workloads = bench("workloads")
+        grids, sd, inside = [], HolomorphicCurve.spherical_derivative, []
+
+        def growth(*args):
+            inside.append(1)
+            try:
+                return estimate_growth(*args)
+            finally:
+                inside.pop()
+
         with monkeypatch.context() as patch:
+            patch.setattr(curvelab.pipeline, "estimate_growth", growth)
             patch.setattr(HolomorphicCurve, "spherical_derivative",
-                          lambda self, z, squared=False: grids.append((self, z)) or sd(self, z, squared))
-            for spec in specs.values():
+                          lambda self, z, squared=False: inside and grids.append((self, z)) or sd(self, z, squared))
+            for spec in workloads.locus_bound_workload(seed).specs.values():
                 if "K" not in spec:
-                    estimate_growth(parse_curve(spec), 1.0, 20.0)
+                    verify_theorem(parse_curve(spec), workloads.VERIFY_GRID)
         assert len({id(curve) for curve, _ in grids}) == 9
         work = _log_form_work(monkeypatch)
         for curve, z in grids:

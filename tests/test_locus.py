@@ -9,7 +9,6 @@ from curvelab import (
     regularity_radius,
     load_curve,
     riesz_of_max,
-    tail_exponents,
     trace_branches,
 )
 from curvelab.characteristic import reduced_characteristic_polys
@@ -282,8 +281,6 @@ class TestBranchAngles:
         polys = [ComplexPoly([-4, 0, 1]), ZERO]
         with pytest.raises(ValueError, match="r0"):
             trace_branches(polys, 1.0, 10.0)
-        with pytest.raises(ValueError, match="r0"):
-            tail_exponents(polys, 1.0, 10.0)
 
 
 def _random_stacks(seed=13, count=12):
@@ -299,14 +296,22 @@ def _random_stacks(seed=13, count=12):
     return stacks
 
 
+def _branch_far_field(summary):
+    """(b, c0) read off the active branches of a trace: the largest b_k, and
+    the largest c_k among those with that b_k; (-inf, 0) for none."""
+    active = [br for br in summary.branches if br.active]
+    b = max((br.b_k for br in active), default=-math.inf)
+    return b, max((br.c_k for br in active if br.b_k == b), default=0.0)
+
+
 class TestTailExponents:
-    """prop3's (b, c0) from the tail radii alone match the full trace's."""
+    """trace_branches' (b, c0), leading_hull's where it has a closed form,
+    match the far field of the branches active on its tail radii."""
 
     @staticmethod
     def _both(polys, r0):
-        r_max = max(4 * r0, 20.0)
-        summary = trace_branches(polys, r0, r_max)
-        return tail_exponents(polys, r0, r_max), (summary.b, summary.c0)
+        summary = trace_branches(polys, r0, max(4 * r0, 20.0))
+        return (summary.b, summary.c0), _branch_far_field(summary)
 
     def test_product2(self):
         polys = load_curve(FIXTURES / "product2.json").reduced_polys()
@@ -348,7 +353,7 @@ class TestTailExponents:
 
     def test_radius_order_checked(self):
         with pytest.raises(ValueError, match="r_max"):
-            tail_exponents([Z, ZERO], 4.0, 4.0)
+            trace_branches([Z, ZERO], 4.0, 4.0)
 
 
 # reduced exponents of three generated curves (bench/workloads.py, locus-bound
@@ -398,18 +403,23 @@ class TestLeadingHull:
 
     @pytest.mark.identity
     def test_matches_a_deep_tail(self):
-        # the tail of the trace radii out to 2e4 reads the hull's (b, c0), bit for bit
+        # the branches active on the tail of the trace radii out to 2e4 read
+        # the hull's (b, c0), bit for bit, and so does the trace's summary
         stacks = [load_curve(path).reduced_polys() for path in sorted(FIXTURES.glob("*.json"))]
         for polys in stacks + _random_stacks():
-            assert leading_hull(polys) == tail_exponents(polys, regularity_radius(polys), 2e4)
+            summary = trace_branches(polys, regularity_radius(polys), 2e4)
+            assert leading_hull(polys) == _branch_far_field(summary) == (summary.b, summary.c0)
 
     @pytest.mark.identity
     def test_short_tails_misread(self):
+        # the branches active on the short tail misread the far field; the
+        # summary reads the hull's on either tail
         for polys, r_max in SHORT_TAILS:
             r0 = regularity_radius(polys)
             far = leading_hull(polys)
-            assert tail_exponents(polys, r0, max(4 * r0, 20.0)) != far
-            assert tail_exponents(polys, r0, r_max) == far
+            short, deep = (trace_branches(polys, r0, r) for r in (max(4 * r0, 20.0), r_max))
+            assert _branch_far_field(short) != far == (short.b, short.c0)
+            assert _branch_far_field(deep) == far == (deep.b, deep.c0)
 
     def test_constants(self):
         assert leading_hull([ComplexPoly([2.0]), ComplexPoly([1j]), ZERO]) == (-math.inf, 0.0)
@@ -422,7 +432,7 @@ class TestLeadingHull:
         polys = [Z2 + Z, Z2, ComplexPoly([0, 0, 1j]), ComplexPoly([0, 1, -1 - 0.5j]), ZERO]
         far = leading_hull(polys)
         assert far == (1.0, 2 * abs(1 - (-1 - 0.5j)) / (2 * math.pi))
-        assert far == tail_exponents(polys, regularity_radius(polys), 2e4)
+        assert far == _branch_far_field(trace_branches(polys, regularity_radius(polys), 2e4))
 
     def test_collinearity_is_exact(self):
         # a cross product in doubles reads 0 for these three, which are not
@@ -608,7 +618,7 @@ def _trace_per_branch(polys, r0, r_max):
     i, j = i[col], j[col]
     points = radii[:, None] * np.exp(1j * theta)
     flags = locus._pair_active(exponents, i, j, points)
-    active = locus._tail(flags).all(axis=0)
+    active = flags[-max(4, len(radii) // 10):].all(axis=0)
     k, c = np.nonzero(flags[1:] != flags[:-1])
     ends = np.empty(0, complex)
     if k.size:
@@ -623,7 +633,7 @@ def _trace_per_branch(polys, r0, r_max):
             densities=np.abs(horner(slopes[p:p + 1, :degree[p]], pts)[0]) / locus.TWO_PI,
             active_mask=np.insert(flags[:, idx], cuts, flags[cuts, idx]),
             b_k=float(b_k[idx]), c_k=float(c_k[idx]), active=bool(active[idx])))
-    return locus.LocusSummary(r0, r_max, branches, *locus._far_field(b_k, c_k, active))
+    return locus.LocusSummary(r0, r_max, branches, *(leading_hull(polys) or locus._far_field(b_k, c_k, active)))
 
 
 @pytest.mark.identity

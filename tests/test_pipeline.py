@@ -16,7 +16,6 @@ from curvelab import (
     prop4_bound,
     reduced_characteristic,
     regularity_radius,
-    tail_exponents,
     theorem_constant,
     trace_branches,
     verify_theorem,
@@ -29,6 +28,7 @@ from curvelab.curves import CompiledCurve
 from curvelab.locus import tied
 from curvelab.polynomials import ComplexPoly, circle_sign_changes, leading_hull, on_circles
 from test_characteristic import FIXTURE_NAMES, FIXTURES, _sign_changes
+from test_curves import _scanned_K
 from test_jensen_panels import N3_SIGMA05, N4_SIGMA1, N6_SIGMA05
 
 
@@ -232,7 +232,6 @@ class TestHarvest:
             polys = curve.reduced_polys()
             r0 = regularity_radius(polys)
             assert trace_branches(polys, r0, 4 * r0).branches
-            tail_exponents(polys, r0, 4 * r0)
             reduced_characteristic(curve, [1.0, 3.0, 8.0])
         assert calls == {"__call__": 0, "log_modulus": 0, "log_derivative": 0}
 
@@ -389,6 +388,15 @@ class TestVerifyTheorem:
         assert report.K == pytest.approx(0.5, abs=1e-3)
         assert report.all_true
 
+    def test_K_read_from_r_1_on(self):
+        # K is read on the solved circles with r >= 1, or on all of them for a
+        # grid inside the unit disk; a declared K reads none
+        curve = load_curve(FIXTURES / "product2.json")
+        inside, across = np.geomspace(0.1, 1.0, 8), np.geomspace(0.25, 4.0, 8)
+        assert verify_theorem(curve, across).K_radii is None
+        assert verify_theorem(curve.with_K(None), inside).K_radii == inside.tolist()
+        assert verify_theorem(curve.with_K(None), across).K_radii == across[across >= 1.0].tolist()
+
     @pytest.mark.parametrize("grid", [[2.0], [3.0, 3.0]])
     def test_K_omitted_needs_two_distinct_radii(self, grid):
         bare = load_curve(FIXTURES / "product2.json").with_K(None)
@@ -418,7 +426,7 @@ class TestVerifyTheorem:
     def test_prop3_reads_the_leading_hull(self, monkeypatch):
         # product2's far field is its hull's: the locus is neither bounded nor solved
         calls = []
-        for name in ("tail_exponents", "regularity_radius"):
+        for name in ("trace_branches", "regularity_radius"):
             for module in (pipeline, locus):
                 monkeypatch.setattr(module, name, lambda *args, _name=name: calls.append(_name))
         curve = load_curve(FIXTURES / "product2.json")
@@ -436,8 +444,8 @@ class TestVerifyTheorem:
         polys = curve.reduced_polys()
         r0 = regularity_radius(polys)
         report = verify_theorem(curve, np.geomspace(1.0, 20.0, 8))
-        far = tail_exponents(polys, r0, max(4 * r0, 20.0))
-        assert (report.prop3["b"], report.prop3["c0"]) == far == (1.0, pytest.approx(1 / math.pi))
+        summary = trace_branches(polys, r0, max(4 * r0, 20.0))
+        assert (report.prop3["b"], report.prop3["c0"]) == (summary.b, summary.c0) == (1.0, pytest.approx(1 / math.pi))
 
     def test_prop1_reads_harvested_ties_only(self):
         # far out on its locus (|z| ~ 7000) u is ~3e14, where a relative tie
@@ -542,7 +550,7 @@ def test_switch_points_on_a_subset_of_circles():
 @pytest.mark.identity
 def test_with_K_shares_the_compiled_curve(monkeypatch):
     # the kernel depends only on the components, so a K-omitted verify_theorem
-    # reuses the one estimate_growth built, and its report keeps every bit
+    # reuses the one its circle solve built, and its report keeps every bit
     bare = load_curve(FIXTURES / "product2.json").with_K(None)
     assert "compiled" not in bare.with_K(2.0).__dict__      # nothing is built before first use
     compiled = bare.compiled
@@ -553,3 +561,17 @@ def test_with_K_shares_the_compiled_curve(monkeypatch):
     monkeypatch.setattr(HolomorphicCurve, "with_K",
                         lambda self, K: HolomorphicCurve(self.n, self.components, self.sigma, K))
     assert shared == [verify_theorem(curve.with_K(None), grid).to_json() for curve in curves]
+
+
+def test_K_at_least_a_scan_of_its_circles(bench):
+    # on the K-omitted locus-bound curves, K is at least a 2^14-angle scan of
+    # ||f'|| / r^sigma on every circle it was read on: the switch points find
+    # the spikes where two |f_k| tie, which are narrower than the scan's step
+    workloads = bench("workloads")
+    specs = [spec for spec in workloads.locus_bound_workload(81).specs.values() if "K" not in spec]
+    assert len(specs) == 9
+    for spec in specs:
+        curve = parse_curve(spec)
+        report = verify_theorem(curve, workloads.VERIFY_GRID)
+        assert min(report.K_radii) >= 1.0 and 20.0 in report.K_radii
+        assert report.K >= (1 - 1e-12) * _scanned_K(curve, report.K_radii, 1 << 14)
